@@ -7,8 +7,8 @@ Subcommands::
     hlfspn export-dot <config>     model config -> DOT on stdout
     hlfspn solve <spec.ini>        exact CTMC rewards (exponential-only)
 
-Exit codes: 0 success, 2 parse/config error, 3 divergent or partial
-simulation, 4 output path not writable.
+Exit codes: 0 success, 2 parse or validation error, 3 no usable estimate
+(see README), 4 output path not writable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from pathlib import Path
 from .experiments import (
     CASE_STUDY_IDS,
     SpecError,
-    evaluate_config,
     load_experiment,
     run_case_study,
     run_experiment,
@@ -29,8 +28,7 @@ from .experiments import (
 from .hlf import ConfigError, build_hlf_net, parse_config
 from .metrics import METRIC_NAMES, metric_report, standard_queries
 from .spn.ctmc import UnsupportedModelError, solve_ctmc
-from .spn.engine import DivergenceError, PartialResultError
-from .spn.net import SpnError
+from .spn.net import EvaluationError, SpnError
 from .spn.textfmt import FormatError, to_dot
 
 EXIT_OK = 0
@@ -103,26 +101,24 @@ def main(argv=None) -> int:
         if args.command == "export-dot":
             return _cmd_export_dot(args)
         return _cmd_solve(args)
-    except (SpecError, ConfigError, FormatError, FileNotFoundError) as exc:
+    except (SpecError, ConfigError, FormatError, EvaluationError,
+            UnsupportedModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UnsupportedModelError):
+            print("hint: set arrival_dist = exponential and timeout_dist = "
+                  "exponential in [base]", file=sys.stderr)
         return EXIT_PARSE
-    except (DivergenceError, PartialResultError) as exc:
-        print(f"error: simulation aborted: {exc}", file=sys.stderr)
+    except SpnError as exc:
+        print(f"error: no usable estimate: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except PermissionError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
 
 
 def _cmd_run(args) -> int:
     spec = _apply_overrides(load_experiment(args.spec), args)
-    try:
-        written = run_experiment(spec, args.out_dir, jobs=args.jobs)
-    except OSError as exc:
-        if isinstance(exc, PermissionError):
-            raise
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    written = run_experiment(spec, args.out_dir, jobs=args.jobs)
     for path in written:
         print(path)
     return EXIT_OK
@@ -152,13 +148,8 @@ def _cmd_solve(args) -> int:
     if spec.sweep or spec.doe_factors:
         raise SpecError("solve expects a single-point spec (no sweep/doe)")
     handle = build_hlf_net(spec.base)
-    try:
-        result = solve_ctmc(handle.net, standard_queries(handle),
-                            max_states=args.max_states)
-    except UnsupportedModelError as exc:
-        print(f"error: {exc}\nhint: set arrival_dist = exponential and "
-              "timeout_dist = exponential in [base]", file=sys.stderr)
-        return EXIT_PARSE
+    result = solve_ctmc(handle.net, standard_queries(handle),
+                        max_states=args.max_states)
     report = metric_report(result, handle, mode=spec.mrt_mode)
     print(f"tangible states: {result.n_states}")
     for name in METRIC_NAMES:

@@ -38,12 +38,13 @@ import configparser
 import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .doe import Factor, effects, factorial_design, interaction_table
-from .hlf import ConfigError, HlfConfig, HlfNetHandle, build_hlf_net
+from .hlf import (ConfigError, HlfConfig, HlfNetHandle, build_hlf_net,
+                  coerce_field)
 from .metrics import METRIC_NAMES, MetricReport, metric_report, standard_queries
 from .spn.engine import SimConfig, SimulationResult, simulate_stationary
 from .spn.net import SpnError
@@ -53,37 +54,13 @@ class SpecError(SpnError):
     """Malformed experiment spec."""
 
 
-_HLF_FIELDS = {f.name for f in dc_fields(HlfConfig)}
-_INT_HLF_FIELDS = {"n_endorsers", "n_committers", "block_size",
-                   "eq", "oq", "cq", "ep", "op", "cp"}
-
-# factor-name aliases accepted in sweeps and DoE sections
-_PARAM_ALIASES = {
-    "BLOCK": "block_size",
-    "TIME_OUT": "timeout_s",
-    "AD": "arrival_delay_s",
-    "ep_1": "ep",
-    "op_1": "op",
-    "cp_1": "cp",
-    "eq_1": "eq",
-    "oq_1": "oq",
-    "cq_1": "cq",
-}
-
-
-def apply_param(cfg: HlfConfig, name: str, value: float) -> HlfConfig:
+def apply_param(cfg: HlfConfig, name: str, value) -> HlfConfig:
     """Set one model parameter by (possibly aliased) name."""
-    name = _PARAM_ALIASES.get(name, name)
-    if name == "arrival_rate_tps":
-        return cfg.with_arrival_rate(float(value))
-    if name not in _HLF_FIELDS:
-        raise SpecError(f"unknown model parameter {name!r}")
-    if name in _INT_HLF_FIELDS:
-        iv = int(value)
-        if iv != value:
-            raise SpecError(f"{name} must be an integer, got {value}")
-        return replace(cfg, **{name: iv})
-    return replace(cfg, **{name: float(value)})
+    try:
+        field, v = coerce_field(name, value)
+    except ConfigError as exc:
+        raise SpecError(str(exc)) from exc
+    return replace(cfg, **{field: v})
 
 
 @dataclass(frozen=True)
@@ -100,6 +77,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep and self.doe_factors:
             raise SpecError("a spec may contain a sweep or a doe, not both")
+        if self.mrt_mode not in ("literal", "effective"):
+            raise SpecError(f"unknown MRT mode {self.mrt_mode!r}")
         if self.doe_response not in METRIC_NAMES:
             raise SpecError(f"unknown response metric {self.doe_response!r}")
         for m in self.metrics:
@@ -119,14 +98,15 @@ def parse_experiment(text: str) -> ExperimentSpec:
         raise SpecError(f"spec parse error: {exc}") from exc
 
     cfg = HlfConfig()
+    mode = "effective"
     if parser.has_section("base"):
         for key, val in parser.items("base"):
+            if key == "mrt_mode":
+                mode = val.strip()
+                continue
             try:
-                if key in ("arrival_dist", "timeout_dist"):
-                    cfg = replace(cfg, **{key: val.strip()})
-                else:
-                    cfg = apply_param(cfg, key, float(val))
-            except (ValueError, ConfigError) as exc:
+                cfg = apply_param(cfg, key, val)
+            except (SpecError, ConfigError) as exc:
                 raise SpecError(f"[base] {key}: {exc}") from exc
 
     sim_kwargs = {}
@@ -188,10 +168,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
                    if k != "metrics"}
         if parser.has_option("outputs", "metrics"):
             metrics = tuple(_split_list(parser.get("outputs", "metrics")))
-
-    mode = "effective"
-    if parser.has_option("base", "mrt_mode"):
-        mode = parser.get("base", "mrt_mode").strip()
 
     return ExperimentSpec(base=cfg, sim=sim, sweep=tuple(sweep),
                           doe_factors=tuple(doe_factors),

@@ -8,14 +8,13 @@ timeout, and a broadcast commit to every committer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .spn.net import (
     And,
     Arc,
     Atom,
-    Constant,
     Deterministic,
     Exponential,
     FlushAll,
@@ -112,15 +111,43 @@ def default_config() -> HlfConfig:
     return HlfConfig()
 
 
-CONFIG_FIELDS = (
-    "n_endorsers", "n_committers", "arrival_delay_s", "block_size",
-    "timeout_s", "eq", "oq", "cq", "ep", "op", "cp",
-    "te1", "te2", "te3", "te4", "te5", "te6", "te7", "te8",
-    "arrival_dist", "timeout_dist",
-)
+CONFIG_FIELDS = tuple(f.name for f in fields(HlfConfig))
 
-_INT_FIELDS = {"n_endorsers", "n_committers", "block_size",
-               "eq", "oq", "cq", "ep", "op", "cp"}
+_FIELD_TYPES = {"arrival_rate_tps": float,
+                **{f.name: {"int": int, "str": str}.get(f.type, float)
+                   for f in fields(HlfConfig)}}
+
+# case-insensitive aliases: the paper's parameter names and per-node forms
+_ALIASES = {"block": "block_size", "time_out": "timeout_s",
+            "ad": "arrival_delay_s",
+            **{f"{f}_1": f for f in ("eq", "oq", "cq", "ep", "op", "cp")}}
+
+
+def coerce_field(key: str, value) -> tuple[str, object]:
+    """Resolve a configuration key and convert its value to the field's
+    type; returns (field name, value).
+
+    Keys are case-insensitive and may be aliases; ``arrival_rate_tps`` sets
+    ``arrival_delay_s`` to its reciprocal. Values may be strings or numbers.
+    """
+    name = key.strip().lower()
+    name = _ALIASES.get(name, name)
+    kind = _FIELD_TYPES.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown model parameter {key.strip()!r}")
+    if kind is str:
+        return name, str(value).strip()
+    try:
+        v = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if kind is int and not v.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value}")
+    if name == "arrival_rate_tps":
+        if not v > 0:
+            raise ConfigError("arrival rate must be positive")
+        return "arrival_delay_s", 1.0 / v
+    return name, kind(v)
 
 
 def parse_config(text: str) -> HlfConfig:
@@ -133,25 +160,12 @@ def parse_config(text: str) -> HlfConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
         try:
-            if key == "arrival_rate_tps":
-                values["arrival_delay_s"] = 1.0 / float(val)
-            elif key in ("arrival_dist", "timeout_dist"):
-                values[key] = val
-            elif key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in CONFIG_FIELDS:
-                values[key] = float(val)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-    try:
-        return HlfConfig(**values)
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
+            name, v = coerce_field(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        values[name] = v
+    return HlfConfig(**values)
 
 
 def serialize_config(cfg: HlfConfig) -> str:
@@ -195,8 +209,6 @@ class HlfNetHandle:
     committer_proc_fills: tuple[str, ...]  # CPF_i
     arrival: str
     entry_drop: str
-    orderer_overflow_drop: str
-    committer_overflow_drops: tuple[str, ...]
     full_block_cut: str                    # TI6
     timeout_cut: str                       # TI7
     full_block_service: str                # TE4
@@ -228,8 +240,6 @@ class HlfNetHandle:
             "ordering-accumulator": self.accumulator,
             "clock-expired": self.clock_expired,
             "entry-drop": self.entry_drop,
-            "orderer-overflow-drop": self.orderer_overflow_drop,
-            "commit-overflow-drop": self.committer_overflow_drops,
             "endorser-queue-capacity": self.endorser_queue_caps,
             "committer-queue-capacity": self.committer_queue_caps,
             "TE6": self.transfer_services,
@@ -289,8 +299,8 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         te = f"TE{i}" if i <= 2 else f"TE2_{i}"
         endorse_services.append(te)
         # the guard blocks completion while the orderer queue is full, so
-        # congestion backs up to the entry queues instead of being absorbed
-        # by an internal drop
+        # congestion backs up to the entry queues; no transaction is lost
+        # inside the pipeline
         transitions.append(Transition(
             te, Exponential(cfg.endorse_mean(i)),
             input_arcs=(Arc(epf),),
@@ -307,10 +317,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         "TI_OQ", Immediate(),
         input_arcs=(Arc("ENDORSED"), Arc("OQ_1")),
         output_arcs=(Arc("OQF1_1"),)))
-    transitions.append(Transition(
-        "T_OQ_DROP", Immediate(),
-        input_arcs=(Arc("ENDORSED"),),
-        guard=Atom("OQ_1", "=", IntRhs(0))))
     transitions.append(Transition(
         "TI5", Immediate(),
         input_arcs=(Arc("OQF1_1"), Arc("OP_1")),
@@ -399,10 +405,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
             input_arcs=(Arc(cin), Arc(cq)),
             output_arcs=(Arc(cqf),)))
         transitions.append(Transition(
-            f"T_CQ_DROP_{i}", Immediate(),
-            input_arcs=(Arc(cin),),
-            guard=Atom(cq, "=", IntRhs(0))))
-        transitions.append(Transition(
             f"TI8_{i}", Immediate(),
             input_arcs=(Arc(cqf), Arc(cp)),
             output_arcs=(Arc(cpf), Arc(cq))))
@@ -446,9 +448,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         committer_proc_fills=cpf_names,
         arrival="T_ARRIVAL",
         entry_drop="T_DROP",
-        orderer_overflow_drop="T_OQ_DROP",
-        committer_overflow_drops=tuple(f"T_CQ_DROP_{i}"
-                                       for i in range(1, nc + 1)),
         full_block_cut="TI6",
         timeout_cut="TI7",
         full_block_service="TE4",

@@ -83,18 +83,10 @@ def standard_queries(handle: HlfNetHandle) -> list[RewardQuery]:
               *handle.committer_proc_caps):
         queries.append(ExpectedTokens(p))
     for t in (handle.full_block_service, handle.partial_block_service,
-              handle.entry_drop, handle.orderer_overflow_drop,
-              *handle.committer_overflow_drops, *handle.commit_services,
+              handle.entry_drop, *handle.commit_services,
               handle.full_block_cut, handle.timeout_cut):
         queries.append(FiringRate(t))
-    # dedupe, preserving order
-    seen = set()
-    out = []
-    for q in queries:
-        if q not in seen:
-            seen.add(q)
-            out.append(q)
-    return out
+    return list(dict.fromkeys(queries))  # dedupe, preserving order
 
 
 def _get(result, query: RewardQuery):

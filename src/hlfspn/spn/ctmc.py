@@ -7,11 +7,12 @@ generator, and solves pi Q = 0, sum(pi) = 1.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .engine import CompiledNet, LivelockError, compile_net
 from .net import (
@@ -24,11 +25,19 @@ from .net import (
     SpnError,
 )
 
-_DENSE_LIMIT = 4000
-
 
 class UnsupportedModelError(SpnError):
     """The net contains features the CTMC mapping cannot express."""
+
+
+class SingularGeneratorError(SpnError):
+    """The chain has more than one closed class, so its stationary
+    distribution is not unique."""
+
+    def __init__(self):
+        super().__init__(
+            "stationary solve failed: singular generator (the chain has "
+            "more than one closed class)")
 
 
 class ExplosionError(SpnError):
@@ -59,20 +68,14 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int],
                        max_steps: int = 10 ** 6):
     """Distribution over tangible markings reached from m0, with the
     expected number of firings of each immediate transition on the way."""
+    top_immediates = cn.top_immediates
+    immediates = cn.immediates
     outcomes: list[tuple[tuple, float, dict]] = []
     stack: list[tuple[list[int], float, dict]] = [(m0, 1.0, {})]
     steps = 0
     while stack:
         m, pr, counts = stack.pop()
-        best_prio = None
-        cands = []
-        for ct in cn.trans:
-            if ct.immediate and cn.degree(ct, m) > 0:
-                if best_prio is None or ct.priority > best_prio:
-                    best_prio = ct.priority
-                    cands = [ct]
-                elif ct.priority == best_prio:
-                    cands.append(ct)
+        cands = top_immediates(immediates, m)
         if not cands:
             outcomes.append((tuple(m), pr, counts))
             continue
@@ -183,33 +186,30 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
 
 def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     """Solve pi Q = 0 with sum(pi) = 1 for the generator built from the
-    off-diagonal rate triplets."""
+    off-diagonal rate triplets: one sparse LU solve of Q^T with its last
+    equation replaced by the normalisation (Stewart 1994)."""
     if n == 1:
         return np.ones(1)
-    diag = np.zeros(n)
-    for i, r in zip(rows, rates):
-        diag[i] -= r
-    if n <= _DENSE_LIMIT:
-        Q = np.zeros((n, n))
-        for i, j, r in zip(rows, cols, rates):
-            Q[i, j] += r
-        Q[np.arange(n), np.arange(n)] += diag
-        A = np.vstack([Q.T, np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        Q = sparse.coo_matrix(
-            (list(rates) + list(diag),
-             (list(rows) + list(range(n)), list(cols) + list(range(n)))),
-            shape=(n, n)).tocsr()
-        A = Q.T.tolil()
-        A[n - 1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = spsolve(A.tocsr(), b)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    rates = np.asarray(rates, dtype=float)
+    diag = -np.bincount(rows, weights=rates, minlength=n)
+    states = np.arange(n)
+    # Q^T holds rate (i -> j) at (j, i); row n-1 is dropped for the ones
+    keep = cols != n - 1
+    a_rows = np.concatenate([cols[keep], states[:-1], np.full(n, n - 1)])
+    a_cols = np.concatenate([rows[keep], states[:-1], states])
+    a_vals = np.concatenate([rates[keep], diag[:-1], np.ones(n)])
+    # CSR, not CSC: spsolve then factors the transpose, which took half the
+    # time on a 5,768-state HLF generator (0.65 s against 1.2 s, 2 vCPU)
+    A = sparse.csr_matrix((a_vals, (a_rows, a_cols)), shape=(n, n))
+    b = np.zeros(n)
+    b[-1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        pi = spsolve(A, b)
     pi = np.maximum(pi, 0.0)
     s = pi.sum()
-    if s <= 0:
-        raise SpnError("stationary solve failed: degenerate solution")
+    if not np.isfinite(s) or s <= 0:
+        raise SingularGeneratorError()
     return pi / s

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
@@ -34,7 +34,6 @@ from .net import (
     Param,
     ParamRhs,
     PetriNet,
-    PlaceRhs,
     Predicate,
     ProbabilityOf,
     RewardQuery,
@@ -156,6 +155,7 @@ class CompiledNet:
                         for s in dep_places]
         self.dep_timed = [tuple(j for j in s if not self.trans[j].immediate)
                           for s in dep_places]
+        self.immediates = tuple(ct.idx for ct in self.trans if ct.immediate)
 
     def _resolve_count(self, expr, params) -> int:
         if isinstance(expr, Constant):
@@ -240,6 +240,28 @@ class CompiledNet:
         if ct.flush_in:
             return 1
         return d if d > 0 else 1
+
+    def top_immediates(self, candidates, m: list[int],
+                       prune: Optional[set] = None) -> list[_CTrans]:
+        """The enabled immediates of highest priority among `candidates`
+        (transition indices, iterated in index order): the conflict set
+        that priority and weight resolve. Disabled candidates are removed
+        from `prune` when it is given."""
+        degree = self.degree
+        trans = self.trans
+        best_prio = None
+        top: list[_CTrans] = []
+        for tid in candidates:
+            ct = trans[tid]
+            if degree(ct, m) > 0:
+                if best_prio is None or ct.priority > best_prio:
+                    best_prio = ct.priority
+                    top = [ct]
+                elif ct.priority == best_prio:
+                    top.append(ct)
+            elif prune is not None:
+                prune.discard(tid)
+        return top
 
     def fire_inplace(self, ct: _CTrans, m: list[int]) -> int:
         """Fire in place; returns the flushed token count."""
@@ -330,17 +352,7 @@ def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
     steps = 0
     recent: list[str] = []
     while True:
-        best_prio = None
-        candidates = []
-        for ct in cn.trans:
-            if not ct.immediate:
-                continue
-            if cn.degree(ct, m) > 0:
-                if best_prio is None or ct.priority > best_prio:
-                    best_prio = ct.priority
-                    candidates = [ct]
-                elif ct.priority == best_prio:
-                    candidates.append(ct)
+        candidates = cn.top_immediates(cn.immediates, m)
         if not candidates:
             return steps
         ct = _pick_weighted(candidates, rng)
@@ -505,6 +517,9 @@ class _Simulator:
         pred_acc = self.pred_acc
         fire_count = self.fire_count
         degree = cn.degree
+        top_immediates = cn.top_immediates
+        dep_timed = cn.dep_timed
+        dep_imm = cn.dep_imm
         trans = cn.trans
 
         for k, fn in enumerate(pred_fns):
@@ -565,26 +580,15 @@ class _Simulator:
             affected_timed = set()
             pending = set()
             for p in ct.touched:
-                affected_timed.update(cn.dep_timed[p])
-                pending.update(cn.dep_imm[p])
+                affected_timed.update(dep_timed[p])
+                pending.update(dep_imm[p])
             if not ct.immediate:
                 affected_timed.add(ct.idx)
             for tid in affected_timed:
                 reconcile(tid)
             imm_steps = 0
             while pending:
-                best_prio = None
-                candidates = []
-                for tid in sorted(pending):
-                    ct2 = trans[tid]
-                    if degree(ct2, m) > 0:
-                        if best_prio is None or ct2.priority > best_prio:
-                            best_prio = ct2.priority
-                            candidates = [ct2]
-                        elif ct2.priority == best_prio:
-                            candidates.append(ct2)
-                    else:
-                        pending.discard(tid)
+                candidates = top_immediates(sorted(pending), m, pending)
                 if not candidates:
                     return
                 ct2 = _pick_weighted(candidates, rng)
@@ -594,8 +598,8 @@ class _Simulator:
                     raise LivelockError([ct2.name])
                 affected_timed = set()
                 for p in ct2.touched:
-                    affected_timed.update(cn.dep_timed[p])
-                    pending.update(cn.dep_imm[p])
+                    affected_timed.update(dep_timed[p])
+                    pending.update(dep_imm[p])
                 for tid in affected_timed:
                     reconcile(tid)
 

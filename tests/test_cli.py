@@ -4,12 +4,16 @@ import csv
 
 import pytest
 
+from hlfspn import cli
 from hlfspn.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_PARSE,
     main,
 )
+from hlfspn.metrics import UndefinedMetricError
+from hlfspn.spn import EvaluationError, LivelockError, SingularGeneratorError
 
 TINY_SPEC = """
 [base]
@@ -79,6 +83,14 @@ class TestRun:
         spec.write_text("[sweep]\nparameter = cp\n")
         assert main(["run", str(spec)]) == EXIT_PARSE
 
+    def test_unwritable_output_maps_to_output_exit(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the output directory should be")
+        assert main(["run", str(spec), "--out-dir", str(blocker)]) == \
+            EXIT_OUTPUT
+
     def test_event_cap_maps_to_divergence_exit(self, tmp_path):
         spec = tmp_path / "spec.ini"
         spec.write_text(TINY_SPEC.replace("seed = 1",
@@ -131,6 +143,34 @@ class TestSolve:
         spec = tmp_path / "spec.ini"
         spec.write_text(TINY_SPEC)
         assert main(["solve", str(spec)]) == EXIT_PARSE
+
+
+class TestExitCodes:
+    def test_state_space_cap_maps_to_divergence_exit(self, tmp_path,
+                                                      capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SOLVE_SPEC)
+        assert main(["solve", str(spec), "--max-states", "10"]) == \
+            EXIT_DIVERGED
+        assert "exceeds 10 states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,code", [
+        (LivelockError(["TI5"]), EXIT_DIVERGED),
+        (UndefinedMetricError("effective arrival rate is zero"),
+         EXIT_DIVERGED),
+        (SingularGeneratorError(), EXIT_DIVERGED),
+        (EvaluationError("undeclared parameter 'BLOCK'"), EXIT_PARSE),
+    ])
+    def test_model_errors_map_to_documented_exits(self, tmp_path, capsys,
+                                                  monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_ctmc", fail)
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SOLVE_SPEC)
+        assert main(["solve", str(spec)]) == code
+        assert str(error) in capsys.readouterr().err
 
 
 class TestParser:

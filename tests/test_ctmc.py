@@ -16,6 +16,7 @@ from hlfspn.spn import (
     Place,
     ProbabilityOf,
     SimConfig,
+    SingularGeneratorError,
     Transition,
     UnsupportedModelError,
     simulate_stationary,
@@ -123,6 +124,21 @@ class TestLimits:
         # A is vanishing, so the chain has the single tangible state B=1
         assert res.n_states == 1
         assert res.value(q) == pytest.approx(1.0)
+
+
+    def test_more_than_one_closed_class_is_rejected(self):
+        # the token ends in X or in Y, split 1:3, and stays there: two
+        # absorbing states, so no unique stationary distribution exists
+        net = PetriNet(
+            places=(Place("C", 1), Place("X", 0), Place("Y", 0)),
+            transitions=(
+                Transition("TO_X", Immediate(weight=1.0),
+                           input_arcs=(Arc("C"),), output_arcs=(Arc("X"),)),
+                Transition("TO_Y", Immediate(weight=3.0),
+                           input_arcs=(Arc("C"),), output_arcs=(Arc("Y"),)),
+            ))
+        with pytest.raises(SingularGeneratorError):
+            solve_ctmc(net, [ProbabilityOf(Atom("X", "=", IntRhs(1)))])
 
 
 class TestAgreementWithSimulator:

@@ -13,6 +13,7 @@ from hlfspn.experiments import (
     case_study_specs,
     parse_experiment,
     run_doe,
+    run_experiment,
     run_sweep,
     write_rows_csv,
 )
@@ -63,6 +64,17 @@ class TestParsing:
         assert apply_param(cfg, "TIME_OUT", 2.0).timeout_s == 2.0
         assert apply_param(cfg, "AD", 0.05).arrival_delay_s == 0.05
         assert apply_param(cfg, "cp_1", 4).cp == 4
+
+    def test_base_accepts_aliases_and_mrt_mode(self):
+        spec = parse_experiment(
+            "[base]\nBLOCK = 5\nTIME_OUT = 2\nAD = 0.05\n"
+            "mrt_mode = literal\n")
+        assert spec.base.block_size == 5
+        assert spec.base.timeout_s == 2.0
+        assert spec.base.arrival_delay_s == 0.05
+        assert spec.mrt_mode == "literal"
+        with pytest.raises(SpecError):
+            parse_experiment("[base]\nmrt_mode = bogus\n")
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(SpecError):
@@ -154,6 +166,48 @@ class TestSweeps:
         assert len(responses) == 2
         assert rows[0].point == {"cp": 2}
         assert rows[1].point == {"cp": 6}
+
+
+GOLDEN_SPEC = """
+[base]
+block_size = 6
+timeout_s = 0.2
+
+[sim]
+warmup_time = 20
+batch_count = 2
+batch_length = 5
+seed = 11
+
+[sweep]
+parameter = arrival_rate_tps
+values = 10, 50, 150
+"""
+
+# One point per regime: 10 tps is cut by the timeout only, 50 tps fills
+# every block, 150 tps saturates commit (75 tps) and discards arrivals.
+GOLDEN_CSV = """\
+arrival_rate_tps,mrt_s,mrt_s_ci,tip,tip_ci,dp_prob,dp_prob_ci,u_end,u_end_ci,\
+u_ord,u_ord_ci,u_com,u_com_ci,tp_tps,tp_tps_ci,block_call_rate,\
+block_call_rate_ci,timeout_call_rate,timeout_call_rate_ci,seed,\
+simulated_time_s,events\r
+10,0.3203594927,0.1753626351,3.203594927,1.753626351,0,0,0.004062779861,\
+0.007368793531,0.21081634,0.1948753452,0.1528508784,0.1214161109,\
+11.46381588,9.10620832,0,0,4.721647761,12.04356496,11,30,4593\r
+50,0.254084848,0.07455949985,12.7042424,3.727974992,0,0,0.01984193265,\
+0.01028503365,0.5503369133,0.0518019984,0.6693737627,0.2594164111,\
+50.2030322,19.45623083,9.094351586,3.057940973,0,0,12,30,20450\r
+150,6.386149311,2.481804524,448.1946938,174.1787679,0.5321179509,\
+0.3080412468,1,0,1,0,0.9770433305,0.2916921427,73.27824979,21.8769107,\
+12.95699729,26.14577873,0,0,13,30,35670\r
+"""
+
+
+def test_fixed_seed_sweep_csv_is_pinned(tmp_path):
+    # the simulator's random draw order is part of its output: any change
+    # to it (or to the model) shows up here as changed bytes
+    written = run_experiment(parse_experiment(GOLDEN_SPEC), tmp_path)
+    assert written[0].read_bytes().decode() == GOLDEN_CSV
 
 
 class TestCaseStudyCatalog:
