@@ -1,0 +1,104 @@
+"""Record a before/after benchmark comparison as BENCH_<n>.json.
+
+    python3 scripts/bench_record.py --parent DIR --change DIR \\
+        --seed SEED --out BENCH_<n>.json
+
+DIR is the root of a checkout; each side runs its own perfbench/run.py
+from its root, so both sides use the benchmark code of their checkout.
+For every workload, pair k (of PAIRS) runs the parent and the change
+untraced for SECONDS with seed SEED + k, alternating which side runs
+first. Then each side makes one traced run (--trace 1) with TRACE_SEED.
+The file records the machine, the Python version, every run's end-to-end
+metrics, the median and quartiles per side, how many pairs the change
+won, and the traced per-layer metrics of both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+SECONDS = 55.0
+WORKLOADS = ("sim", "ctmc")
+TRACE_SEED = 101
+
+
+def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
+    """The last stdout line of one perfbench/run.py run, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS),
+         "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{root}: {workload} seed {seed} failed "
+                         f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    out = json.loads(lines[-1])
+    out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    return out
+
+
+def spread(values: list) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    record = {
+        "machine": {"system": platform.platform(),
+                    "processor": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "run_seconds": SECONDS,
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        pairs = []
+        for k in range(PAIRS):
+            seed = args.seed + k
+            order = ("parent", "change") if k % 2 == 0 else \
+                ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                res = run_bench(sides[side], workload, seed, 0)
+                pair[side] = {"correct": res["correct"],
+                              "attempted": res["attempted"],
+                              "failed": res["failed"], **res["metrics"]}
+            print(workload, json.dumps(pair), file=sys.stderr, flush=True)
+            pairs.append(pair)
+        summary = {}
+        for metric in ("setup_s", "wall_s", "peak_rss_mb"):
+            summary[metric] = {
+                side: spread([p[side][metric] for p in pairs])
+                for side in sides}
+            summary[metric]["change_wins"] = sum(
+                p["change"][metric] < p["parent"][metric] for p in pairs)
+            summary[metric]["pairs"] = len(pairs)
+        traced = {side: run_bench(sides[side], workload, TRACE_SEED,
+                                  1)["metrics"]
+                  for side in sides}
+        record["workloads"][workload] = {
+            "summary": summary, "pairs": pairs,
+            "traced": {"seed": TRACE_SEED, **traced}}
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

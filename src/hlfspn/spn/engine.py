@@ -4,6 +4,12 @@ The simulator uses race-with-restart memory: whenever the enabling degree
 of a timed transition drops, its newest pending firings are cancelled;
 whenever it grows, fresh firings are scheduled (a new exponential sample,
 or a full deterministic delay, per degree unit).
+
+Compiling a net does once the work that would otherwise repeat on every
+firing: each transition gets generated enabling-degree and firing code
+specialised to its arcs, and a precomputed list of the transitions whose
+enabling its firing may change. That list is the dependency graph of the
+next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000).
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .net import (
     And,
@@ -56,8 +63,10 @@ class LivelockError(SpnError):
         self.transitions = list(transitions)
         super().__init__(
             "immediate-transition livelock; cycling transitions: "
-            + ", ".join(sorted(set(self.transitions)))
-        )
+            + ", ".join(sorted(set(self.transitions))))
+
+    def __reduce__(self):
+        return type(self), (self.transitions,)
 
 
 class DivergenceError(SpnError):
@@ -65,11 +74,18 @@ class DivergenceError(SpnError):
         self.place = place
         super().__init__(f"place {place!r} exceeded {_TOKEN_LIMIT} tokens")
 
+    def __reduce__(self):
+        return type(self), (self.place,)
+
 
 class PartialResultError(SpnError):
     def __init__(self, max_events: int, result=None):
+        self.max_events = max_events
         self.result = result
         super().__init__(f"event cap of {max_events} exceeded")
+
+    def __reduce__(self):
+        return type(self), (self.max_events, self.result)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +101,63 @@ class _CTrans:
         self.det_delay = None
 
 
+_by_index = attrgetter("idx")
+
+
+def _degree_source(ct: _CTrans) -> list[str]:
+    """`def _D<i>(m)`: the enabling degree of ct in marking m (0 =
+    disabled). Arc thresholds are tested before the guard `G<i>`, which is
+    pure, so the order does not change the result."""
+    lines = [f"def _D{ct.idx:d}(m):"]
+    guard = f"G{ct.idx:d}(m)" if ct.guard is not None else None
+    if ct.flush_in or not ct.const_in:
+        for p in ct.flush_in:
+            lines.append(f"    if not m[{p:d}]: return 0")
+        for p, k in ct.const_in:
+            lines.append(f"    if m[{p:d}] < {k:d}: return 0")
+        lines.append(f"    return 1 if {guard} else 0" if guard
+                     else "    return 1")
+        return lines
+    for n, (p, k) in enumerate(ct.const_in):
+        q = f"m[{p:d}]" if k == 1 else f"m[{p:d}] // {k:d}"
+        if n == 0:
+            lines += [f"    d = {q}", "    if not d: return 0"]
+        else:
+            lines += [f"    q = {q}", "    if q < d:",
+                      "        if not q: return 0", "        d = q"]
+    if guard:
+        lines.append(f"    if not {guard}: return 0")
+    lines.append("    return d")
+    return lines
+
+
+def _fire_body(ct: _CTrans) -> list[str]:
+    """Statements that fire ct in marking m, leaving the flushed token
+    count in `kappa` when ct has FlushAll inputs."""
+    lines = []
+    for n, p in enumerate(ct.flush_in):
+        lines += [f"kappa {'+' if n else ''}= m[{p:d}]", f"m[{p:d}] = 0"]
+    for p, k in ct.const_in:
+        lines += [f"v = m[{p:d}] - {k:d}",
+                  f"if v < 0: raise _negative({ct.idx:d}, {p:d})",
+                  f"m[{p:d}] = v"]
+    for p, k in ct.const_out:
+        lines.append(f"m[{p:d}] += {k:d}")
+    for p in ct.flushed_out:
+        lines.append(f"m[{p:d}] += kappa")
+    return lines
+
+
+def _fire_source(ct: _CTrans) -> list[str]:
+    """`def _F<i>(m)`: fire ct in place, returning the flushed count."""
+    body = _fire_body(ct) + ["return kappa" if ct.flush_in else "return 0"]
+    return [f"def _F{ct.idx:d}(m):"] + ["    " + s for s in body]
+
+
 class CompiledNet:
-    """Index-based form of a PetriNet with parameters resolved."""
+    """Index-based form of a PetriNet with parameters resolved, its
+    enabling and firing code generated per transition, and its dependency
+    graph precomputed."""
 
     def __init__(self, net: PetriNet):
         diags = validate_net(net)
@@ -142,6 +213,8 @@ class CompiledNet:
                 | {p for p, _ in ct.const_out} | set(ct.flushed_out)
             ct.touched = tuple(touched)
             self.trans.append(ct)
+        self.immediates = tuple(ct.idx for ct in self.trans if ct.immediate)
+        self.timed = tuple(ct.idx for ct in self.trans if not ct.immediate)
 
         # place -> transitions whose enabling may change when it does
         dep_places: list[set[int]] = [set() for _ in range(self.n_places)]
@@ -151,11 +224,44 @@ class CompiledNet:
             if t.guard is not None:
                 for pl in predicate_places(t.guard):
                     dep_places[self.place_index[pl]].add(i)
-        self.dep_imm = [tuple(j for j in s if self.trans[j].immediate)
-                        for s in dep_places]
-        self.dep_timed = [tuple(j for j in s if not self.trans[j].immediate)
-                          for s in dep_places]
-        self.immediates = tuple(ct.idx for ct in self.trans if ct.immediate)
+        dep_imm = [tuple(j for j in s if self.trans[j].immediate)
+                   for s in dep_places]
+        dep_timed = [tuple(j for j in s if not self.trans[j].immediate)
+                     for s in dep_places]
+        # transition -> the timed transitions to reconcile after it fires,
+        # itself included when timed (its schedule lost the firing), and
+        # the immediates that may have become enabled. The timed set is
+        # built in one fixed order and iterated as built, so the simulator
+        # draws its random numbers in that order.
+        self.affects_timed: list[tuple[int, ...]] = []
+        self.affects_imm: list[frozenset[int]] = []
+        for ct in self.trans:
+            timed = set()
+            imm = set()
+            for p in ct.touched:
+                timed.update(dep_timed[p])
+                imm.update(dep_imm[p])
+            if not ct.immediate:
+                timed.add(ct.idx)
+            self.affects_timed.append(tuple(timed))
+            self.affects_imm.append(frozenset(imm))
+
+        lines = []
+        for ct in self.trans:
+            lines += _degree_source(ct) + _fire_source(ct)
+        ns = {f"G{ct.idx}": ct.guard for ct in self.trans
+              if ct.guard is not None}
+        ns["_negative"] = self._negative
+        exec(compile("\n".join(lines) + "\n", "<hlfspn generated>",
+                     "exec"), ns)
+        n = len(self.trans)
+        self.degrees: list[Callable] = [ns[f"_D{i}"] for i in range(n)]
+        self.fires: list[Callable] = [ns[f"_F{i}"] for i in range(n)]
+
+    def _negative(self, i: int, p: int) -> ContractViolationError:
+        return ContractViolationError(
+            f"firing {self.trans[i].name!r} drove place "
+            f"{self.place_names[p]!r} negative")
 
     def _resolve_count(self, expr, params) -> int:
         if isinstance(expr, Constant):
@@ -225,62 +331,36 @@ class CompiledNet:
 
     def degree(self, ct: _CTrans, m: list[int]) -> int:
         """Enabling degree of a transition in marking m (0 = disabled)."""
-        if ct.guard is not None and not ct.guard(m):
-            return 0
-        d = -1
-        for p, k in ct.const_in:
-            q = m[p] // k
-            if q == 0:
-                return 0
-            if d < 0 or q < d:
-                d = q
-        for p in ct.flush_in:
-            if m[p] == 0:
-                return 0
-        if ct.flush_in:
-            return 1
-        return d if d > 0 else 1
+        return self.degrees[ct.idx](m)
 
     def top_immediates(self, candidates, m: list[int],
                        prune: Optional[set] = None) -> list[_CTrans]:
         """The enabled immediates of highest priority among `candidates`
-        (transition indices, iterated in index order): the conflict set
-        that priority and weight resolve. Disabled candidates are removed
-        from `prune` when it is given."""
-        degree = self.degree
+        (transition indices, in any order), in index order: the conflict
+        set that priority and weight resolve. Disabled candidates are
+        removed from `prune` when it is given; it must not be
+        `candidates` itself."""
+        degrees = self.degrees
         trans = self.trans
-        best_prio = None
+        best_prio = 0
         top: list[_CTrans] = []
         for tid in candidates:
-            ct = trans[tid]
-            if degree(ct, m) > 0:
-                if best_prio is None or ct.priority > best_prio:
+            if degrees[tid](m):
+                ct = trans[tid]
+                if not top or ct.priority > best_prio:
                     best_prio = ct.priority
                     top = [ct]
                 elif ct.priority == best_prio:
                     top.append(ct)
             elif prune is not None:
                 prune.discard(tid)
+        if len(top) > 1:
+            top.sort(key=_by_index)
         return top
 
     def fire_inplace(self, ct: _CTrans, m: list[int]) -> int:
         """Fire in place; returns the flushed token count."""
-        kappa = 0
-        for p in ct.flush_in:
-            kappa += m[p]
-            m[p] = 0
-        for p, k in ct.const_in:
-            v = m[p] - k
-            if v < 0:
-                raise ContractViolationError(
-                    f"firing {ct.name!r} drove place "
-                    f"{self.place_names[p]!r} negative")
-            m[p] = v
-        for p, k in ct.const_out:
-            m[p] += k
-        for p in ct.flushed_out:
-            m[p] += kappa
-        return kappa
+        return self.fires[ct.idx](m)
 
 
 _COMPILE_CACHE: dict[int, tuple[PetriNet, CompiledNet]] = {}
@@ -342,13 +422,15 @@ def vanish(net: PetriNet, marking: dict, rng: random.Random,
     """Resolve immediate transitions down to a tangible marking."""
     cn = compile_net(net)
     m = _to_vec(cn, marking)
-    _vanish_inplace(cn, m, rng, max_immediate_steps)
+    _vanish_inplace(cn, m, rng, max_immediate_steps,
+                    lambda ct: cn.fire_inplace(ct, m))
     return _to_dict(cn, m)
 
 
 def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
-                    max_steps: int) -> int:
-    """Fire immediates until none is enabled; returns the step count."""
+                    max_steps: int, fire: Callable[[_CTrans], object]) -> int:
+    """Fire immediates, each through `fire(ct)`, until none is enabled in
+    m; returns the step count."""
     steps = 0
     recent: list[str] = []
     while True:
@@ -356,7 +438,7 @@ def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
         if not candidates:
             return steps
         ct = _pick_weighted(candidates, rng)
-        cn.fire_inplace(ct, m)
+        fire(ct)
         steps += 1
         recent.append(ct.name)
         if len(recent) > 64:
@@ -430,24 +512,29 @@ class SimulationResult:
 
 
 def simulate_stationary(net: PetriNet, queries: Sequence[RewardQuery],
-                        cfg: SimConfig) -> SimulationResult:
+                        cfg: SimConfig,
+                        on_fire: Optional[Callable] = None
+                        ) -> SimulationResult:
     """Batch-means stationary simulation of a net.
 
     Deterministic: the same (net, queries, cfg) always yields the same
-    result.
+    result. `on_fire(name, marking, now)`, when given, is called after
+    every firing, immediate steps included, with the marking as a tuple in
+    the order of `net.places`; it is called `event_count` times.
     """
     cn = compile_net(net)
-    sim = _Simulator(cn, list(queries), cfg)
+    sim = _Simulator(cn, list(queries), cfg, on_fire)
     return sim.run()
 
 
 class _Simulator:
     def __init__(self, cn: CompiledNet, queries: list[RewardQuery],
-                 cfg: SimConfig):
+                 cfg: SimConfig, on_fire: Optional[Callable] = None):
         self.cn = cn
         self.cfg = cfg
         self.queries = queries
         self.rng = random.Random(cfg.seed)
+        self.on_fire = on_fire
 
         n_places = cn.n_places
         # reward bookkeeping: lazily settled time integrals
@@ -459,7 +546,8 @@ class _Simulator:
         self.pred_last: list[float] = []
         self.pred_acc: list[float] = []
         self.pred_dep: list[list[int]] = [[] for _ in range(n_places)]
-        self.fire_count: dict[int, int] = {}
+        self.fire_count = [0] * len(cn.trans)
+        self.counted: set[int] = set()
 
         self.slots: dict[RewardQuery, tuple[str, int]] = {}
         for q in queries:
@@ -486,13 +574,57 @@ class _Simulator:
                     raise ContractViolationError(
                         f"unknown transition {q.transition!r}")
                 t = cn.trans_index[q.transition]
-                self.fire_count[t] = 0
+                self.counted.add(t)
                 self.slots[q] = ("fire", t)
             else:
                 raise TypeError(f"not a reward query: {q!r}")
 
         self.batches: dict[RewardQuery, list[float]] = {
             q: [] for q in self.slots}
+        self.steps = self._generate_steps()
+
+    def _generate_steps(self) -> list[Callable]:
+        """One `_S<i>(m, now)` per transition: fire it atomically, settling
+        the reward integrals of the places and predicates it touches."""
+        cn = self.cn
+        lines = []
+        for ct in cn.trans:
+            i = ct.idx
+            outputs = {p for p, _ in ct.const_out} | set(ct.flushed_out)
+            preds = list(dict.fromkeys(
+                k for p in ct.touched for k in self.pred_dep[p]))
+            body = []
+            for p in ct.touched:
+                if self.watch_place[p]:
+                    body += [f"pa[{p:d}] += m[{p:d}] * (now - pl[{p:d}])",
+                             f"pl[{p:d}] = now"]
+            body += _fire_body(ct)
+            for p in ct.touched:
+                if p in outputs:
+                    body.append(f"if m[{p:d}] > {_TOKEN_LIMIT:d}: "
+                                f"raise _diverged({p:d})")
+            for k in preds:
+                body += [f"if ql[{k:d}] != now:",
+                         f"    if qc[{k:d}]: qa[{k:d}] += now - ql[{k:d}]",
+                         f"    ql[{k:d}] = now",
+                         f"qc[{k:d}] = Q{k:d}(m)"]
+            if i in self.counted:
+                body.append(f"fc[{i:d}] += 1")
+            if self.on_fire is not None:
+                body.append(f"on_fire(N[{i:d}], tuple(m), now)")
+            lines.append(f"def _S{i:d}(m, now):")
+            lines += ["    " + s for s in body or ["pass"]]
+        names = cn.place_names
+        ns = {"pa": self.place_acc, "pl": self.place_last,
+              "qa": self.pred_acc, "ql": self.pred_last, "qc": self.pred_cur,
+              "fc": self.fire_count, "on_fire": self.on_fire,
+              "N": [ct.name for ct in cn.trans],
+              "_diverged": lambda p: DivergenceError(names[p]),
+              "_negative": cn._negative}
+        ns.update((f"Q{k}", fn) for k, fn in enumerate(self.pred_fns))
+        exec(compile("\n".join(lines) + "\n", "<hlfspn generated>",
+                     "exec"), ns)
+        return [ns[f"_S{i}"] for i in range(len(cn.trans))]
 
     # -- main loop ----------------------------------------------------------
 
@@ -501,176 +633,152 @@ class _Simulator:
         cfg = self.cfg
         rng = self.rng
         m = list(cn.initial)
-        now = 0.0
         heap: list[list] = []
-        seq = 0
         sched: list[list] = [[] for _ in cn.trans]
-        event_count = 0
-
-        watch_place = self.watch_place
-        place_last = self.place_last
-        place_acc = self.place_acc
-        pred_dep = self.pred_dep
-        pred_fns = self.pred_fns
-        pred_cur = self.pred_cur
-        pred_last = self.pred_last
-        pred_acc = self.pred_acc
-        fire_count = self.fire_count
-        degree = cn.degree
-        top_immediates = cn.top_immediates
-        dep_timed = cn.dep_timed
-        dep_imm = cn.dep_imm
         trans = cn.trans
-
-        for k, fn in enumerate(pred_fns):
-            pred_cur[k] = fn(m)
-
-        def apply_fire(ct) -> None:
-            """Atomically fire ct, settling reward integrals on the way."""
-            nonlocal event_count
-            for p in ct.touched:
-                if watch_place[p]:
-                    place_acc[p] += m[p] * (now - place_last[p])
-                    place_last[p] = now
-            cn.fire_inplace(ct, m)
-            for p in ct.touched:
-                if m[p] > _TOKEN_LIMIT:
-                    raise DivergenceError(cn.place_names[p])
-                for k in pred_dep[p]:
-                    if pred_last[k] != now:
-                        if pred_cur[k]:
-                            pred_acc[k] += now - pred_last[k]
-                        pred_last[k] = now
-                    pred_cur[k] = pred_fns[k](m)
-            i = ct.idx
-            if i in fire_count:
-                fire_count[i] += 1
-            event_count += 1
-            if event_count > cfg.max_events:
-                raise PartialResultError(cfg.max_events)
-
-        def reconcile(tid: int) -> None:
-            ct = trans[tid]
-            nonlocal seq
-            d = degree(ct, m)
-            if d > 1 and not ct.infinite:
-                d = 1
-            lst = sched[tid]
-            while len(lst) > d:
-                e = lst.pop()
-                e[3] = False
-            while len(lst) < d:
-                if ct.exponential:
-                    dt = rng.expovariate(1.0 / ct.mean)
-                else:
-                    dt = ct.det_delay
-                e = [now + dt, seq, tid, True]
-                seq += 1
-                heappush(heap, e)
-                lst.append(e)
-
-        def settle_and_fire(ct) -> None:
-            """Fire ct, then resolve immediates, reconciling timed schedules
-            after every atomic step.
-
-            The start marking is tangible, so the only immediates that can
-            become enabled are those depending on a place the firing touched.
-            """
-            apply_fire(ct)
-            affected_timed = set()
-            pending = set()
-            for p in ct.touched:
-                affected_timed.update(dep_timed[p])
-                pending.update(dep_imm[p])
-            if not ct.immediate:
-                affected_timed.add(ct.idx)
-            for tid in affected_timed:
-                reconcile(tid)
-            imm_steps = 0
-            while pending:
-                candidates = top_immediates(sorted(pending), m, pending)
-                if not candidates:
-                    return
-                ct2 = _pick_weighted(candidates, rng)
-                apply_fire(ct2)
-                imm_steps += 1
-                if imm_steps > cfg.max_immediate_steps:
-                    raise LivelockError([ct2.name])
-                affected_timed = set()
-                for p in ct2.touched:
-                    affected_timed.update(dep_timed[p])
-                    pending.update(dep_imm[p])
-                for tid in affected_timed:
-                    reconcile(tid)
-
-        # initial vanishing + schedule
-        steps = _vanish_inplace(cn, m, rng, cfg.max_immediate_steps)
-        event_count += steps
-        for k, fn in enumerate(pred_fns):
-            pred_cur[k] = fn(m)
-        for tid in range(len(trans)):
-            if not trans[tid].immediate:
-                reconcile(tid)
-
+        degrees = cn.degrees
+        steps = self.steps
+        affects_timed = cn.affects_timed
+        affects_imm = cn.affects_imm
+        top_immediates = cn.top_immediates
+        infinite = [ct.infinite for ct in trans]
+        exp_rate = [1.0 / ct.mean if ct.exponential else None
+                    for ct in trans]
+        delay = [ct.det_delay for ct in trans]
+        expovariate = rng.expovariate
+        push = heappush
+        pop = heappop
+        max_events = cfg.max_events
+        max_imm = cfg.max_immediate_steps
+        batch_count = cfg.batch_count
         boundaries = [cfg.warmup_time + i * cfg.batch_length
-                      for i in range(cfg.batch_count + 1)]
+                      for i in range(batch_count + 1)]
         next_b = 0
+        bt = boundaries[0]
+        inf = math.inf
+        seq = 0
+        now = 0.0
 
-        def settle_all(t: float) -> None:
-            for p in range(cn.n_places):
-                if watch_place[p]:
-                    place_acc[p] += m[p] * (t - place_last[p])
-                    place_last[p] = t
-            for k in range(len(pred_fns)):
-                if pred_cur[k]:
-                    pred_acc[k] += t - pred_last[k]
-                pred_last[k] = t
-
-        def handle_boundary(bt: float, is_warmup: bool) -> None:
-            settle_all(bt)
-            if not is_warmup:
-                for q, (kind, i) in self.slots.items():
-                    if kind == "place":
-                        self.batches[q].append(place_acc[i] / cfg.batch_length)
-                    elif kind == "pred":
-                        self.batches[q].append(pred_acc[i] / cfg.batch_length)
-                    else:
-                        self.batches[q].append(
-                            fire_count[i] / cfg.batch_length)
-            for p in range(cn.n_places):
-                place_acc[p] = 0.0
-            for k in range(len(pred_fns)):
-                pred_acc[k] = 0.0
-            for t in fire_count:
-                fire_count[t] = 0
+        # initial vanishing, then every timed transition is scheduled
+        event_count = _vanish_inplace(cn, m, rng, max_imm,
+                                      lambda ct: steps[ct.idx](m, 0.0))
+        for k, fn in enumerate(self.pred_fns):
+            self.pred_cur[k] = fn(m)
+        reconcile = cn.timed
+        pending: set[int] = set()
+        imm_steps = 0
 
         try:
-            while next_b <= cfg.batch_count:
-                # next valid event
-                while heap and not heap[0][3]:
-                    heappop(heap)
-                te = heap[0][0] if heap else math.inf
-                if te >= boundaries[next_b]:
-                    bt = boundaries[next_b]
-                    handle_boundary(bt, next_b == 0)
+            while True:
+                # reconcile the schedules the last firing may have changed
+                for j in reconcile:
+                    d = degrees[j](m)
+                    if d > 1 and not infinite[j]:
+                        d = 1
+                    lst = sched[j]
+                    n = len(lst)
+                    while n > d:
+                        lst.pop()[3] = False
+                        n -= 1
+                    if n < d:
+                        rate = exp_rate[j]
+                        while n < d:
+                            e = [now + (expovariate(rate) if rate is not None
+                                        else delay[j]), seq, j, True]
+                            seq += 1
+                            push(heap, e)
+                            lst.append(e)
+                            n += 1
+
+                # resolve immediates: the start marking was tangible, so
+                # only those the firings since then affect can be enabled
+                if pending:
+                    top = top_immediates(tuple(pending), m, pending)
+                    if top:
+                        ct = top[0] if len(top) == 1 \
+                            else _pick_weighted(top, rng)
+                        tid = ct.idx
+                        steps[tid](m, now)
+                        event_count += 1
+                        if event_count > max_events:
+                            raise PartialResultError(max_events)
+                        imm_steps += 1
+                        if imm_steps > max_imm:
+                            raise LivelockError([ct.name])
+                        reconcile = affects_timed[tid]
+                        pending |= affects_imm[tid]
+                        continue
+
+                # next timed event, closing batches on the way
+                while True:
+                    if heap:
+                        e = heap[0]
+                        if not e[3]:
+                            pop(heap)
+                            continue
+                        te = e[0]
+                    else:
+                        te = inf
+                    if te < bt:
+                        break
+                    self._close_batch(bt, next_b == 0, m)
                     next_b += 1
-                    continue
-                e = heappop(heap)
+                    if next_b > batch_count:
+                        return self._finish(event_count)
+                    bt = boundaries[next_b]
+                pop(heap)
                 now = te
                 tid = e[2]
-                sched[tid].remove(e)
-                ct = trans[tid]
+                lst = sched[tid]
+                if lst[-1] is e:
+                    lst.pop()
+                else:
+                    lst.remove(e)
                 # guard soundness: the schedule must only hold enabled firings
-                if degree(ct, m) == 0:
+                if not degrees[tid](m):
                     raise AssertionError(
-                        f"scheduled transition {ct.name!r} is disabled; "
-                        "schedule reconciliation bug")
-                settle_and_fire(ct)
+                        f"scheduled transition {trans[tid].name!r} is "
+                        "disabled; schedule reconciliation bug")
+                steps[tid](m, now)
+                event_count += 1
+                if event_count > max_events:
+                    raise PartialResultError(max_events)
+                reconcile = affects_timed[tid]
+                pending.update(affects_imm[tid])
+                imm_steps = 0
         except PartialResultError as exc:
             raise PartialResultError(
                 cfg.max_events, result=self._finish(event_count)) from exc
 
-        return self._finish(event_count)
+    def _close_batch(self, t: float, is_warmup: bool, m: list[int]) -> None:
+        """Settle every integral at boundary time t, record the batch
+        unless it is the warmup, and reset the accumulators."""
+        cfg = self.cfg
+        place_acc = self.place_acc
+        pred_acc = self.pred_acc
+        for p in range(self.cn.n_places):
+            if self.watch_place[p]:
+                place_acc[p] += m[p] * (t - self.place_last[p])
+                self.place_last[p] = t
+        for k in range(len(self.pred_fns)):
+            if self.pred_cur[k]:
+                pred_acc[k] += t - self.pred_last[k]
+            self.pred_last[k] = t
+        if not is_warmup:
+            for q, (kind, i) in self.slots.items():
+                if kind == "place":
+                    acc = place_acc[i]
+                elif kind == "pred":
+                    acc = pred_acc[i]
+                else:
+                    acc = self.fire_count[i]
+                self.batches[q].append(acc / cfg.batch_length)
+        for p in range(self.cn.n_places):
+            place_acc[p] = 0.0
+        for k in range(len(self.pred_fns)):
+            pred_acc[k] = 0.0
+        for tid in self.counted:
+            self.fire_count[tid] = 0
 
     def _finish(self, event_count: int) -> SimulationResult:
         cfg = self.cfg
@@ -680,8 +788,7 @@ class _Simulator:
             if n >= 2:
                 mean = sum(vals) / n
                 var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-                tq = _scipy_stats.t.ppf((1.0 + cfg.confidence_level) / 2.0,
-                                        n - 1)
+                tq = stdtrit(n - 1, (1.0 + cfg.confidence_level) / 2.0)
                 hw = tq * math.sqrt(var / n)
             elif n == 1:
                 mean, hw = vals[0], math.inf

@@ -279,25 +279,24 @@ def simulate_with_invariant_checks(cfg: HlfConfig, sim: SimConfig):
         conserved.append(((idx[f"CP_{i}"], idx[f"CPF_{i}"]), cfg.cp))
     conserved.append(((idx["CLK_RUN"], idx["CLK_EXP"], idx["CLK_RESET"]), 1))
 
-    unpatched = cn.fire_inplace
+    calls = 0
 
-    def checked_fire(ct, m):
-        kappa = unpatched(ct, m)
+    def check_invariants(name, m, now):
+        nonlocal calls
+        calls += 1
         for places, expected in conserved:
             total = 0
             for p in places:
                 total += m[p]
             assert total == expected, \
-                f"after {ct.name}: places {places} sum {total} != {expected}"
+                f"after {name}: places {places} sum {total} != {expected}"
         for v in m:
             assert v >= 0
-        return kappa
 
-    cn.fire_inplace = checked_fire
-    try:
-        return simulate_stationary(handle.net, standard_queries(handle), sim)
-    finally:
-        cn.fire_inplace = unpatched
+    res = simulate_stationary(handle.net, standard_queries(handle), sim,
+                              on_fire=check_invariants)
+    assert calls == res.event_count
+    return res
 
 
 def test_criterion_7_invariants_across_load_levels():

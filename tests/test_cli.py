@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import csv
+import pickle
 
 import pytest
 
@@ -12,8 +13,16 @@ from hlfspn.cli import (
     EXIT_PARSE,
     main,
 )
-from hlfspn.metrics import UndefinedMetricError
-from hlfspn.spn import EvaluationError, LivelockError, SingularGeneratorError
+from hlfspn.metrics import MissingQueryError, UndefinedMetricError
+from hlfspn.spn import (
+    DivergenceError,
+    EvaluationError,
+    ExpectedTokens,
+    ExplosionError,
+    LivelockError,
+    PartialResultError,
+    SingularGeneratorError,
+)
 
 TINY_SPEC = """
 [base]
@@ -98,6 +107,18 @@ class TestRun:
         assert main(["run", str(spec), "--out-dir",
                      str(tmp_path)]) == EXIT_DIVERGED
 
+    def test_worker_errors_read_as_in_process(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC.replace("seed = 1",
+                                          "seed = 1\nmax_events = 10"))
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["run", str(spec), "--out-dir", str(tmp_path),
+                         "--jobs", jobs]) == EXIT_DIVERGED
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "event cap of 10 exceeded" in errs[1]
+
 
 class TestExportDot:
     def test_deterministic_and_complete(self, tmp_path, capsys):
@@ -171,6 +192,24 @@ class TestExitCodes:
         spec.write_text(SOLVE_SPEC)
         assert main(["solve", str(spec)]) == code
         assert str(error) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,attrs", [
+    (PartialResultError(10), {"max_events": 10, "result": None}),
+    (LivelockError(["TI5", "TI6"]), {"transitions": ["TI5", "TI6"]}),
+    (DivergenceError("OQ_1"), {"place": "OQ_1"}),
+    (ExplosionError(11, 10), {"count": 11, "max_states": 10}),
+    (SingularGeneratorError(), {}),
+    (MissingQueryError([ExpectedTokens("Q")]),
+     {"missing": [ExpectedTokens("Q")]}),
+])
+def test_errors_survive_pickling(error, attrs):
+    # a --jobs worker's exception reaches the parent process pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for name, value in attrs.items():
+        assert getattr(copy, name) == value
 
 
 class TestParser:
