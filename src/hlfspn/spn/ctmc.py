@@ -1,8 +1,14 @@
 """Exact steady-state analysis of exponential-only nets.
 
-Builds the tangible reachability graph (immediate transitions resolved by
-priority and weight into branching probabilities), assembles the CTMC
-generator, and solves pi Q = 0, sum(pi) = 1.
+Builds the tangible reachability graph, assembles the CTMC generator, and
+solves pi Q = 0, sum(pi) = 1. Vanishing markings are eliminated on the fly
+(Ajmone Marsan et al., *Modelling with GSPNs*, 1995): after each timed
+firing, a depth-first search over the vanishing markings it leads to
+resolves each of them once, by priority and weight, into a distribution
+over tangible markings and the expected number of firings of each
+immediate transition on the way. The first step tests only the immediates
+the timed firing can have enabled. A vanishing loop raises LivelockError,
+even one that is left with probability 1.
 """
 
 from __future__ import annotations
@@ -70,32 +76,86 @@ class ExactResult:
         return query in self.estimates
 
 
-def _resolve_vanishing(cn: CompiledNet, m0: list[int],
-                       max_steps: int = 10 ** 6):
-    """Distribution over tangible markings reached from m0, with the
-    expected number of firings of each immediate transition on the way."""
+# distinct vanishing markings one resolution may visit
+_MAX_VANISHING = 100_000
+
+
+def _resolve_vanishing(cn: CompiledNet, m0: list[int], candidates=None):
+    """Resolve the vanishing markings reached from m0, each one once.
+
+    Returns (dist, counts): dist maps each tangible marking reached to its
+    probability, counts each immediate transition index to its expected
+    number of firings on the way. `candidates` are the immediates that can
+    be enabled in m0 (all of them when None).
+
+    An iterative depth-first search stores each vanishing marking's
+    resolution once it has resolved all its successors, so a marking that
+    many firing orders reach is resolved once. Raises LivelockError, naming
+    the transitions on the loop, when the search reaches a marking it is
+    still expanding, and when it visits more than _MAX_VANISHING distinct
+    vanishing markings."""
     top_immediates = cn.top_immediates
-    immediates = cn.immediates
-    outcomes: list[tuple[tuple, float, dict]] = []
-    stack: list[tuple[list[int], float, dict]] = [(m0, 1.0, {})]
-    steps = 0
-    while stack:
-        m, pr, counts = stack.pop()
-        cands = top_immediates(immediates, m)
-        if not cands:
-            outcomes.append((tuple(m), pr, counts))
+    if candidates is None:
+        candidates = cn.immediates
+    key = tuple(m0)
+    cands = top_immediates(candidates, m0)
+    if not cands:
+        return {key: 1.0}, {}
+    fires = cn.fires
+    tangible: set[tuple] = set()
+    memo: dict[tuple, tuple[dict, dict]] = {}
+    # the markings being expanded: [marking, conflict set, total weight,
+    # branches taken, dist, counts], and each one's depth in `path`
+    path = [[key, cands, sum(ct.weight for ct in cands), 0, {}, {}]]
+    depth = {key: 0}
+    while True:
+        frame = path[-1]
+        key, cands, total, i, dist, counts = frame
+        if i == len(cands):
+            path.pop()
+            del depth[key]
+            memo[key] = dist, counts
+            if not path:
+                return dist, counts
+            parent = path[-1]
+            ct = parent[1][parent[3] - 1]
+            _add(parent[4], parent[5], ct.weight / parent[2], dist, counts)
             continue
-        total_w = sum(ct.weight for ct in cands)
-        for ct in cands:
-            m2 = list(m)
-            cn.fire_inplace(ct, m2)
-            c2 = dict(counts)
-            c2[ct.idx] = c2.get(ct.idx, 0.0) + 1.0
-            stack.append((m2, pr * ct.weight / total_w, c2))
-        steps += len(cands)
-        if steps > max_steps:
-            raise LivelockError([ct.name for ct in cands])
-    return outcomes
+        ct = cands[i]
+        frame[3] = i + 1
+        p = ct.weight / total
+        counts[ct.idx] = counts.get(ct.idx, 0.0) + p
+        m = list(key)
+        fires[ct.idx](m)
+        key = tuple(m)
+        if key in tangible:
+            dist[key] = dist.get(key, 0.0) + p
+            continue
+        done = memo.get(key)
+        if done is not None:
+            _add(dist, counts, p, *done)
+            continue
+        if key in depth:
+            raise LivelockError([f[1][f[3] - 1].name
+                                 for f in path[depth[key]:]])
+        cands = top_immediates(cn.immediates, m)
+        if not cands:
+            tangible.add(key)
+            dist[key] = dist.get(key, 0.0) + p
+            continue
+        if len(memo) + len(path) >= _MAX_VANISHING:
+            raise LivelockError([f[1][f[3] - 1].name for f in path])
+        depth[key] = len(path)
+        path.append([key, cands, sum(ct.weight for ct in cands), 0, {}, {}])
+
+
+def _add(dist: dict, counts: dict, p: float, sub_dist: dict,
+         sub_counts: dict) -> None:
+    """Add p times a successor's resolution to a marking's."""
+    for mt, q in sub_dist.items():
+        dist[mt] = dist.get(mt, 0.0) + p * q
+    for tid, c in sub_counts.items():
+        counts[tid] = counts.get(tid, 0.0) + p * c
 
 
 def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
@@ -112,17 +172,20 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                 f"deterministic transition {t.name!r} is not supported by "
                 "the CTMC solver")
 
-    timed = [ct for ct in cn.trans if not ct.immediate]
+    timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
+              ct.mean, cn.affects_imm[ct.idx])
+             for ct in cn.trans if not ct.immediate]
 
     index: dict[tuple, int] = {}
     states: list[tuple] = []
-    # per-state expected immediate firing rates, accumulated during BFS
-    imm_rate: list[dict] = []
+    # generator off-diagonal triplets (state, state, rate)
     rows: list[int] = []
     cols: list[int] = []
     rates: list[float] = []
-    # per-state firing rate of each timed transition
-    timed_rate: list[dict] = []
+    # firing-rate triplets (state, transition, rate), immediates included
+    f_rows: list[int] = []
+    f_tids: list[int] = []
+    f_rates: list[float] = []
 
     def intern(mt: tuple) -> int:
         i = index.get(mt)
@@ -132,59 +195,53 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                 raise ExplosionError(i + 1, max_states)
             index[mt] = i
             states.append(mt)
-            imm_rate.append({})
-            timed_rate.append({})
-            frontier.append(i)
         return i
 
-    frontier: list[int] = []
-    for mt, _pr, _counts in _resolve_vanishing(cn, list(cn.initial)):
+    for mt in _resolve_vanishing(cn, list(cn.initial))[0]:
         intern(mt)
 
-    pos = 0
-    while pos < len(frontier):
-        i = frontier[pos]
-        pos += 1
-        m = list(states[i])
-        for ct in timed:
-            d = cn.degree(ct, m)
-            if d == 0:
+    i = 0
+    while i < len(states):
+        m = states[i]
+        for tid, degree, fire, infinite, mean, affected in timed:
+            d = degree(m)
+            if not d:
                 continue
-            if not ct.infinite:
+            if not infinite:
                 d = 1
-            rate = d / ct.mean
-            timed_rate[i][ct.idx] = timed_rate[i].get(ct.idx, 0.0) + rate
+            rate = d / mean
+            f_rows.append(i)
+            f_tids.append(tid)
+            f_rates.append(rate)
             m2 = list(m)
-            cn.fire_inplace(ct, m2)
-            for mt, pr, counts in _resolve_vanishing(cn, m2):
-                j = intern(mt)
+            fire(m2)
+            dist, counts = _resolve_vanishing(cn, m2, affected)
+            for mt, p in dist.items():
                 rows.append(i)
-                cols.append(j)
-                rates.append(rate * pr)
-                acc = imm_rate[i]
-                for tid, c in counts.items():
-                    acc[tid] = acc.get(tid, 0.0) + rate * pr * c
+                cols.append(intern(mt))
+                rates.append(rate * p)
+            for t, c in counts.items():
+                f_rows.append(i)
+                f_tids.append(t)
+                f_rates.append(rate * c)
+        i += 1
 
     n = len(states)
     pi = _stationary(n, rows, cols, rates)
 
+    tokens = pi @ np.array(states, dtype=float)
+    firing = np.bincount(np.asarray(f_tids, dtype=np.int64),
+                         weights=pi[f_rows] * np.asarray(f_rates),
+                         minlength=len(cn.trans))
     estimates: dict[RewardQuery, float] = {}
     for q in queries:
         if isinstance(q, ExpectedTokens):
-            p = cn.place_index[q.place]
-            estimates[q] = float(sum(pi[i] * states[i][p] for i in range(n)))
+            estimates[q] = float(tokens[cn.place_index[q.place]])
         elif isinstance(q, ProbabilityOf):
             fn = cn._compile_predicate(q.predicate, dict(net.parameters))
-            estimates[q] = float(sum(pi[i] for i in range(n)
-                                     if fn(states[i])))
+            estimates[q] = float(pi @ np.fromiter(map(fn, states), float, n))
         elif isinstance(q, FiringRate):
-            tid = cn.trans_index[q.transition]
-            if cn.trans[tid].immediate:
-                estimates[q] = float(sum(
-                    pi[i] * imm_rate[i].get(tid, 0.0) for i in range(n)))
-            else:
-                estimates[q] = float(sum(
-                    pi[i] * timed_rate[i].get(tid, 0.0) for i in range(n)))
+            estimates[q] = float(firing[cn.trans_index[q.transition]])
         else:
             raise TypeError(f"not a reward query: {q!r}")
     return ExactResult(estimates=estimates, n_states=n)
