@@ -21,8 +21,8 @@ from pathlib import Path
 from .experiments import (
     CASE_STUDY_IDS,
     SpecError,
+    case_study_specs,
     load_experiment,
-    run_case_study,
     run_experiment,
 )
 from .hlf import ConfigError, build_hlf_net, parse_config
@@ -44,7 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "permissioned blockchain transaction flow.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=("literal", "effective"),
+                      default=None, help="MRT mode (default effective)")
+    common = argparse.ArgumentParser(add_help=False, parents=[mode])
     common.add_argument("--seed", type=int, default=None,
                         help="override the base random seed")
     common.add_argument("--jobs", type=int, default=1,
@@ -53,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for CSV outputs")
     common.add_argument("--confidence", type=float, default=None,
                         help="confidence level for CIs, e.g. 0.95")
-    common.add_argument("--mode", choices=("literal", "effective"),
-                        default=None, help="MRT mode (default effective)")
 
     p_run = sub.add_parser("run", parents=[common],
                            help="run a sweep or DoE spec")
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--arrival-rate", type=float, default=None,
                        help="arrival rate in tps if the config leaves it unset")
 
-    p_solve = sub.add_parser("solve", parents=[common],
+    p_solve = sub.add_parser("solve", parents=[mode],
                              help="exact CTMC rewards for a single-point spec")
     p_solve.add_argument("spec", help="experiment spec (INI), no sweep/doe")
     p_solve.add_argument("--max-states", type=int, default=50_000)
@@ -126,10 +127,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_case_study(args) -> int:
     seed = args.seed if args.seed is not None else 1
-    written = run_case_study(args.id, args.out_dir, seed=seed,
-                             jobs=args.jobs, batch_count=args.batches)
-    for path in written:
-        print(path)
+    specs = case_study_specs(args.id, seed=seed, batch_count=args.batches)
+    for spec in specs.values():
+        spec = _apply_overrides(spec, args)
+        for path in run_experiment(spec, args.out_dir, jobs=args.jobs):
+            print(path)
     return EXIT_OK
 
 
@@ -144,13 +146,13 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = _apply_overrides(load_experiment(args.spec), args)
+    spec = load_experiment(args.spec)
     if spec.sweep or spec.doe_factors:
         raise SpecError("solve expects a single-point spec (no sweep/doe)")
     handle = build_hlf_net(spec.base)
     result = solve_ctmc(handle.net, standard_queries(handle),
                         max_states=args.max_states)
-    report = metric_report(result, handle, mode=spec.mrt_mode)
+    report = metric_report(result, handle, mode=args.mode or spec.mrt_mode)
     print(f"tangible states: {result.n_states}")
     for name in METRIC_NAMES:
         print(f"{name} = {getattr(report, name).value:.10g}")

@@ -375,7 +375,7 @@ def case_study_specs(case_id: int, seed: int = 1,
 
     Values the reference scenarios state are pinned; grids they leave
     open (case 2's timeout axis, case 3's lower bound, DoE levels) use
-    the documented defaults below.
+    the documented defaults below. Each sweep writes <stem>.csv.
     """
     if case_id not in CASE_STUDY_IDS:
         raise SpecError(f"unknown case study {case_id}")
@@ -388,7 +388,8 @@ def case_study_specs(case_id: int, seed: int = 1,
             base = HlfConfig(block_size=1, timeout_s=10.0, cp=cp)
             specs[f"cs1_cp{cp}"] = ExperimentSpec(
                 base=base, sim=sim,
-                sweep=(("arrival_rate_tps", arrivals),))
+                sweep=(("arrival_rate_tps", arrivals),),
+                outputs={"results": f"cs1_cp{cp}.csv"})
         return specs
     if case_id == 2:
         sim = SimConfig(warmup_time=300.0, batch_count=batch_count,
@@ -396,12 +397,14 @@ def case_study_specs(case_id: int, seed: int = 1,
         base = HlfConfig(timeout_s=100.0).with_arrival_rate(100.0)
         block_sweep = ExperimentSpec(
             base=base, sim=sim,
-            sweep=(("block_size", tuple(float(b) for b in range(1, 11))),))
+            sweep=(("block_size", tuple(float(b) for b in range(1, 11))),),
+            outputs={"results": "cs2_block.csv"})
         # timeout grid is not enumerated by the scenario; log-spaced 1-100 s
         timeouts = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
         timeout_sweep = ExperimentSpec(
             base=apply_param(base, "block_size", 10), sim=sim,
-            sweep=(("timeout_s", timeouts),))
+            sweep=(("timeout_s", timeouts),),
+            outputs={"results": "cs2_timeout.csv"})
         return {"cs2_block": block_sweep, "cs2_timeout": timeout_sweep}
     if case_id == 3:
         sim = SimConfig(warmup_time=50.0, batch_count=batch_count,
@@ -411,7 +414,8 @@ def case_study_specs(case_id: int, seed: int = 1,
         timeouts = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.15, 0.2, 0.3, 0.5,
                     0.75, 1.0, 1.5, 2.0)
         return {"cs3": ExperimentSpec(
-            base=base, sim=sim, sweep=(("timeout_s", timeouts),))}
+            base=base, sim=sim, sweep=(("timeout_s", timeouts),),
+            outputs={"results": "cs3.csv"})}
     sim = SimConfig(warmup_time=60.0, batch_count=max(batch_count, 5),
                     batch_length=30.0, seed=seed)
     base = HlfConfig().with_arrival_rate(100.0)
@@ -428,19 +432,3 @@ def case_study_specs(case_id: int, seed: int = 1,
                                            "runs": "cs4_runs.csv",
                                            "interactions_prefix":
                                                "cs4_interaction"})}
-
-
-def run_case_study(case_id: int, out_dir, seed: int = 1, jobs: int = 1,
-                   batch_count: int = 10) -> list[Path]:
-    out_dir = Path(out_dir)
-    written: list[Path] = []
-    for stem, spec in case_study_specs(case_id, seed=seed,
-                                       batch_count=batch_count).items():
-        if spec.doe_factors:
-            written += run_experiment(spec, out_dir, jobs=jobs)
-        else:
-            rows = run_sweep(spec, jobs=jobs)
-            path = out_dir / f"{stem}.csv"
-            write_rows_csv(path, rows, spec.metrics)
-            written.append(path)
-    return written

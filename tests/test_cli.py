@@ -13,6 +13,7 @@ from hlfspn.cli import (
     EXIT_PARSE,
     main,
 )
+from hlfspn.experiments import CASE_STUDY_IDS, case_study_specs
 from hlfspn.metrics import MissingQueryError, UndefinedMetricError
 from hlfspn.spn import (
     DivergenceError,
@@ -164,6 +165,67 @@ class TestSolve:
         spec = tmp_path / "spec.ini"
         spec.write_text(TINY_SPEC)
         assert main(["solve", str(spec)]) == EXIT_PARSE
+
+    def test_mode_overrides_the_spec(self, tmp_path, monkeypatch):
+        modes = []
+        real = cli.metric_report
+
+        def spy(result, handle, mode):
+            modes.append(mode)
+            return real(result, handle, mode=mode)
+
+        monkeypatch.setattr(cli, "metric_report", spy)
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SOLVE_SPEC)
+        assert main(["solve", str(spec)]) == EXIT_OK
+        assert main(["solve", str(spec), "--mode", "literal"]) == EXIT_OK
+        assert modes == ["effective", "literal"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "2"], ["--seed", "3"], ["--out-dir", "out"],
+        ["--confidence", "0.9"],
+    ])
+    def test_simulation_flags_rejected_by_argparse(self, tmp_path, flags):
+        # an exact solve draws no samples and writes no CSV
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SOLVE_SPEC)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(spec), *flags])
+        assert info.value.code == 2
+
+
+class TestCaseStudy:
+    @pytest.mark.parametrize("case_id", CASE_STUDY_IDS)
+    def test_mode_and_confidence_reach_every_spec(self, tmp_path,
+                                                  monkeypatch, case_id):
+        specs = []
+
+        def capture(spec, out_dir, jobs=1):
+            specs.append(spec)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert main(["case-study", str(case_id), "--out-dir", str(tmp_path),
+                     "--mode", "literal", "--confidence", "0.9"]) == EXIT_OK
+        assert len(specs) == len(case_study_specs(case_id))
+        for spec in specs:
+            assert spec.mrt_mode == "literal"
+            assert spec.sim.confidence_level == 0.9
+
+    def test_defaults_run_the_catalog_specs(self, tmp_path, monkeypatch,
+                                            capsys):
+        specs = []
+
+        def capture(spec, out_dir, jobs=1):
+            specs.append(spec)
+            return [tmp_path / spec.outputs["results"]]
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert main(["case-study", "1", "--out-dir", str(tmp_path),
+                     "--batches", "4"]) == EXIT_OK
+        assert specs == list(case_study_specs(1, batch_count=4).values())
+        assert capsys.readouterr().out.split() == [
+            str(tmp_path / f"cs1_cp{cp}.csv") for cp in (2, 4, 6)]
 
 
 class TestExitCodes:

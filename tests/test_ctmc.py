@@ -1,5 +1,6 @@
 """Exact CTMC solver against closed forms and the simulator."""
 
+import numpy as np
 import pytest
 
 from hlfspn import hlf
@@ -322,3 +323,118 @@ def test_resolution_matches_path_enumeration(make):
                     seen.add(mt)
                     frontier.append(mt)
     assert firings >= len(seen)
+
+
+def benchmark_small_hlf_net() -> PetriNet:
+    """The 1,200-state HLF net of the benchmark's small CTMC point."""
+    cfg = hlf.HlfConfig(
+        n_endorsers=1, n_committers=1, block_size=2, timeout_s=0.5,
+        eq=2, oq=2, cq=3, ep=2, op=2, cp=2, arrival_dist="exponential",
+        timeout_dist="exponential").with_arrival_rate(20.0)
+    return hlf.build_hlf_net(cfg).net
+
+
+def generator_triplets(net: PetriNet) -> tuple:
+    """The (n, rows, cols, rates) that solve_ctmc hands to _stationary."""
+    got = []
+    real = ctmc._stationary
+
+    def spy(*args):
+        got.append(args)
+        return real(*args)
+
+    ctmc._stationary = spy
+    try:
+        solve_ctmc(net, [])
+    finally:
+        ctmc._stationary = real
+    return got[0]
+
+
+def dense_stationary(n, rows, cols, rates) -> np.ndarray:
+    """Reference: numpy.linalg.solve of Q^T with its last row replaced by
+    ones, right-hand side e_n, assembled densely."""
+    q = np.zeros((n, n))
+    np.add.at(q, (np.asarray(rows), np.asarray(cols)), rates)
+    q[np.diag_indices(n)] -= np.bincount(rows, weights=rates, minlength=n)
+    a = q.T.copy()
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
+
+
+def assert_same_distribution(got, want, rel: float) -> None:
+    assert np.abs(got - want).max() <= rel * want.max()
+
+
+@pytest.mark.filterwarnings("error")
+class TestStationarySolve:
+    @pytest.mark.parametrize("make", [
+        lambda: mm1k_net(3.0, 4.0, 3),
+        lambda: mmck_net(6.0, 2.0, 3, 7),
+        tandem_net,
+        branch_net,
+        flush_net,
+        benchmark_small_hlf_net,
+    ], ids=["mm1k", "mmck", "tandem", "branch", "flush", "hlf-1200"])
+    def test_matches_dense_solve(self, make):
+        triplets = generator_triplets(make())
+        assert_same_distribution(ctmc._stationary(*triplets),
+                                 dense_stationary(*triplets), 1e-10)
+
+    def test_complete_lu_when_incomplete_lu_is_singular(self, monkeypatch):
+        triplets = generator_triplets(benchmark_small_hlf_net())
+        want = ctmc._stationary(*triplets)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(ctmc, "spilu", singular)
+        assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
+
+    def test_complete_lu_when_gmres_does_not_converge(self, monkeypatch):
+        triplets = generator_triplets(benchmark_small_hlf_net())
+        want = ctmc._stationary(*triplets)
+        real_gmres, real_splu = ctmc.gmres, ctmc.splu
+        calls = []
+
+        def gmres(A, b, **kwargs):
+            calls.append("gmres")
+            if len(calls) == 1:  # the incomplete-LU run: one Krylov step
+                kwargs.update(restart=1, maxiter=1)
+            return real_gmres(A, b, **kwargs)
+
+        def splu(A):
+            calls.append("splu")
+            return real_splu(A)
+
+        monkeypatch.setattr(ctmc, "gmres", gmres)
+        monkeypatch.setattr(ctmc, "splu", splu)
+        assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
+        assert calls == ["gmres", "splu", "gmres"]
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_rates_in_a_finer_time_unit(self, scale):
+        # the same M/M/1/50 queue with its rates scaled up, as when times
+        # are given in ms or us: rounding then keeps |b - A pi| far above
+        # 1e-14, so convergence is judged by the normwise backward error
+        lam, mu, K = 3.0 * scale, 4.0 * scale, 50
+        oracle = mm1k(lam, mu, K)
+        queries = [ProbabilityOf(Atom("Q", "=", IntRhs(n)))
+                   for n in range(K + 1)]
+        res = solve_ctmc(mm1k_net(lam, mu, K), queries)
+        got = np.array([res.value(q) for q in queries])
+        assert_same_distribution(got, np.array(oracle.pi), 1e-12)
+
+    def test_more_than_one_closed_class_warns_nothing(self):
+        net = PetriNet(
+            places=(Place("C", 1), Place("X", 0), Place("Y", 0)),
+            transitions=(
+                Transition("TO_X", Immediate(weight=1.0),
+                           input_arcs=(Arc("C"),), output_arcs=(Arc("X"),)),
+                Transition("TO_Y", Immediate(weight=3.0),
+                           input_arcs=(Arc("C"),), output_arcs=(Arc("Y"),)),
+            ))
+        with pytest.raises(SingularGeneratorError):
+            solve_ctmc(net, [])
