@@ -29,7 +29,7 @@ from .hlf import ConfigError, build_hlf_net, parse_config
 from .metrics import METRIC_NAMES, metric_report, standard_queries
 from .spn.ctmc import UnsupportedModelError, solve_ctmc
 from .spn.net import EvaluationError, SpnError
-from .spn.textfmt import FormatError, to_dot
+from .spn.textfmt import to_dot
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -85,7 +85,10 @@ def _apply_overrides(spec, args):
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     if args.confidence is not None:
-        sim = replace(sim, confidence_level=args.confidence)
+        try:
+            sim = replace(sim, confidence_level=args.confidence)
+        except ValueError as exc:
+            raise SpecError(f"--confidence {args.confidence}: {exc}") from exc
     spec = replace(spec, sim=sim)
     if args.mode is not None:
         spec = replace(spec, mrt_mode=args.mode)
@@ -102,8 +105,8 @@ def main(argv=None) -> int:
         if args.command == "export-dot":
             return _cmd_export_dot(args)
         return _cmd_solve(args)
-    except (SpecError, ConfigError, FormatError, EvaluationError,
-            UnsupportedModelError, FileNotFoundError) as exc:
+    except (SpecError, ConfigError, EvaluationError, UnsupportedModelError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnsupportedModelError):
             print("hint: set arrival_dist = exponential and timeout_dist = "

@@ -8,7 +8,6 @@ mean(response at +1) - mean(response at -1) per column.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ class Factor:
 class DesignMatrix:
     factors: tuple[Factor, ...]
     signs: np.ndarray              # 2^k x k main-effect signs, standard order
-    run_order: tuple[int, ...]     # 1-based run permutation of the std rows
 
     @property
     def k(self) -> int:
@@ -86,16 +84,7 @@ def factorial_design(factors: list[Factor]) -> DesignMatrix:
         period = 2 ** (k - 1 - j)  # runs between toggles of factor j
         for i in range(n):
             signs[i, j] = 1 if (i // period) % 2 else -1
-    return DesignMatrix(factors=tuple(factors), signs=signs,
-                        run_order=tuple(range(1, n + 1)))
-
-
-def randomize_runs(design: DesignMatrix, seed: int) -> DesignMatrix:
-    """Seed-deterministic run-order permutation; standard order retained."""
-    order = list(range(1, design.n_runs + 1))
-    random.Random(seed).shuffle(order)
-    return DesignMatrix(factors=design.factors, signs=design.signs,
-                        run_order=tuple(order))
+    return DesignMatrix(factors=tuple(factors), signs=signs)
 
 
 @dataclass(frozen=True)

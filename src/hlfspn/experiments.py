@@ -1,4 +1,5 @@
-"""Experiment specs, parameter sweeps, and the four built-in case studies.
+"""Experiment specs, sweeps, factorial designs and the four built-in case
+studies.
 
 Specs are INI documents::
 
@@ -27,9 +28,11 @@ Specs are INI documents::
     results = results.csv
     metrics = mrt_s, tp_tps  # optional; default: all
 
-Sweep points run independently (optionally in parallel); output rows are
-always written in sweep order with a per-point seed of base seed + index,
-so a spec plus seed reproduces byte-identical CSVs.
+A sweep's points (the cartesian product of its axes) and a DoE's 2^k
+corners (standard order) are evaluated by one runner, `run_points`. Points
+run independently (optionally in parallel); rows always come back in point
+order with a per-point seed of base seed + index, so a spec plus seed
+reproduces byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .doe import Factor, effects, factorial_design, interaction_table
+from .doe import (DesignError, Factor, effects, factorial_design,
+                  interaction_table)
 from .hlf import (ConfigError, HlfConfig, HlfNetHandle, build_hlf_net,
                   coerce_field)
 from .metrics import METRIC_NAMES, MetricReport, metric_report, standard_queries
@@ -110,8 +114,9 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 raise SpecError(f"[base] {key}: {exc}") from exc
 
     sim_kwargs = {}
-    if parser.has_section("sim"):
-        for key, val in parser.items("sim"):
+    sim_items = parser.items("sim") if parser.has_section("sim") else []
+    try:
+        for key, val in sim_items:
             if key in ("batch_count", "seed", "max_events",
                        "max_immediate_steps"):
                 sim_kwargs[key] = int(val)
@@ -119,7 +124,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 sim_kwargs[key] = float(val)
             else:
                 raise SpecError(f"[sim] unknown key {key!r}")
-    try:
         sim = SimConfig(**sim_kwargs)
     except ValueError as exc:
         raise SpecError(f"[sim]: {exc}") from exc
@@ -159,6 +163,10 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 raise SpecError(f"[doe] factor {item!r}: {exc}") from exc
         if not doe_factors:
             raise SpecError("[doe] section without factors")
+        try:
+            factorial_design(doe_factors)
+        except DesignError as exc:
+            raise SpecError(f"[doe] factors: {exc}") from exc
         doe_response = sec.get("response", "mrt_s").strip()
 
     outputs = {}
@@ -200,26 +208,20 @@ def _point_worker(args):
 
 @dataclass(frozen=True)
 class ResultRow:
-    point: dict             # swept parameter name -> value
+    point: dict             # point parameter name -> value
     report: MetricReport
     seed: int
     simulated_time: float
     event_count: int
 
 
-def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
-    """Evaluate every sweep point (cartesian product, spec order).
+def run_points(spec: ExperimentSpec, points: Sequence[dict],
+               jobs: int = 1) -> list[ResultRow]:
+    """Evaluate spec.base with each point's parameters applied, in order.
 
-    Per-point seeds are spec.sim.seed + point index, so results do not
-    depend on `jobs`.
+    Point i runs with seed spec.sim.seed + i, so results do not depend on
+    `jobs`; with jobs > 1 the points run in a process pool.
     """
-    axes = spec.sweep if spec.sweep else ()
-    if axes:
-        grids = [[(name, v) for v in values] for name, values in axes]
-        points = [dict(combo) for combo in itertools.product(*grids)]
-    else:
-        points = [{}]
-
     tasks = []
     for i, point in enumerate(points):
         cfg = spec.base
@@ -234,12 +236,17 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     else:
         outcomes = [_point_worker(t) for t in tasks]
 
-    rows = []
-    for point, (cfg, sim, _), (report, ttime, events) in zip(
-            points, tasks, outcomes):
-        rows.append(ResultRow(point=point, report=report, seed=sim.seed,
-                              simulated_time=ttime, event_count=events))
-    return rows
+    return [ResultRow(point=point, report=report, seed=sim.seed,
+                      simulated_time=ttime, event_count=events)
+            for point, (_, sim, _), (report, ttime, events)
+            in zip(points, tasks, outcomes)]
+
+
+def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
+    """Evaluate every sweep point (cartesian product, spec order)."""
+    grids = [[(name, v) for v in values] for name, values in spec.sweep]
+    points = [dict(combo) for combo in itertools.product(*grids)]
+    return run_points(spec, points, jobs)
 
 
 def write_rows_csv(path, rows: Sequence[ResultRow],
@@ -277,26 +284,10 @@ def run_doe(spec: ExperimentSpec, jobs: int = 1):
     """Simulate all 2^k corners (standard order) and return
     (design, responses, rows)."""
     design = factorial_design(list(spec.doe_factors))
-    tasks = []
-    for i in range(design.n_runs):
-        cfg = spec.base
-        for name, value in design.settings(i).items():
-            cfg = apply_param(cfg, name, value)
-        sim = replace(spec.sim, seed=spec.sim.seed + i)
-        tasks.append((cfg, sim, spec.mrt_mode))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_point_worker, tasks))
-    else:
-        outcomes = [_point_worker(t) for t in tasks]
-    responses = [getattr(rep, spec.doe_response).value
-                 for rep, _, _ in outcomes]
-    rows = []
-    for i, ((cfg, sim, _), (report, ttime, events)) in enumerate(
-            zip(tasks, outcomes)):
-        rows.append(ResultRow(point=design.settings(i), report=report,
-                              seed=sim.seed, simulated_time=ttime,
-                              event_count=events))
+    rows = run_points(spec, [design.settings(i)
+                             for i in range(design.n_runs)], jobs)
+    responses = [getattr(row.report, spec.doe_response).value
+                 for row in rows]
     return design, responses, rows
 
 
@@ -379,10 +370,17 @@ def case_study_specs(case_id: int, seed: int = 1,
     """
     if case_id not in CASE_STUDY_IDS:
         raise SpecError(f"unknown case study {case_id}")
+    warmup, length = {1: (20.0, 10.0), 2: (300.0, 100.0), 3: (50.0, 20.0),
+                      4: (60.0, 30.0)}[case_id]
+    if case_id == 4:
+        batch_count = max(batch_count, 5)
+    try:
+        sim = SimConfig(warmup_time=warmup, batch_count=batch_count,
+                        batch_length=length, seed=seed)
+    except ValueError as exc:
+        raise SpecError(f"--batches {batch_count}: {exc}") from exc
     arrivals = tuple(_frange(2.5, 200.0, 15.0))
     if case_id == 1:
-        sim = SimConfig(warmup_time=20.0, batch_count=batch_count,
-                        batch_length=10.0, seed=seed)
         specs = {}
         for cp in (2, 4, 6):
             base = HlfConfig(block_size=1, timeout_s=10.0, cp=cp)
@@ -392,8 +390,6 @@ def case_study_specs(case_id: int, seed: int = 1,
                 outputs={"results": f"cs1_cp{cp}.csv"})
         return specs
     if case_id == 2:
-        sim = SimConfig(warmup_time=300.0, batch_count=batch_count,
-                        batch_length=100.0, seed=seed)
         base = HlfConfig(timeout_s=100.0).with_arrival_rate(100.0)
         block_sweep = ExperimentSpec(
             base=base, sim=sim,
@@ -407,8 +403,6 @@ def case_study_specs(case_id: int, seed: int = 1,
             outputs={"results": "cs2_timeout.csv"})
         return {"cs2_block": block_sweep, "cs2_timeout": timeout_sweep}
     if case_id == 3:
-        sim = SimConfig(warmup_time=50.0, batch_count=batch_count,
-                        batch_length=20.0, seed=seed)
         base = HlfConfig(block_size=6, timeout_s=1.0).with_arrival_rate(100.0)
         # "zero" timeout approximated by 10 ms; exact zero is disallowed
         timeouts = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.15, 0.2, 0.3, 0.5,
@@ -416,8 +410,6 @@ def case_study_specs(case_id: int, seed: int = 1,
         return {"cs3": ExperimentSpec(
             base=base, sim=sim, sweep=(("timeout_s", timeouts),),
             outputs={"results": "cs3.csv"})}
-    sim = SimConfig(warmup_time=60.0, batch_count=max(batch_count, 5),
-                    batch_length=30.0, seed=seed)
     base = HlfConfig().with_arrival_rate(100.0)
     factors = (
         Factor("block_size", 1, 10),

@@ -227,24 +227,6 @@ class HlfNetHandle:
                 self.transfer_buffer, self.block_tx_buffer,
                 *self.committer_queue_fills, *self.committer_proc_fills)
 
-    @property
-    def name_map(self) -> dict:
-        """Role names, including the figure's aliases for clock and block
-        places."""
-        return {
-            "application": self.entry_place,
-            "TO_START": self.clock_run,
-            "TO_FINISH": self.clock_expired,
-            "OPF_1_1": self.full_block,
-            "OPF_2_1": self.partial_block,
-            "ordering-accumulator": self.accumulator,
-            "clock-expired": self.clock_expired,
-            "entry-drop": self.entry_drop,
-            "endorser-queue-capacity": self.endorser_queue_caps,
-            "committer-queue-capacity": self.committer_queue_caps,
-            "TE6": self.transfer_services,
-        }
-
 
 def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     """Construct the transaction-flow net for a configuration."""

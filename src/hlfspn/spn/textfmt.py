@@ -1,33 +1,16 @@
-"""Declarative text format for nets, plus DOT export.
+"""Text renderings of a net: guard expressions and DOT export.
 
-One document per net::
-
-    param BLOCK = 10
-    place OPF3_1 0
-    imm TI6 guard "#OPF3_1 >= BLOCK"
-      in OPF3_1 BLOCK
-      out FULLBLK_1 1
-      out BLKTX_1 BLOCK
-    exp TE3 mean=0.005 servers=infinite
-      in OPF2_1 1
-      out OPF3_1 1
-    det T_ARRIVAL delay=0.01
-      out P_GT 1
-
-Arc counts are an integer, a parameter name, ``all`` (flush the place) or
-``flushed`` (emit as many tokens as were flushed).
+Guards read like ``(#OPF3_1 >= BLOCK and #CLK_EXP = 1)``. Arc labels are an
+integer, a parameter name, ``all`` (flush the place) or ``flushed`` (emit
+as many tokens as were flushed).
 """
 
 from __future__ import annotations
 
-import re
-
 from .net import (
     And,
-    Arc,
     Atom,
     Constant,
-    Deterministic,
     Exponential,
     FlushAll,
     Flushed,
@@ -35,120 +18,10 @@ from .net import (
     IntRhs,
     Not,
     Or,
-    Param,
     ParamRhs,
     PetriNet,
-    Place,
-    PlaceRhs,
     Predicate,
-    Rhs,
-    ServerSemantics,
-    SpnError,
-    Transition,
 )
-
-
-class FormatError(SpnError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-# ---------------------------------------------------------------------------
-# Guard expressions
-
-_GUARD_TOKEN = re.compile(
-    r"\s*(#[A-Za-z_]\w*|\d+|[A-Za-z_]\w*|<=|>=|!=|[=<>()])")
-
-
-def _tokenize_guard(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _GUARD_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise FormatError(f"bad guard syntax near {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _GuardParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise FormatError("unexpected end of guard expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Predicate:
-        pred = self.or_expr()
-        if self.peek() is not None:
-            raise FormatError(f"trailing guard tokens at {self.peek()!r}")
-        return pred
-
-    def or_expr(self) -> Predicate:
-        left = self.and_expr()
-        while self.peek() == "or":
-            self.take()
-            left = Or(left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Predicate:
-        left = self.unary()
-        while self.peek() == "and":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Predicate:
-        tok = self.peek()
-        if tok == "not":
-            self.take()
-            return Not(self.unary())
-        if tok == "(":
-            self.take()
-            pred = self.or_expr()
-            if self.take() != ")":
-                raise FormatError("expected ')' in guard")
-            return pred
-        return self.atom()
-
-    def atom(self) -> Atom:
-        tok = self.take()
-        if not tok.startswith("#"):
-            raise FormatError(f"guard atom must start with '#place', got {tok!r}")
-        place = tok[1:]
-        op = self.take()
-        if op not in ("=", "!=", "<", "<=", ">", ">="):
-            raise FormatError(f"bad comparison operator {op!r}")
-        rhs_tok = self.take()
-        rhs: Rhs
-        if rhs_tok.startswith("#"):
-            rhs = PlaceRhs(rhs_tok[1:])
-        elif rhs_tok.isdigit():
-            rhs = IntRhs(int(rhs_tok))
-        elif re.fullmatch(r"[A-Za-z_]\w*", rhs_tok):
-            rhs = ParamRhs(rhs_tok)
-        else:
-            raise FormatError(f"bad guard operand {rhs_tok!r}")
-        return Atom(place, op, rhs)
-
-
-def parse_guard(text: str) -> Predicate:
-    """Parse a guard like ``#OPF3_1 >= BLOCK and #CLK_EXP = 1``."""
-    return _GuardParser(_tokenize_guard(text)).parse()
 
 
 def guard_to_text(pred: Predicate) -> str:
@@ -170,21 +43,6 @@ def guard_to_text(pred: Predicate) -> str:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-# ---------------------------------------------------------------------------
-# Net documents
-
-def _parse_count(tok: str):
-    if tok == "all":
-        return FlushAll()
-    if tok == "flushed":
-        return Flushed()
-    if tok.isdigit():
-        return Constant(int(tok))
-    if re.fullmatch(r"[A-Za-z_]\w*", tok):
-        return Param(tok)
-    raise FormatError(f"bad arc count {tok!r}")
-
-
 def _count_to_text(count) -> str:
     if isinstance(count, FlushAll):
         return "all"
@@ -193,147 +51,6 @@ def _count_to_text(count) -> str:
     if isinstance(count, Constant):
         return str(count.k)
     return count.name
-
-
-_TRANS_KINDS = ("imm", "exp", "det")
-
-
-def parse_net(text: str) -> PetriNet:
-    """Parse a net document.  Raises FormatError with a line number."""
-    params: dict[str, float] = {}
-    places: list[Place] = []
-    transitions: list[Transition] = []
-    current: dict | None = None
-
-    def flush_current():
-        nonlocal current
-        if current is None:
-            return
-        transitions.append(Transition(
-            name=current["name"],
-            kind=current["kind"],
-            input_arcs=tuple(current["in"]),
-            output_arcs=tuple(current["out"]),
-            guard=current["guard"],
-            server_semantics=current["servers"],
-        ))
-        current = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip() if not _has_guard(raw) else raw.rstrip()
-        stripped = line.strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        head = fields[0]
-        try:
-            if head == "param":
-                flush_current()
-                if len(fields) != 4 or fields[2] != "=":
-                    raise FormatError("expected 'param NAME = VALUE'", lineno)
-                value = float(fields[3])
-                params[fields[1]] = int(value) if value.is_integer() else value
-            elif head == "place":
-                flush_current()
-                if len(fields) not in (2, 3):
-                    raise FormatError("expected 'place NAME [TOKENS]'", lineno)
-                tokens = int(fields[2]) if len(fields) == 3 else 0
-                places.append(Place(fields[1], tokens))
-            elif head in _TRANS_KINDS:
-                flush_current()
-                current = _parse_transition_header(head, stripped, lineno)
-            elif head in ("in", "out"):
-                if current is None:
-                    raise FormatError(f"'{head}' outside a transition", lineno)
-                if len(fields) not in (2, 3):
-                    raise FormatError(f"expected '{head} PLACE [COUNT]'", lineno)
-                count = _parse_count(fields[2]) if len(fields) == 3 else Constant(1)
-                current["in" if head == "in" else "out"].append(
-                    Arc(fields[1], count))
-            else:
-                raise FormatError(f"unknown directive {head!r}", lineno)
-        except FormatError:
-            raise
-        except (ValueError, SpnError) as exc:
-            raise FormatError(str(exc), lineno) from exc
-    flush_current()
-    return PetriNet(places=tuple(places), transitions=tuple(transitions),
-                    parameters=params)
-
-
-def _has_guard(line: str) -> bool:
-    return "guard" in line and '"' in line
-
-
-def _parse_transition_header(kind: str, line: str, lineno: int) -> dict:
-    guard = None
-    gm = re.search(r'guard\s+"([^"]*)"', line)
-    if gm:
-        guard = parse_guard(gm.group(1))
-        line = line[:gm.start()] + line[gm.end():]
-    fields = line.split()
-    if len(fields) < 2:
-        raise FormatError(f"expected '{kind} NAME [options]'", lineno)
-    name = fields[1]
-    opts = {}
-    for f in fields[2:]:
-        if "=" not in f:
-            raise FormatError(f"bad option {f!r}", lineno)
-        k, v = f.split("=", 1)
-        opts[k] = v
-    servers = ServerSemantics.SINGLE
-    if opts.get("servers") in ("infinite", "inf"):
-        servers = ServerSemantics.INFINITE
-    elif opts.get("servers") not in (None, "single"):
-        raise FormatError(f"bad servers option {opts['servers']!r}", lineno)
-    try:
-        if kind == "imm":
-            tkind = Immediate(priority=int(opts.get("priority", 1)),
-                              weight=float(opts.get("weight", 1.0)))
-        elif kind == "exp":
-            tkind = Exponential(mean_delay=float(opts["mean"]))
-        else:
-            tkind = Deterministic(delay=float(opts["delay"]))
-    except KeyError as exc:
-        raise FormatError(f"missing option {exc.args[0]!r}", lineno) from exc
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from exc
-    return {"name": name, "kind": tkind, "guard": guard, "servers": servers,
-            "in": [], "out": []}
-
-
-def serialize_net(net: PetriNet) -> str:
-    """Render a net back to the text format (round-trips via parse_net)."""
-    lines = []
-    for name in sorted(net.parameters):
-        lines.append(f"param {name} = {net.parameters[name]}")
-    if net.parameters:
-        lines.append("")
-    for p in net.places:
-        lines.append(f"place {p.name} {p.initial_tokens}")
-    for t in net.transitions:
-        lines.append("")
-        kind = t.kind
-        if isinstance(kind, Immediate):
-            head = f"imm {t.name}"
-            if kind.priority != 1:
-                head += f" priority={kind.priority}"
-            if kind.weight != 1.0:
-                head += f" weight={kind.weight}"
-        elif isinstance(kind, Exponential):
-            head = f"exp {t.name} mean={kind.mean_delay}"
-        else:
-            head = f"det {t.name} delay={kind.delay}"
-        if t.is_timed and t.server_semantics is ServerSemantics.INFINITE:
-            head += " servers=infinite"
-        if t.guard is not None:
-            head += f' guard "{guard_to_text(t.guard)}"'
-        lines.append(head)
-        for arc in t.input_arcs:
-            lines.append(f"  in {arc.place} {_count_to_text(arc.count)}")
-        for arc in t.output_arcs:
-            lines.append(f"  out {arc.place} {_count_to_text(arc.count)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

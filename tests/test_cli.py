@@ -121,6 +121,33 @@ class TestRun:
         assert "event cap of 10 exceeded" in errs[1]
 
 
+@pytest.mark.parametrize("spec_text,argv", [
+    ("[sim]\nbatch_count = three\n", ["run"]),
+    ("[doe]\nfactors = block_size:1:2, block_size:1:3\n", ["run"]),
+    ("[doe]\nfactors = " + ", ".join(f"x{i}:0:1" for i in range(13)),
+     ["run"]),
+    (None, ["case-study", "3", "--batches", "1"]),
+    (None, ["case-study", "3", "--confidence", "1.5"]),
+], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
+        "confidence"])
+def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
+                                                   monkeypatch, spec_text,
+                                                   argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the input should be rejected before a run")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    if spec_text is not None:
+        spec = tmp_path / "spec.ini"
+        spec.write_text(spec_text)
+        argv = [*argv, str(spec)]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestExportDot:
     def test_deterministic_and_complete(self, tmp_path, capsys):
         cfg = tmp_path / "model.cfg"

@@ -9,7 +9,6 @@ from hlfspn.doe import (
     effects,
     factorial_design,
     interaction_table,
-    randomize_runs,
 )
 
 # Frozen 2^3 reference matrix in standard order: x3 alternates every run,
@@ -58,14 +57,6 @@ class TestDesignMatrix:
         design = factorial_design([Factor("a", 2, 6), Factor("b", 0.1, 100)])
         assert design.settings(0) == {"a": 2, "b": 0.1}
         assert design.settings(3) == {"a": 6, "b": 100}
-
-    def test_randomize_is_seed_deterministic_permutation(self):
-        design = design_2_3()
-        r1 = randomize_runs(design, seed=9)
-        r2 = randomize_runs(design, seed=9)
-        assert r1.run_order == r2.run_order
-        assert sorted(r1.run_order) == list(range(1, 9))
-        assert r1.signs.tolist() == design.signs.tolist()
 
     def test_invalid_designs_rejected(self):
         with pytest.raises(DesignError):

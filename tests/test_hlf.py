@@ -129,14 +129,6 @@ class TestStructure:
         handle = build_hlf_net(cfg)
         assert handle.net.parameters == {"BLOCK": 4, "TIME_OUT": 2.0}
 
-    def test_name_map_aliases(self):
-        handle = build_hlf_net(default_config().with_arrival_rate(10.0))
-        nm = handle.name_map
-        assert nm["TO_START"] == handle.clock_run
-        assert nm["TO_FINISH"] == handle.clock_expired
-        assert nm["OPF_1_1"] == handle.full_block
-        assert nm["OPF_2_1"] == handle.partial_block
-
     def test_in_progress_places_exist(self):
         handle = build_hlf_net(default_config().with_arrival_rate(10.0))
         names = {p.name for p in handle.net.places}

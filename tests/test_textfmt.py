@@ -1,9 +1,8 @@
-"""Net text format, guard grammar, and DOT export."""
+"""Guard text and DOT export."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import hlfspn.spn
 from hlfspn.spn import (
     And,
     Arc,
@@ -13,12 +12,10 @@ from hlfspn.spn import (
     Exponential,
     FlushAll,
     Flushed,
-    FormatError,
     Immediate,
     IntRhs,
     Not,
     Or,
-    Param,
     ParamRhs,
     PetriNet,
     Place,
@@ -26,158 +23,52 @@ from hlfspn.spn import (
     ServerSemantics,
     Transition,
     guard_to_text,
-    parse_guard,
-    parse_net,
-    serialize_net,
     to_dot,
 )
 
-EXAMPLE_DOC = """
-# accumulator with a batch cut
-param BLOCK = 3
-
-place ACC 0
-place OUT 0
-place CLOCK 1
-
-imm CUT priority=2 weight=2.0 guard "#ACC >= BLOCK"
-  in ACC all
-  out OUT flushed
-
-exp FEED mean=0.25 servers=infinite
-  out ACC 1
-
-det TICK delay=10
-  in CLOCK 1
-  out CLOCK 1
-"""
-
-
-class TestGuardGrammar:
-    def test_atom_forms(self):
-        assert parse_guard("#A >= 3") == Atom("A", ">=", IntRhs(3))
-        assert parse_guard("#A = BLOCK") == Atom("A", "=", ParamRhs("BLOCK"))
-        assert parse_guard("#A < #B") == Atom("A", "<", PlaceRhs("B"))
-
-    def test_precedence_and_binds_tighter_than_or(self):
-        pred = parse_guard("#A = 0 or #B = 0 and #C = 0")
-        assert isinstance(pred, Or)
-        assert isinstance(pred.right, And)
-
-    def test_parentheses_and_not(self):
-        pred = parse_guard("not (#A = 0 or #B = 0)")
-        assert isinstance(pred, Not)
-        assert isinstance(pred.operand, Or)
-
-    def test_round_trip_examples(self):
-        for text in ("#A >= 3", "(#A = 0 and #B != 2)",
-                     "not (#X > LIMIT)", "(#A <= #B or #C < 4)"):
-            pred = parse_guard(text)
-            assert parse_guard(guard_to_text(pred)) == pred
-
-    @pytest.mark.parametrize("bad", [
-        "A >= 3",          # atom must be #place
-        "#A == 3",         # not an operator in this grammar
-        "#A >= 3 extra",   # trailing tokens
-        "#A >=",           # missing operand
-        "(#A = 0",         # unbalanced parenthesis
-        "#A >= 3 and",     # dangling connective
-    ])
-    def test_rejects_malformed_guards(self, bad):
-        with pytest.raises(FormatError):
-            parse_guard(bad)
-
-
-guard_atoms = st.builds(
-    Atom,
-    place=st.sampled_from(("A", "B", "C")),
-    op=st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
-    rhs=st.one_of(
-        st.builds(IntRhs, st.integers(0, 99)),
-        st.builds(ParamRhs, st.sampled_from(("N", "LIMIT"))),
-        st.builds(PlaceRhs, st.sampled_from(("A", "B"))),
-    ))
-
-guard_predicates = st.recursive(
-    guard_atoms,
-    lambda inner: st.one_of(
-        st.builds(And, inner, inner),
-        st.builds(Or, inner, inner),
-        st.builds(Not, inner),
+# an accumulator with a batch cut: every arc-count and timing kind
+EXAMPLE_NET = PetriNet(
+    places=(Place("ACC", 0), Place("OUT", 0), Place("CLOCK", 1)),
+    transitions=(
+        Transition("CUT", Immediate(priority=2, weight=2.0),
+                   input_arcs=(Arc("ACC", FlushAll()),),
+                   output_arcs=(Arc("OUT", Flushed()),),
+                   guard=Atom("ACC", ">=", ParamRhs("BLOCK"))),
+        Transition("FEED", Exponential(0.25),
+                   output_arcs=(Arc("ACC", Constant(1)),),
+                   server_semantics=ServerSemantics.INFINITE),
+        Transition("TICK", Deterministic(10.0),
+                   input_arcs=(Arc("CLOCK", Constant(1)),),
+                   output_arcs=(Arc("CLOCK", Constant(1)),)),
     ),
-    max_leaves=8)
+    parameters={"BLOCK": 3})
 
 
-@settings(max_examples=200, deadline=None)
-@given(pred=guard_predicates)
-def test_guard_text_round_trips(pred):
-    assert parse_guard(guard_to_text(pred)) == pred
-
-
-class TestNetDocuments:
-    def test_parse_example(self):
-        net = parse_net(EXAMPLE_DOC)
-        assert net.parameters == {"BLOCK": 3}
-        assert [p.name for p in net.places] == ["ACC", "OUT", "CLOCK"]
-        assert net.place("CLOCK").initial_tokens == 1
-
-        cut = net.transition("CUT")
-        assert cut.kind == Immediate(priority=2, weight=2.0)
-        assert cut.guard == Atom("ACC", ">=", ParamRhs("BLOCK"))
-        assert cut.input_arcs == (Arc("ACC", FlushAll()),)
-        assert cut.output_arcs == (Arc("OUT", Flushed()),)
-
-        feed = net.transition("FEED")
-        assert feed.kind == Exponential(0.25)
-        assert feed.server_semantics is ServerSemantics.INFINITE
-
-        tick = net.transition("TICK")
-        assert tick.kind == Deterministic(10.0)
-
-    def test_serialize_parse_round_trip(self):
-        net = parse_net(EXAMPLE_DOC)
-        again = parse_net(serialize_net(net))
-        assert again == net
-
-    def test_round_trip_preserves_param_arcs(self):
-        net = PetriNet(
-            places=(Place("A", 5), Place("B", 0)),
-            transitions=(Transition(
-                "T", Immediate(),
-                input_arcs=(Arc("A", Param("N")),),
-                output_arcs=(Arc("B", Constant(2)),)),),
-            parameters={"N": 2})
-        assert parse_net(serialize_net(net)) == net
-
-    def test_comments_and_blank_lines_ignored(self):
-        net = parse_net("# header\n\nplace A 1  # trailing\n")
-        assert net.place("A").initial_tokens == 1
-
-    @pytest.mark.parametrize("doc,fragment", [
-        ("plop A 1", "unknown directive"),
-        ("param X 3", "expected 'param"),
-        ("place", "expected 'place"),
-        ("in A 1", "outside a transition"),
-        ("exp T\n  in A 1", "missing option 'mean'"),
-        ("det T delay=1\n  in A bogus-count", "bad arc count"),
-        ("imm T guard \"#A >\"\n", "unexpected end"),
+class TestGuardText:
+    @pytest.mark.parametrize("atom,text", [
+        (Atom("A", ">=", IntRhs(3)), "#A >= 3"),
+        (Atom("A", "=", ParamRhs("BLOCK")), "#A = BLOCK"),
+        (Atom("A", "<", PlaceRhs("B")), "#A < #B"),
     ])
-    def test_errors_carry_context(self, doc, fragment):
-        with pytest.raises(FormatError) as exc_info:
-            parse_net(doc)
-        assert fragment in str(exc_info.value)
+    def test_atom_for_each_rhs_kind(self, atom, text):
+        assert guard_to_text(atom) == text
 
-    def test_error_reports_line_number(self):
-        with pytest.raises(FormatError) as exc_info:
-            parse_net("place A 0\nplace B 0\nbogus line here\n")
-        assert "line 3" in str(exc_info.value)
+    def test_connectives_are_parenthesised(self):
+        a = Atom("A", "=", IntRhs(0))
+        b = Atom("B", "!=", IntRhs(2))
+        assert guard_to_text(And(a, b)) == "(#A = 0 and #B != 2)"
+        assert guard_to_text(Or(a, Not(b))) == \
+            "(#A = 0 or not (#B != 2))"
+
+    def test_rejects_a_non_predicate(self):
+        with pytest.raises(TypeError):
+            guard_to_text("#A = 0")
 
 
 class TestDot:
     def test_contains_every_node_and_is_deterministic(self):
-        net = parse_net(EXAMPLE_DOC)
-        dot = to_dot(net)
-        assert dot == to_dot(net)
+        dot = to_dot(EXAMPLE_NET)
+        assert dot == to_dot(EXAMPLE_NET)
         for name in ("ACC", "OUT", "CLOCK", "CUT", "FEED", "TICK"):
             assert f'"{name}"' in dot
         assert dot.startswith("digraph")
@@ -195,5 +86,9 @@ class TestDot:
         assert '"T" -> "B";' in dot
 
     def test_guard_shown_on_transition(self):
-        net = parse_net(EXAMPLE_DOC)
-        assert "#ACC >= BLOCK" in to_dot(net)
+        assert "#ACC >= BLOCK" in to_dot(EXAMPLE_NET)
+
+
+def test_every_exported_name_resolves():
+    for name in hlfspn.spn.__all__:
+        assert hasattr(hlfspn.spn, name), name
