@@ -129,18 +129,21 @@ class TestSweeps:
         ]
         assert [r.seed for r in rows] == [2, 3, 4, 5]
 
-    @pytest.mark.parametrize("spec,run", [
-        (ExperimentSpec(base=HlfConfig().with_arrival_rate(20.0),
-                        sim=FAST_SIM,
-                        sweep=(("arrival_rate_tps", (10.0, 30.0)),)),
-         run_sweep),
-        (ExperimentSpec(base=HlfConfig().with_arrival_rate(20.0),
-                        sim=FAST_SIM, doe_factors=(Factor("cp", 2, 6),)),
-         lambda spec, jobs: run_doe(spec, jobs)[2]),
-    ], ids=["sweep", "doe"])
-    def test_parallel_execution_is_equivalent(self, spec, run):
-        serial = run(spec, jobs=1)
-        parallel = run(spec, jobs=2)
+    def test_parallel_execution_is_equivalent(self):
+        spec = ExperimentSpec(
+            base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
+            sweep=(("arrival_rate_tps", (10.0, 30.0)),))
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
+        assert len(serial) == len(parallel) == 2
+        assert serial == parallel
+
+    def test_parallel_doe_is_equivalent(self):
+        spec = ExperimentSpec(
+            base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
+            doe_factors=(Factor("cp", 2, 6),))
+        serial = run_doe(spec, jobs=1)[2]
+        parallel = run_doe(spec, jobs=2)[2]
         assert len(serial) == len(parallel) == 2
         assert serial == parallel
 
