@@ -41,7 +41,7 @@ import configparser
 import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -94,6 +94,11 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+# [sim] keys and the types of their values
+_SIM_TYPES = {f.name: int if f.type == "int" else float
+              for f in fields(SimConfig)}
+
+
 def parse_experiment(text: str) -> ExperimentSpec:
     parser = configparser.ConfigParser()
     try:
@@ -115,15 +120,15 @@ def parse_experiment(text: str) -> ExperimentSpec:
 
     sim_kwargs = {}
     sim_items = parser.items("sim") if parser.has_section("sim") else []
+    for key, val in sim_items:
+        kind = _SIM_TYPES.get(key)
+        if kind is None:
+            raise SpecError(f"[sim] unknown key {key!r}")
+        try:
+            sim_kwargs[key] = kind(val)
+        except ValueError as exc:
+            raise SpecError(f"[sim] {key}: {exc}") from exc
     try:
-        for key, val in sim_items:
-            if key in ("batch_count", "seed", "max_events",
-                       "max_immediate_steps"):
-                sim_kwargs[key] = int(val)
-            elif key in ("warmup_time", "batch_length", "confidence_level"):
-                sim_kwargs[key] = float(val)
-            else:
-                raise SpecError(f"[sim] unknown key {key!r}")
         sim = SimConfig(**sim_kwargs)
     except ValueError as exc:
         raise SpecError(f"[sim]: {exc}") from exc

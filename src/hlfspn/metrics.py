@@ -44,10 +44,6 @@ class Metric:
     value: float
     ci: float
 
-    def __iter__(self):
-        yield self.value
-        yield self.ci
-
 
 @dataclass(frozen=True)
 class MetricReport:

@@ -239,12 +239,12 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     estimates: dict[RewardQuery, float] = {}
     for q in queries:
         if isinstance(q, ExpectedTokens):
-            estimates[q] = float(tokens[cn.place_index[q.place]])
+            estimates[q] = float(tokens[cn.place_id(q.place)])
         elif isinstance(q, ProbabilityOf):
-            fn = cn._compile_predicate(q.predicate, dict(net.parameters))
+            fn = cn.predicate(q.predicate)
             estimates[q] = float(pi @ np.fromiter(map(fn, states), float, n))
         elif isinstance(q, FiringRate):
-            estimates[q] = float(firing[cn.trans_index[q.transition]])
+            estimates[q] = float(firing[cn.transition_id(q.transition)])
         else:
             raise TypeError(f"not a reward query: {q!r}")
     return ExactResult(estimates=estimates, n_states=n)

@@ -7,9 +7,12 @@ or a full deterministic delay, per degree unit).
 
 Compiling a net does once the work that would otherwise repeat on every
 firing: each transition gets generated enabling-degree and firing code
-specialised to its arcs, and a precomputed list of the transitions whose
-enabling its firing may change. That list is the dependency graph of the
-next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000).
+specialised to its arcs, with its guard written into that code as a Python
+expression over the marking, and a precomputed list of the transitions
+whose enabling its firing may change. That list is the dependency graph of
+the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000). The
+simulator writes its reward predicates into its generated steps the same
+way.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from .net import (
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     Not,
     Or,
     Param,
     ParamRhs,
     PetriNet,
+    PlaceRhs,
     Predicate,
     ProbabilityOf,
     RewardQuery,
@@ -51,6 +54,9 @@ from .net import (
 )
 
 _TOKEN_LIMIT = 10 ** 9
+# immediate firings in a row, with no timed firing between them, that count
+# as a livelock
+_MAX_IMMEDIATE_STEPS = 10 ** 6
 
 
 class ContractViolationError(SpnError):
@@ -106,16 +112,15 @@ _by_index = attrgetter("idx")
 
 def _degree_source(ct: _CTrans) -> list[str]:
     """`def _D<i>(m)`: the enabling degree of ct in marking m (0 =
-    disabled). Arc thresholds are tested before the guard `G<i>`, which is
-    pure, so the order does not change the result."""
+    disabled). Arc thresholds are tested before the guard, which is pure,
+    so the order does not change the result."""
     lines = [f"def _D{ct.idx:d}(m):"]
-    guard = f"G{ct.idx:d}(m)" if ct.guard is not None else None
     if ct.flush_in or not ct.const_in:
         for p in ct.flush_in:
             lines.append(f"    if not m[{p:d}]: return 0")
         for p, k in ct.const_in:
             lines.append(f"    if m[{p:d}] < {k:d}: return 0")
-        lines.append(f"    return 1 if {guard} else 0" if guard
+        lines.append(f"    return 1 if {ct.guard} else 0" if ct.guard
                      else "    return 1")
         return lines
     for n, (p, k) in enumerate(ct.const_in):
@@ -125,8 +130,8 @@ def _degree_source(ct: _CTrans) -> list[str]:
         else:
             lines += [f"    q = {q}", "    if q < d:",
                       "        if not q: return 0", "        d = q"]
-    if guard:
-        lines.append(f"    if not {guard}: return 0")
+    if ct.guard:
+        lines.append(f"    if not {ct.guard}: return 0")
     lines.append("    return d")
     return lines
 
@@ -164,7 +169,6 @@ class CompiledNet:
         if diags:
             raise ContractViolationError(
                 "net fails validation: " + "; ".join(str(d) for d in diags))
-        self.net = net
         self.place_index = {p.name: i for i, p in enumerate(net.places)}
         self.place_names = [p.name for p in net.places]
         self.n_places = len(net.places)
@@ -172,7 +176,8 @@ class CompiledNet:
         self.trans_index = {t.name: i for i, t in enumerate(net.transitions)}
         self.trans: list[_CTrans] = []
 
-        params = dict(net.parameters)
+        self.params = params = dict(net.parameters)
+        ns = {"_negative": self._negative}
         for i, t in enumerate(net.transitions):
             ct = _CTrans()
             ct.idx = i
@@ -194,7 +199,7 @@ class CompiledNet:
                 else:
                     ct.const_out.append((p, self._resolve_count(arc.count, params)))
             if t.guard is not None:
-                ct.guard = self._compile_predicate(t.guard, params)
+                ct.guard = self._predicate_source(t.guard, ns)
             ct.immediate = t.is_immediate
             if isinstance(t.kind, Immediate):
                 ct.priority = t.kind.priority
@@ -249,9 +254,6 @@ class CompiledNet:
         lines = []
         for ct in self.trans:
             lines += _degree_source(ct) + _fire_source(ct)
-        ns = {f"G{ct.idx}": ct.guard for ct in self.trans
-              if ct.guard is not None}
-        ns["_negative"] = self._negative
         exec(compile("\n".join(lines) + "\n", "<hlfspn generated>",
                      "exec"), ns)
         n = len(self.trans)
@@ -277,55 +279,55 @@ class CompiledNet:
             return int(v)
         raise EvaluationError(f"bad count expression {expr!r}")
 
-    def _compile_predicate(self, pred: Predicate, params) -> Callable:
-        pidx = self.place_index
+    def place_id(self, name: str) -> int:
+        """Index of a place; ContractViolationError when there is none."""
+        try:
+            return self.place_index[name]
+        except KeyError:
+            raise ContractViolationError(f"unknown place {name!r}") from None
+
+    def transition_id(self, name: str) -> int:
+        """Index of a transition; ContractViolationError when there is
+        none."""
+        try:
+            return self.trans_index[name]
+        except KeyError:
+            raise ContractViolationError(
+                f"unknown transition {name!r}") from None
+
+    def _predicate_source(self, pred: Predicate, ns: dict) -> str:
+        """pred as a Python expression over the marking m. Each value an
+        atom compares with is bound in ns under a fresh name, since the
+        repr of a numpy scalar is not valid source."""
         if isinstance(pred, Atom):
-            i = pidx[pred.place]
             rhs = pred.rhs
-            if isinstance(rhs, IntRhs):
-                r = rhs.value
-            elif isinstance(rhs, ParamRhs):
-                if rhs.name not in params:
-                    raise EvaluationError(f"undeclared parameter {rhs.name!r}")
-                r = params[rhs.name]
+            if isinstance(rhs, PlaceRhs):
+                r = f"m[{self.place_id(rhs.place):d}]"
             else:
-                j = pidx[rhs.place]
-                op = pred.op
-                if op == "=":
-                    return lambda m: m[i] == m[j]
-                if op == "!=":
-                    return lambda m: m[i] != m[j]
-                if op == "<":
-                    return lambda m: m[i] < m[j]
-                if op == "<=":
-                    return lambda m: m[i] <= m[j]
-                if op == ">":
-                    return lambda m: m[i] > m[j]
-                return lambda m: m[i] >= m[j]
-            op = pred.op
-            if op == "=":
-                return lambda m: m[i] == r
-            if op == "!=":
-                return lambda m: m[i] != r
-            if op == "<":
-                return lambda m: m[i] < r
-            if op == "<=":
-                return lambda m: m[i] <= r
-            if op == ">":
-                return lambda m: m[i] > r
-            return lambda m: m[i] >= r
-        if isinstance(pred, And):
-            a = self._compile_predicate(pred.left, params)
-            b = self._compile_predicate(pred.right, params)
-            return lambda m: a(m) and b(m)
-        if isinstance(pred, Or):
-            a = self._compile_predicate(pred.left, params)
-            b = self._compile_predicate(pred.right, params)
-            return lambda m: a(m) or b(m)
+                if isinstance(rhs, ParamRhs):
+                    if rhs.name not in self.params:
+                        raise EvaluationError(
+                            f"undeclared parameter {rhs.name!r}")
+                    value = self.params[rhs.name]
+                else:
+                    value = rhs.value
+                r = f"_R{len(ns):d}"
+                ns[r] = value
+            op = "==" if pred.op == "=" else pred.op
+            return f"m[{self.place_id(pred.place):d}] {op} {r}"
+        if isinstance(pred, (And, Or)):
+            word = "and" if isinstance(pred, And) else "or"
+            return (f"({self._predicate_source(pred.left, ns)} {word} "
+                    f"{self._predicate_source(pred.right, ns)})")
         if isinstance(pred, Not):
-            a = self._compile_predicate(pred.operand, params)
-            return lambda m: not a(m)
+            return f"(not {self._predicate_source(pred.operand, ns)})"
         raise TypeError(f"not a predicate: {pred!r}")
+
+    def predicate(self, pred: Predicate) -> Callable[[list[int]], bool]:
+        """pred compiled to a function of the marking m. Raises
+        ContractViolationError when pred names a place the net lacks."""
+        ns: dict = {}
+        return eval("lambda m: " + self._predicate_source(pred, ns), ns)
 
     # -- token game ---------------------------------------------------------
 
@@ -363,18 +365,16 @@ class CompiledNet:
         return self.fires[ct.idx](m)
 
 
-_COMPILE_CACHE: dict[int, tuple[PetriNet, CompiledNet]] = {}
+# the last net compiled: a run compiles each net once, while the
+# dict-marking helpers below take the same net many times in a row
+_last_compiled: Optional[tuple[PetriNet, CompiledNet]] = None
 
 
 def compile_net(net: PetriNet) -> CompiledNet:
-    cached = _COMPILE_CACHE.get(id(net))
-    if cached is not None and cached[0] is net:
-        return cached[1]
-    cn = CompiledNet(net)
-    if len(_COMPILE_CACHE) > 256:
-        _COMPILE_CACHE.clear()
-    _COMPILE_CACHE[id(net)] = (net, cn)
-    return cn
+    global _last_compiled
+    if _last_compiled is None or _last_compiled[0] is not net:
+        _last_compiled = (net, CompiledNet(net))
+    return _last_compiled[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +417,16 @@ def fire(net: PetriNet, marking: dict, transition: str) -> tuple[dict, int]:
     return _to_dict(cn, m), kappa
 
 
-def vanish(net: PetriNet, marking: dict, rng: random.Random,
-           max_immediate_steps: int = 10 ** 6) -> dict:
+def vanish(net: PetriNet, marking: dict, rng: random.Random) -> dict:
     """Resolve immediate transitions down to a tangible marking."""
     cn = compile_net(net)
     m = _to_vec(cn, marking)
-    _vanish_inplace(cn, m, rng, max_immediate_steps,
-                    lambda ct: cn.fire_inplace(ct, m))
+    _vanish_inplace(cn, m, rng, lambda ct: cn.fire_inplace(ct, m))
     return _to_dict(cn, m)
 
 
 def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
-                    max_steps: int, fire: Callable[[_CTrans], object]) -> int:
+                    fire: Callable[[_CTrans], object]) -> int:
     """Fire immediates, each through `fire(ct)`, until none is enabled in
     m; returns the step count."""
     steps = 0
@@ -443,7 +441,7 @@ def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
         recent.append(ct.name)
         if len(recent) > 64:
             recent.pop(0)
-        if steps > max_steps:
+        if steps > _MAX_IMMEDIATE_STEPS:
             raise LivelockError(recent)
 
 
@@ -472,7 +470,6 @@ class SimConfig:
     confidence_level: float = 0.95
     seed: int = 1
     max_events: int = 200_000_000
-    max_immediate_steps: int = 10 ** 6
 
     def __post_init__(self):
         if self.warmup_time < 0:
@@ -541,7 +538,7 @@ class _Simulator:
         self.watch_place = [False] * n_places
         self.place_last = [0.0] * n_places
         self.place_acc = [0.0] * n_places
-        self.pred_fns: list[Callable] = []
+        self.preds: list[Predicate] = []
         self.pred_cur: list[bool] = []
         self.pred_last: list[float] = []
         self.pred_acc: list[float] = []
@@ -554,26 +551,20 @@ class _Simulator:
             if q in self.slots:
                 continue
             if isinstance(q, ExpectedTokens):
-                if q.place not in cn.place_index:
-                    raise ContractViolationError(f"unknown place {q.place!r}")
-                p = cn.place_index[q.place]
+                p = cn.place_id(q.place)
                 self.watch_place[p] = True
                 self.slots[q] = ("place", p)
             elif isinstance(q, ProbabilityOf):
-                fn = cn._compile_predicate(q.predicate, dict(cn.net.parameters))
-                k = len(self.pred_fns)
-                self.pred_fns.append(fn)
+                k = len(self.preds)
+                self.preds.append(q.predicate)
                 self.pred_cur.append(False)
                 self.pred_last.append(0.0)
                 self.pred_acc.append(0.0)
                 for pl in predicate_places(q.predicate):
-                    self.pred_dep[cn.place_index[pl]].append(k)
+                    self.pred_dep[cn.place_id(pl)].append(k)
                 self.slots[q] = ("pred", k)
             elif isinstance(q, FiringRate):
-                if q.transition not in cn.trans_index:
-                    raise ContractViolationError(
-                        f"unknown transition {q.transition!r}")
-                t = cn.trans_index[q.transition]
+                t = cn.transition_id(q.transition)
                 self.counted.add(t)
                 self.slots[q] = ("fire", t)
             else:
@@ -587,6 +578,14 @@ class _Simulator:
         """One `_S<i>(m, now)` per transition: fire it atomically, settling
         the reward integrals of the places and predicates it touches."""
         cn = self.cn
+        names = cn.place_names
+        ns = {"pa": self.place_acc, "pl": self.place_last,
+              "qa": self.pred_acc, "ql": self.pred_last, "qc": self.pred_cur,
+              "fc": self.fire_count, "on_fire": self.on_fire,
+              "N": [ct.name for ct in cn.trans],
+              "_diverged": lambda p: DivergenceError(names[p]),
+              "_negative": cn._negative}
+        exprs = [cn._predicate_source(pred, ns) for pred in self.preds]
         lines = []
         for ct in cn.trans:
             i = ct.idx
@@ -607,21 +606,13 @@ class _Simulator:
                 body += [f"if ql[{k:d}] != now:",
                          f"    if qc[{k:d}]: qa[{k:d}] += now - ql[{k:d}]",
                          f"    ql[{k:d}] = now",
-                         f"qc[{k:d}] = Q{k:d}(m)"]
+                         f"qc[{k:d}] = {exprs[k]}"]
             if i in self.counted:
                 body.append(f"fc[{i:d}] += 1")
             if self.on_fire is not None:
                 body.append(f"on_fire(N[{i:d}], tuple(m), now)")
             lines.append(f"def _S{i:d}(m, now):")
             lines += ["    " + s for s in body or ["pass"]]
-        names = cn.place_names
-        ns = {"pa": self.place_acc, "pl": self.place_last,
-              "qa": self.pred_acc, "ql": self.pred_last, "qc": self.pred_cur,
-              "fc": self.fire_count, "on_fire": self.on_fire,
-              "N": [ct.name for ct in cn.trans],
-              "_diverged": lambda p: DivergenceError(names[p]),
-              "_negative": cn._negative}
-        ns.update((f"Q{k}", fn) for k, fn in enumerate(self.pred_fns))
         exec(compile("\n".join(lines) + "\n", "<hlfspn generated>",
                      "exec"), ns)
         return [ns[f"_S{i}"] for i in range(len(cn.trans))]
@@ -649,7 +640,7 @@ class _Simulator:
         push = heappush
         pop = heappop
         max_events = cfg.max_events
-        max_imm = cfg.max_immediate_steps
+        max_imm = _MAX_IMMEDIATE_STEPS
         batch_count = cfg.batch_count
         boundaries = [cfg.warmup_time + i * cfg.batch_length
                       for i in range(batch_count + 1)]
@@ -660,10 +651,10 @@ class _Simulator:
         now = 0.0
 
         # initial vanishing, then every timed transition is scheduled
-        event_count = _vanish_inplace(cn, m, rng, max_imm,
+        event_count = _vanish_inplace(cn, m, rng,
                                       lambda ct: steps[ct.idx](m, 0.0))
-        for k, fn in enumerate(self.pred_fns):
-            self.pred_cur[k] = fn(m)
+        for k, pred in enumerate(self.preds):
+            self.pred_cur[k] = cn.predicate(pred)(m)
         reconcile = cn.timed
         pending: set[int] = set()
         imm_steps = 0
@@ -760,7 +751,7 @@ class _Simulator:
             if self.watch_place[p]:
                 place_acc[p] += m[p] * (t - self.place_last[p])
                 self.place_last[p] = t
-        for k in range(len(self.pred_fns)):
+        for k in range(len(self.preds)):
             if self.pred_cur[k]:
                 pred_acc[k] += t - self.pred_last[k]
             self.pred_last[k] = t
@@ -775,7 +766,7 @@ class _Simulator:
                 self.batches[q].append(acc / cfg.batch_length)
         for p in range(self.cn.n_places):
             place_acc[p] = 0.0
-        for k in range(len(self.pred_fns)):
+        for k in range(len(self.preds)):
             pred_acc[k] = 0.0
         for tid in self.counted:
             self.fire_count[tid] = 0

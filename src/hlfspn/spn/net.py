@@ -230,10 +230,6 @@ class Transition:
     def is_immediate(self) -> bool:
         return isinstance(self.kind, Immediate)
 
-    @property
-    def is_timed(self) -> bool:
-        return not self.is_immediate
-
 
 @dataclass(frozen=True)
 class Place:
@@ -251,12 +247,6 @@ class PetriNet:
     transitions: tuple[Transition, ...]
     parameters: Mapping[str, float] = field(default_factory=dict)
 
-    def place(self, name: str) -> Place:
-        for p in self.places:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def transition(self, name: str) -> Transition:
         for t in self.transitions:
             if t.name == name:
@@ -265,10 +255,6 @@ class PetriNet:
 
     def initial_marking(self) -> dict[str, int]:
         return {p.name: p.initial_tokens for p in self.places}
-
-
-# A marking is simply a dict place name -> non-negative token count.
-Marking = dict
 
 
 # ---------------------------------------------------------------------------

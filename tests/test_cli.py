@@ -121,18 +121,19 @@ class TestRun:
         assert "event cap of 10 exceeded" in errs[1]
 
 
-@pytest.mark.parametrize("spec_text,argv", [
-    ("[sim]\nbatch_count = three\n", ["run"]),
-    ("[doe]\nfactors = block_size:1:2, block_size:1:3\n", ["run"]),
+@pytest.mark.parametrize("spec_text,argv,key", [
+    ("[sim]\nbatch_count = three\n", ["run"], "batch_count"),
+    ("[doe]\nfactors = block_size:1:2, block_size:1:3\n", ["run"],
+     "factors"),
     ("[doe]\nfactors = " + ", ".join(f"x{i}:0:1" for i in range(13)),
-     ["run"]),
-    (None, ["case-study", "3", "--batches", "1"]),
-    (None, ["case-study", "3", "--confidence", "1.5"]),
+     ["run"], "factors"),
+    (None, ["case-study", "3", "--batches", "1"], "--batches"),
+    (None, ["case-study", "3", "--confidence", "1.5"], "--confidence"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
         "confidence"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
-                                                   argv):
+                                                   argv, key):
     def no_run(*args, **kwargs):
         raise AssertionError("the input should be rejected before a run")
 
@@ -146,6 +147,7 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert key in err
 
 
 class TestExportDot:

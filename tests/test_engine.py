@@ -3,12 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from hlfspn.spn import (
+    And,
     Arc,
     Atom,
     Constant,
@@ -23,10 +25,14 @@ from hlfspn.spn import (
     Immediate,
     IntRhs,
     LivelockError,
+    Not,
+    Or,
     Param,
+    ParamRhs,
     PartialResultError,
     PetriNet,
     Place,
+    PlaceRhs,
     ProbabilityOf,
     ServerSemantics,
     SimConfig,
@@ -40,6 +46,7 @@ from hlfspn.spn import (
 
 from hlfspn.hlf import HlfConfig, build_hlf_net
 from hlfspn.metrics import standard_queries
+from hlfspn.spn import ctmc, engine
 from hlfspn.spn.engine import compile_net
 
 from queueing import mm1k, mmck
@@ -169,7 +176,8 @@ class TestVanish:
                 hits += 1
         assert abs(hits / trials - 0.25) < 0.01
 
-    def test_livelock_detection(self):
+    def test_livelock_detection(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
         net = PetriNet(
             places=(Place("A", 1), Place("B", 0)),
             transitions=(
@@ -179,8 +187,7 @@ class TestVanish:
                            output_arcs=(Arc("A"),)),
             ))
         with pytest.raises(LivelockError):
-            vanish(net, {"A": 1, "B": 0}, random.Random(0),
-                   max_immediate_steps=100)
+            vanish(net, {"A": 1, "B": 0}, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +322,39 @@ def test_hlf_nets_cover_every_arc_kind():
         assert any(ct.guard is not None for ct in trans)
         assert any(ct.flush_in for ct in trans)
         assert any(k > 1 for ct in trans for _, k in ct.const_in)
+
+
+# every rhs kind: int literals, another place, and int, float and numpy
+# parameters (a numpy scalar's repr is not valid source)
+PRED_PARAMS = {"K": 2, "X": 1.5, "Z": np.float64(2.5)}
+atoms = st.builds(
+    Atom, st.sampled_from(place_names),
+    st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+    st.one_of(st.builds(IntRhs, st.integers(0, 4)),
+              st.builds(PlaceRhs, st.sampled_from(place_names)),
+              st.builds(ParamRhs, st.sampled_from(sorted(PRED_PARAMS)))))
+predicates = st.recursive(atoms, lambda sub: st.one_of(
+    st.builds(And, sub, sub), st.builds(Or, sub, sub), st.builds(Not, sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pred=predicates,
+       tokens=st.lists(st.integers(0, 4), min_size=3, max_size=3))
+def test_compiled_predicate_matches_eval_predicate(pred, tokens):
+    # the guard is generated into both forms of `_D<i>`: without input
+    # arcs (T0) and after an arc threshold test (T1, ON always marked)
+    net = PetriNet(
+        places=tuple(Place(n) for n in place_names) + (Place("ON", 1),),
+        transitions=(Transition("T0", Immediate(), guard=pred),
+                     Transition("T1", Immediate(), input_arcs=(Arc("ON"),),
+                                guard=pred)),
+        parameters=PRED_PARAMS)
+    cn = compile_net(net)
+    m = tokens + [1]
+    want = eval_predicate(pred, dict(zip(place_names, tokens)), PRED_PARAMS)
+    assert cn.predicate(pred)(m) == want
+    assert [d(m) for d in cn.degrees] == [int(want)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +515,18 @@ class TestStationarySimulation:
         with pytest.raises(ValueError):
             SimConfig(warmup_time=-1.0)
 
-    def test_unknown_query_targets_raise(self):
+    @pytest.mark.parametrize("query", [
+        ExpectedTokens("NOPE"), FiringRate("NOPE"),
+        ProbabilityOf(Atom("NOPE", "=", IntRhs(0)))],
+        ids=["tokens", "rate", "probability"])
+    @pytest.mark.parametrize("evaluator", ["simulate", "solve"])
+    def test_unknown_query_targets_raise(self, evaluator, query):
         net = mm1k_net(8.0, 10.0, 5)
         with pytest.raises(ContractViolationError):
-            run(net, [ExpectedTokens("NOPE")], batch_count=2,
-                batch_length=1.0)
-        with pytest.raises(ContractViolationError):
-            run(net, [FiringRate("NOPE")], batch_count=2, batch_length=1.0)
+            if evaluator == "simulate":
+                run(net, [query], batch_count=2, batch_length=1.0)
+            else:
+                ctmc.solve_ctmc(net, [query])
 
 
 # simulate_stationary on the exponential-arrival criterion-1 configuration,
