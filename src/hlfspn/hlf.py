@@ -105,14 +105,6 @@ class HlfConfig:
         return self.te7 if i == 1 else self.te8
 
 
-def default_config() -> HlfConfig:
-    """Reference configuration: one-transaction blocks, 10 s timeout,
-    arrival delay left unset."""
-    return HlfConfig()
-
-
-CONFIG_FIELDS = tuple(f.name for f in fields(HlfConfig))
-
 _FIELD_TYPES = {"arrival_rate_tps": float,
                 **{f.name: {"int": int, "str": str}.get(f.type, float)
                    for f in fields(HlfConfig)}}
@@ -166,16 +158,6 @@ def parse_config(text: str) -> HlfConfig:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         values[name] = v
     return HlfConfig(**values)
-
-
-def serialize_config(cfg: HlfConfig) -> str:
-    lines = []
-    for f in CONFIG_FIELDS:
-        v = getattr(cfg, f)
-        if v is None:
-            continue
-        lines.append(f"{f} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

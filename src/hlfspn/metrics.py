@@ -1,26 +1,36 @@
 """Steady-state performance metrics over simulation or exact results.
 
-All functions are pure: they read reward estimates out of a result record
-through the net handle's canonical names.
+Each metric is a plain formula over a reward-value lookup `v`, a function
+from a reward query to its value. `metric_report` evaluates every formula
+once on the result's point estimates, which gives the value, and once on
+each batch of the result's batch series, which gives the CI: the t-interval
+half-width of the per-batch values. An exact result has no batch series, so
+its CIs are 0.
+
+`dp_prob` is the fraction of arrivals discarded. The effective MRT still
+divides by lambda (1 - p_full), where p_full is the time-average
+probability that every endorser queue is full (T_DROP's guard holds). The
+two agree under Poisson arrivals (PASTA: Wolff, Oper. Res. 1982), but not
+under deterministic ones (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 from .hlf import HlfNetHandle
+from .spn.engine import t_halfwidth
 from .spn.net import (
-    And,
-    Atom,
     ExpectedTokens,
     FiringRate,
-    IntRhs,
     ProbabilityOf,
     RewardQuery,
     SpnError,
 )
+
+Lookup = Callable[[RewardQuery], float]
 
 
 class MissingQueryError(SpnError):
@@ -35,8 +45,8 @@ class MissingQueryError(SpnError):
 
 
 class UndefinedMetricError(SpnError):
-    """A metric is undefined for the given inputs (e.g. MRT at zero
-    effective arrival rate)."""
+    """A metric is undefined for the given inputs (e.g. the discard
+    probability of a run without arrivals)."""
 
 
 @dataclass(frozen=True)
@@ -63,13 +73,10 @@ METRIC_NAMES = ("mrt_s", "tip", "dp_prob", "u_end", "u_ord", "u_com",
                 "tp_tps", "block_call_rate", "timeout_call_rate")
 
 
-def discard_predicate(handle: HlfNetHandle):
-    """All endorser entry queues full (their capacity places empty)."""
-    pred = None
-    for name in handle.endorser_queue_caps:
-        atom = Atom(name, "=", IntRhs(0))
-        pred = atom if pred is None else And(pred, atom)
-    return pred
+def all_queues_full(handle: HlfNetHandle) -> ProbabilityOf:
+    """Time-average probability that every endorser queue is full, which
+    is when T_DROP's guard holds."""
+    return ProbabilityOf(handle.net.transition(handle.entry_drop).guard)
 
 
 def standard_queries(handle: HlfNetHandle) -> list[RewardQuery]:
@@ -77,134 +84,118 @@ def standard_queries(handle: HlfNetHandle) -> list[RewardQuery]:
     queries: list[RewardQuery] = []
     for p in handle.in_progress_places:
         queries.append(ExpectedTokens(p))
-    queries.append(ProbabilityOf(discard_predicate(handle)))
+    queries.append(all_queues_full(handle))
     for p in (*handle.endorser_proc_caps, handle.orderer_proc_cap,
               *handle.committer_proc_caps):
         queries.append(ExpectedTokens(p))
     for t in (handle.full_block_service, handle.partial_block_service,
-              handle.entry_drop, *handle.commit_services,
+              handle.arrival, handle.entry_drop, *handle.commit_services,
               handle.full_block_cut, handle.timeout_cut):
         queries.append(FiringRate(t))
     return list(dict.fromkeys(queries))  # dedupe, preserving order
 
 
-def _get(result, query: RewardQuery):
-    if not result.has(query):
-        raise MissingQueryError([query])
-    return result.value(query), result.halfwidth(query)
-
-
-def _get_all(result, queries):
-    missing = [q for q in queries if not result.has(q)]
-    if missing:
-        raise MissingQueryError(missing)
-    return [(result.value(q), result.halfwidth(q)) for q in queries]
-
-
-def transactions_in_progress(result, handle: HlfNetHandle) -> Metric:
+def transactions_in_progress(v: Lookup, handle: HlfNetHandle) -> float:
     """Sum of expected token counts over every in-flight place."""
-    pairs = _get_all(result, [ExpectedTokens(p)
-                              for p in handle.in_progress_places])
-    total = sum(v for v, _ in pairs)
-    ci = math.sqrt(sum(h * h for _, h in pairs))
-    return Metric(total, ci)
+    return sum(v(ExpectedTokens(p)) for p in handle.in_progress_places)
 
 
-def discard_probability(result, handle: HlfNetHandle) -> Metric:
-    v, h = _get(result, ProbabilityOf(discard_predicate(handle)))
-    return Metric(min(max(v, 0.0), 1.0), h)
+def discard_probability(v: Lookup, handle: HlfNetHandle) -> float:
+    """Fraction of arriving transactions that are discarded: the drop rate
+    over the arrival rate."""
+    return v(FiringRate(handle.entry_drop)) / v(FiringRate(handle.arrival))
 
 
-def mrt(result, handle: HlfNetHandle, arrival_rate_tps: float,
-        mode: str = "effective") -> Metric:
+_MRT_MODES = ("literal", "effective")
+
+
+def mrt(v: Lookup, handle: HlfNetHandle, mode: str = "effective") -> float:
     """Little's-law mean response time.
 
     "literal" divides the in-flight count by the offered rate; "effective"
-    (default) divides by the non-discarded rate.
+    (default) divides it by the offered rate times (1 - the time-average
+    probability that every endorser queue is full).
     """
-    if arrival_rate_tps <= 0:
-        raise UndefinedMetricError("arrival rate must be positive")
-    if mode not in ("literal", "effective"):
-        raise ValueError(f"bad MRT mode {mode!r}")
-    tip = transactions_in_progress(result, handle)
-    rate = arrival_rate_tps
+    rate = handle.cfg.arrival_rate_tps
     if mode == "effective":
-        dp = discard_probability(result, handle).value
-        rate = arrival_rate_tps * (1.0 - dp)
-        if rate <= 0:
-            raise UndefinedMetricError(
-                "effective arrival rate is zero (all transactions discarded)")
-    return Metric(tip.value / rate, tip.ci / rate)
+        rate = rate * (1.0 - v(all_queues_full(handle)))
+    return transactions_in_progress(v, handle) / rate
 
 
-_STAGES = ("endorse", "order", "commit")
+def stage_utilization(v: Lookup, handle: HlfNetHandle, stage: str) -> float:
+    """Busy fraction of a stage's processing capacity, averaged over the
+    stage's nodes."""
+    cfg = handle.cfg
+    stages = {"endorse": (handle.endorser_proc_caps, cfg.ep),
+              "order": ((handle.orderer_proc_cap,), cfg.op),
+              "commit": (handle.committer_proc_caps, cfg.cp)}
+    if stage not in stages:
+        raise ValueError(f"unknown stage {stage!r}; expected one of "
+                         f"{tuple(stages)}")
+    caps, size = stages[stage]
+    return sum((size - v(ExpectedTokens(p))) / size for p in caps) / len(caps)
 
 
-def stage_utilization(result, handle: HlfNetHandle, stage: str,
-                      node: Optional[int] = None) -> Metric:
-    """Busy fraction of a stage's processing capacity: node-level when
-    node is given (1-based), else the mean over the stage's nodes."""
-    if stage not in _STAGES:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {_STAGES}")
-    if stage == "endorse":
-        caps = handle.endorser_proc_caps
-        size = handle.cfg.ep
-    elif stage == "order":
-        caps = (handle.orderer_proc_cap,)
-        size = handle.cfg.op
-    else:
-        caps = handle.committer_proc_caps
-        size = handle.cfg.cp
-    if size <= 0:
-        raise UndefinedMetricError(f"stage {stage} has zero capacity")
-    if node is not None:
-        if not 1 <= node <= len(caps):
-            raise ValueError(f"stage {stage!r} has no node {node}")
-        caps = (caps[node - 1],)
-    pairs = _get_all(result, [ExpectedTokens(p) for p in caps])
-    us = [(size - v) / size for v, _ in pairs]
-    cis = [h / size for _, h in pairs]
-    n = len(us)
-    return Metric(sum(us) / n, math.sqrt(sum(c * c for c in cis)) / n)
-
-
-def throughput(result, handle: HlfNetHandle) -> Metric:
+def throughput(v: Lookup, handle: HlfNetHandle) -> float:
     """Delivered transactions per second: mean over the committers of
     E(busy commit slots) / commit service mean."""
-    cfg = handle.cfg
-    pairs = _get_all(result, [ExpectedTokens(p)
-                              for p in handle.committer_proc_fills])
-    tps = [v / cfg.commit_mean(i + 1) for i, (v, _) in enumerate(pairs)]
-    cis = [h / cfg.commit_mean(i + 1) for i, (_, h) in enumerate(pairs)]
-    n = len(tps)
-    return Metric(sum(tps) / n, math.sqrt(sum(c * c for c in cis)) / n)
+    fills = handle.committer_proc_fills
+    return sum(v(ExpectedTokens(p)) / handle.cfg.commit_mean(i + 1)
+               for i, p in enumerate(fills)) / len(fills)
 
 
-def block_call_rate(result, handle: HlfNetHandle) -> Metric:
+def block_call_rate(v: Lookup, handle: HlfNetHandle) -> float:
     """Rate of block cuts by reaching full block size."""
-    v, h = _get(result, ExpectedTokens(handle.full_block))
-    return Metric(v / handle.cfg.te4, h / handle.cfg.te4)
+    return v(ExpectedTokens(handle.full_block)) / handle.cfg.te4
 
 
-def timeout_call_rate(result, handle: HlfNetHandle) -> Metric:
+def timeout_call_rate(v: Lookup, handle: HlfNetHandle) -> float:
     """Rate of block cuts by timer expiry."""
-    v, h = _get(result, ExpectedTokens(handle.partial_block))
-    return Metric(v / handle.cfg.te5, h / handle.cfg.te5)
+    return v(ExpectedTokens(handle.partial_block)) / handle.cfg.te5
 
 
 def metric_report(result, handle: HlfNetHandle,
-                  arrival_rate_tps: Optional[float] = None,
                   mode: str = "effective") -> MetricReport:
-    rate = arrival_rate_tps if arrival_rate_tps is not None \
-        else handle.cfg.arrival_rate_tps
-    return MetricReport(
-        mrt_s=mrt(result, handle, rate, mode),
-        tip=transactions_in_progress(result, handle),
-        dp_prob=discard_probability(result, handle),
-        u_end=stage_utilization(result, handle, "endorse"),
-        u_ord=stage_utilization(result, handle, "order"),
-        u_com=stage_utilization(result, handle, "commit"),
-        tp_tps=throughput(result, handle),
-        block_call_rate=block_call_rate(result, handle),
-        timeout_call_rate=timeout_call_rate(result, handle),
-    )
+    """Every metric's value and CI half-width (see the module docstring).
+
+    A formula that is undefined on some batch (dp_prob on a batch without
+    arrivals, or the effective MRT on one whose endorser queues are full
+    throughout) gets CI inf; one undefined on the point estimates raises
+    UndefinedMetricError.
+    """
+    if mode not in _MRT_MODES:
+        raise ValueError(f"bad MRT mode {mode!r}")
+    queries = standard_queries(handle)
+    missing = [q for q in queries if not result.has(q)]
+    if missing:
+        raise MissingQueryError(missing)
+    batches = [dict(zip(queries, values)) for values
+               in zip(*(result.batch_values(q) for q in queries))]
+    formulas = {
+        "mrt_s": lambda v, h: mrt(v, h, mode),
+        "tip": transactions_in_progress,
+        "dp_prob": discard_probability,
+        "u_end": lambda v, h: stage_utilization(v, h, "endorse"),
+        "u_ord": lambda v, h: stage_utilization(v, h, "order"),
+        "u_com": lambda v, h: stage_utilization(v, h, "commit"),
+        "tp_tps": throughput,
+        "block_call_rate": block_call_rate,
+        "timeout_call_rate": timeout_call_rate,
+    }
+    metrics = {}
+    for name, formula in formulas.items():
+        try:
+            value = formula(result.value, handle)
+        except ZeroDivisionError:
+            raise UndefinedMetricError(
+                f"{name} is undefined: the run has no arrival, or its "
+                "endorser queues are full throughout") from None
+        try:
+            series = [formula(batch.__getitem__, handle) for batch in batches]
+        except ZeroDivisionError:
+            ci = math.inf
+        else:
+            ci = t_halfwidth(series, result.confidence_level) \
+                if batches else 0.0
+        metrics[name] = Metric(value, ci)
+    return MetricReport(**metrics)

@@ -75,6 +75,10 @@ class ExactResult:
     def halfwidth(self, query: RewardQuery) -> float:
         return 0.0
 
+    def batch_values(self, query: RewardQuery) -> tuple[float, ...]:
+        """An exact value has no batch series and no sampling error."""
+        return ()
+
     def has(self, query: RewardQuery) -> bool:
         return query in self.estimates
 
@@ -166,7 +170,9 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     """Exact stationary rewards for an exponential-only net.
 
     Raises UnsupportedModelError on deterministic transitions and
-    ExplosionError when the tangible state space exceeds max_states.
+    ExplosionError when the tangible state space exceeds max_states. The
+    queries' targets are looked up before the chain is generated, so a
+    query naming an unknown place or transition fails at once.
     """
     cn = compile_net(net)
     for t in net.transitions:
@@ -174,6 +180,16 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
             raise UnsupportedModelError(
                 f"deterministic transition {t.name!r} is not supported by "
                 "the CTMC solver")
+    targets = []
+    for q in queries:
+        if isinstance(q, ExpectedTokens):
+            targets.append(cn.place_id(q.place))
+        elif isinstance(q, ProbabilityOf):
+            targets.append(cn.predicate(q.predicate))
+        elif isinstance(q, FiringRate):
+            targets.append(cn.transition_id(q.transition))
+        else:
+            raise TypeError(f"not a reward query: {q!r}")
 
     timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
               ct.mean, cn.affects_imm[ct.idx])
@@ -237,16 +253,14 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                          weights=pi[f_rows] * np.asarray(f_rates),
                          minlength=len(cn.trans))
     estimates: dict[RewardQuery, float] = {}
-    for q in queries:
+    for q, target in zip(queries, targets):
         if isinstance(q, ExpectedTokens):
-            estimates[q] = float(tokens[cn.place_id(q.place)])
+            estimates[q] = float(tokens[target])
         elif isinstance(q, ProbabilityOf):
-            fn = cn.predicate(q.predicate)
-            estimates[q] = float(pi @ np.fromiter(map(fn, states), float, n))
-        elif isinstance(q, FiringRate):
-            estimates[q] = float(firing[cn.transition_id(q.transition)])
+            estimates[q] = float(
+                pi @ np.fromiter(map(target, states), float, n))
         else:
-            raise TypeError(f"not a reward query: {q!r}")
+            estimates[q] = float(firing[target])
     return ExactResult(estimates=estimates, n_states=n)
 
 

@@ -491,18 +491,35 @@ class Estimate:
     batch_values: tuple[float, ...]
 
 
+def t_halfwidth(values: Sequence[float], confidence_level: float) -> float:
+    """Half-width of the Student-t confidence interval for the mean of a
+    series of batch means (Law, *Simulation Modeling and Analysis*); inf
+    for fewer than two values."""
+    n = len(values)
+    if n < 2:
+        return math.inf
+    mean = sum(values) / n
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    tq = stdtrit(n - 1, (1.0 + confidence_level) / 2.0)
+    return tq * math.sqrt(var / n)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     estimates: dict
     total_time: float
     event_count: int
     seed: int
+    confidence_level: float
 
     def value(self, query: RewardQuery) -> float:
         return self.estimates[query].point_estimate
 
     def halfwidth(self, query: RewardQuery) -> float:
         return self.estimates[query].ci_halfwidth
+
+    def batch_values(self, query: RewardQuery) -> tuple[float, ...]:
+        return self.estimates[query].batch_values
 
     def has(self, query: RewardQuery) -> bool:
         return query in self.estimates
@@ -775,18 +792,11 @@ class _Simulator:
         cfg = self.cfg
         estimates = {}
         for q, vals in self.batches.items():
-            n = len(vals)
-            if n >= 2:
-                mean = sum(vals) / n
-                var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-                tq = stdtrit(n - 1, (1.0 + cfg.confidence_level) / 2.0)
-                hw = tq * math.sqrt(var / n)
-            elif n == 1:
-                mean, hw = vals[0], math.inf
-            else:
-                mean, hw = math.nan, math.inf
-            estimates[q] = Estimate(mean, hw, tuple(vals))
+            mean = sum(vals) / len(vals) if vals else math.nan
+            estimates[q] = Estimate(
+                mean, t_halfwidth(vals, cfg.confidence_level), tuple(vals))
         total = cfg.warmup_time + len(
             next(iter(self.batches.values()), [])) * cfg.batch_length
         return SimulationResult(estimates=estimates, total_time=total,
-                                event_count=event_count, seed=cfg.seed)
+                                event_count=event_count, seed=cfg.seed,
+                                confidence_level=cfg.confidence_level)

@@ -120,6 +120,20 @@ class TestRun:
         assert errs[0] == errs[1]
         assert "event cap of 10 exceeded" in errs[1]
 
+    def test_run_without_arrivals_maps_to_divergence_exit(self, tmp_path,
+                                                          capsys):
+        # the first deterministic arrival comes after the last batch, so
+        # the discard probability has no arrival to divide by
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[base]\narrival_rate_tps = 0.01\n\n[sim]\n"
+                        "warmup_time = 0\nbatch_count = 2\n"
+                        "batch_length = 1\n")
+        assert main(["run", str(spec), "--out-dir",
+                     str(tmp_path)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: no usable estimate:")
+
 
 @pytest.mark.parametrize("spec_text,argv,key", [
     ("[sim]\nbatch_count = three\n", ["run"], "batch_count"),

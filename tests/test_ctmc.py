@@ -1,12 +1,18 @@
 """Exact CTMC solver against closed forms and the simulator."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from hlfspn import hlf
+from hlfspn.experiments import parse_experiment
+from hlfspn.metrics import metric_report, standard_queries
 from hlfspn.spn import (
+    And,
     Arc,
     Atom,
+    ContractViolationError,
     Deterministic,
     ExpectedTokens,
     ExplosionError,
@@ -32,6 +38,7 @@ from hlfspn.spn.engine import compile_net
 
 from queueing import mm1k, mmck
 from refnets import branch_net, flush_net, mm1k_net, mmck_net, tandem_net
+from test_cli import SOLVE_SPEC
 
 
 class TestClosedForms:
@@ -116,6 +123,20 @@ class TestLimits:
         net = mm1k_net(3.0, 4.0, 50)
         with pytest.raises(ExplosionError):
             solve_ctmc(net, [], max_states=10)
+
+    @pytest.mark.parametrize("query", [
+        ExpectedTokens("NOPE"), FiringRate("NOPE"),
+        ProbabilityOf(Atom("NOPE", "=", IntRhs(0))), "Q"],
+        ids=["tokens", "rate", "probability", "not-a-query"])
+    def test_queries_are_checked_before_the_chain_is_generated(
+            self, monkeypatch, query):
+        def generate(*args, **kwargs):
+            raise AssertionError("the chain was generated")
+
+        monkeypatch.setattr(ctmc, "_resolve_vanishing", generate)
+        error = TypeError if query == "Q" else ContractViolationError
+        with pytest.raises(error):
+            solve_ctmc(mm1k_net(3.0, 4.0, 3), [query])
 
     def test_vanishing_initial_marking_is_resolved(self):
         net = PetriNet(
@@ -325,13 +346,36 @@ def test_resolution_matches_path_enumeration(make):
     assert firings >= len(seen)
 
 
-def benchmark_small_hlf_net() -> PetriNet:
+def benchmark_small_hlf_config() -> hlf.HlfConfig:
     """The 1,200-state HLF net of the benchmark's small CTMC point."""
-    cfg = hlf.HlfConfig(
+    return hlf.HlfConfig(
         n_endorsers=1, n_committers=1, block_size=2, timeout_s=0.5,
         eq=2, oq=2, cq=3, ep=2, op=2, cp=2, arrival_dist="exponential",
         timeout_dist="exponential").with_arrival_rate(20.0)
-    return hlf.build_hlf_net(cfg).net
+
+
+def benchmark_small_hlf_net() -> PetriNet:
+    return hlf.build_hlf_net(benchmark_small_hlf_config()).net
+
+
+@pytest.mark.parametrize("cfg,states", [
+    (parse_experiment(SOLVE_SPEC).base, 368),
+    (benchmark_small_hlf_config(), 1200),
+], ids=["solve-spec", "hlf-1200"])
+def test_discard_fraction_is_all_full_probability_under_poisson_arrivals(
+        cfg, states):
+    # Poisson arrivals see time averages (Wolff, Oper. Res. 1982), so the
+    # fraction of arrivals discarded equals the time-average probability
+    # that every entry queue is full (its capacity place empty)
+    handle = hlf.build_hlf_net(cfg)
+    all_full = ProbabilityOf(reduce(And, (
+        Atom(p, "=", IntRhs(0)) for p in handle.endorser_queue_caps)))
+    res = solve_ctmc(handle.net, [*standard_queries(handle), all_full])
+    assert res.n_states == states
+    dp = metric_report(res, handle).dp_prob
+    assert dp.value == pytest.approx(res.value(all_full), rel=1e-10)
+    assert dp.value > 1e-4
+    assert dp.ci == 0.0
 
 
 def generator_triplets(net: PetriNet) -> tuple:

@@ -531,7 +531,9 @@ class TestStationarySimulation:
 
 # simulate_stationary on the exponential-arrival criterion-1 configuration,
 # seed 13, recorded before the event loop was compiled: the event count and
-# every (point estimate, CI half-width) in standard_queries order.
+# every (point estimate, CI half-width) in standard_queries order. The
+# T_ARRIVAL rate entry was added later, when standard_queries gained that
+# rate; every other entry is as recorded.
 PINNED_EVENTS = 44327
 PINNED_ESTIMATES = [
     (0.0, 0.0),
@@ -552,6 +554,7 @@ PINNED_ESTIMATES = [
     (5.971467174835723, 0.0031360762268778605),
     (27.9, 1.5551810597830618),
     (0.0, 0.0),
+    (34.35, 0.9343470022221511),
     (6.4300000000000015, 2.1197571989232276),
     (27.9, 1.5352260254863297),
     (27.9, 1.5551810597830618),

@@ -200,14 +200,14 @@ arrival_rate_tps,mrt_s,mrt_s_ci,tip,tip_ci,dp_prob,dp_prob_ci,u_end,u_end_ci,\
 u_ord,u_ord_ci,u_com,u_com_ci,tp_tps,tp_tps_ci,block_call_rate,\
 block_call_rate_ci,timeout_call_rate,timeout_call_rate_ci,seed,\
 simulated_time_s,events\r
-10,0.3203594927,0.1753626351,3.203594927,1.753626351,0,0,0.004062779861,\
-0.007368793531,0.21081634,0.1948753452,0.1528508784,0.1214161109,\
-11.46381588,9.10620832,0,0,4.721647761,12.04356496,11,30,4593\r
-50,0.254084848,0.07455949985,12.7042424,3.727974992,0,0,0.01984193265,\
-0.01028503365,0.5503369133,0.0518019984,0.6693737627,0.2594164111,\
-50.2030322,19.45623083,9.094351586,3.057940973,0,0,12,30,20450\r
-150,6.386149311,2.481804524,448.1946938,174.1787679,0.5321179509,\
-0.3080412468,1,0,1,0,0.9770433305,0.2916921427,73.27824979,21.8769107,\
+10,0.3203594927,0.2089506548,3.203594927,2.089506548,0,0,0.004062779861,\
+0.00607201283,0.21081634,0.1948753452,0.1528508784,0.07535003047,11.46381588,\
+5.651252285,0,0,4.721647761,12.04356496,11,30,4593\r
+50,0.254084848,0.03863058466,12.7042424,1.931529233,0,0,0.01984193265,\
+0.008277082477,0.5503369133,0.0518019984,0.6693737627,0.01336986647,\
+50.2030322,1.002739985,9.094351586,3.057940973,0,0,12,30,20450\r
+150,6.386149311,6.788939924,448.1946938,180.1046459,0.4976651101,\
+0.3093709217,1,0,1,0,0.9770433305,0.2916921427,73.27824979,21.8769107,\
 12.95699729,26.14577873,0,0,13,30,35670\r
 """
 

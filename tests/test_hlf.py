@@ -6,11 +6,14 @@ from hlfspn.hlf import (
     ConfigError,
     HlfConfig,
     build_hlf_net,
-    default_config,
     parse_config,
-    serialize_config,
 )
-from hlfspn.metrics import metric_report, standard_queries
+from hlfspn.metrics import (
+    discard_probability,
+    metric_report,
+    standard_queries,
+    throughput,
+)
 from hlfspn.spn import (
     Atom,
     ExpectedTokens,
@@ -21,11 +24,12 @@ from hlfspn.spn import (
     simulate_stationary,
     validate_net,
 )
+from hlfspn.spn.engine import t_halfwidth
 
 
 class TestConfig:
     def test_reference_defaults(self):
-        cfg = default_config()
+        cfg = HlfConfig()
         assert cfg.n_endorsers == 2
         assert cfg.n_committers == 2
         assert cfg.block_size == 1
@@ -41,13 +45,13 @@ class TestConfig:
         assert cfg.timeout_dist == "deterministic"
 
     def test_arrival_rate_round_trip(self):
-        cfg = default_config().with_arrival_rate(50.0)
+        cfg = HlfConfig().with_arrival_rate(50.0)
         assert cfg.arrival_delay_s == pytest.approx(0.02)
         assert cfg.arrival_rate_tps == pytest.approx(50.0)
 
     def test_arrival_rate_requires_delay(self):
         with pytest.raises(ConfigError):
-            default_config().arrival_rate_tps
+            HlfConfig().arrival_rate_tps
 
     @pytest.mark.parametrize("kwargs", [
         {"n_endorsers": 0},
@@ -61,11 +65,6 @@ class TestConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             HlfConfig(**kwargs)
-
-    def test_parse_serialize_round_trip(self):
-        cfg = HlfConfig(n_committers=3, block_size=5, timeout_s=2.5,
-                        cp=4, te7=0.05).with_arrival_rate(40.0)
-        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_parse_accepts_rate_as_reciprocal_delay(self):
         cfg = parse_config("arrival_rate_tps = 100\nblock_size = 10\n")
@@ -92,10 +91,10 @@ class TestConfig:
 class TestStructure:
     def test_build_requires_arrival_delay(self):
         with pytest.raises(ConfigError):
-            build_hlf_net(default_config())
+            build_hlf_net(HlfConfig())
 
     def test_default_net_validates_clean(self):
-        handle = build_hlf_net(default_config().with_arrival_rate(100.0))
+        handle = build_hlf_net(HlfConfig().with_arrival_rate(100.0))
         assert validate_net(handle.net) == []
 
     def test_scales_with_node_counts(self):
@@ -130,13 +129,13 @@ class TestStructure:
         assert handle.net.parameters == {"BLOCK": 4, "TIME_OUT": 2.0}
 
     def test_in_progress_places_exist(self):
-        handle = build_hlf_net(default_config().with_arrival_rate(10.0))
+        handle = build_hlf_net(HlfConfig().with_arrival_rate(10.0))
         names = {p.name for p in handle.net.places}
         assert set(handle.in_progress_places) <= names
 
     def test_deterministic_and_exponential_timing_variants(self):
         from hlfspn.spn import Deterministic, Exponential
-        det = build_hlf_net(default_config().with_arrival_rate(10.0))
+        det = build_hlf_net(HlfConfig().with_arrival_rate(10.0))
         assert isinstance(det.net.transition(det.arrival).kind, Deterministic)
         exp_cfg = HlfConfig(arrival_dist="exponential",
                             timeout_dist="exponential").with_arrival_rate(10.0)
@@ -155,7 +154,7 @@ def quick_report(cfg, seed=5, warmup=20.0, batches=8, length=10.0):
 class TestBehavior:
     def test_light_load_flows_without_loss(self):
         report, _, _ = quick_report(
-            default_config().with_arrival_rate(20.0))
+            HlfConfig().with_arrival_rate(20.0))
         assert report.dp_prob.value == 0.0
         assert report.tp_tps.value == pytest.approx(20.0, rel=0.05)
         # endorse + order stages once, commit once per committer replica
@@ -165,7 +164,7 @@ class TestBehavior:
     def test_unit_blocks_give_block_rate_equal_to_throughput(self):
         # BLOCK = 1: every delivered transaction is its own block
         report, _, _ = quick_report(
-            default_config().with_arrival_rate(20.0))
+            HlfConfig().with_arrival_rate(20.0))
         assert report.block_call_rate.value == pytest.approx(
             report.tp_tps.value, rel=0.1)
         assert report.timeout_call_rate.value == 0.0
@@ -174,7 +173,7 @@ class TestBehavior:
         # blocks are cut long before a 10 s timer can expire, and every
         # cut resets the timer, so the timeout route stays unused
         _, result, handle = quick_report(
-            default_config().with_arrival_rate(20.0),
+            HlfConfig().with_arrival_rate(20.0),
             warmup=10.0, batches=6, length=20.0)
         assert result.value(FiringRate(handle.timeout_cut)) == 0.0
 
@@ -210,7 +209,7 @@ class TestBehavior:
         # saturation propagates by blocking: far beyond capacity a stage
         # hands a transaction on only when the next one can take it, so the
         # hand-over places stay vanishing and never hold a token over time
-        cfg = default_config().with_arrival_rate(150.0)
+        cfg = HlfConfig().with_arrival_rate(150.0)
         handle = build_hlf_net(cfg)
         queries = [ExpectedTokens(p) for p in
                    ("ENDORSED", *(f"CIN_{i}"
@@ -223,3 +222,27 @@ class TestBehavior:
         assert result.value(orderer_full) > 0.5
         for q in queries:
             assert result.value(q) == 0.0
+
+
+@pytest.mark.parametrize("cfg", [
+    HlfConfig().with_arrival_rate(150.0),
+    HlfConfig(cp=2).with_arrival_rate(100.0),
+], ids=["default-150tps", "cp2-100tps"])
+def test_delivered_rate_conserves_flow_under_deterministic_arrivals(cfg):
+    # every arrival is either discarded or delivered, so the committers'
+    # throughput must equal lambda (1 - dp_prob) within the CI of the
+    # per-batch difference; a time-average P(all entry queues full) would
+    # miss this by 10-26 tps here, since deterministic arrivals do not see
+    # time averages
+    lam = cfg.arrival_rate_tps
+    report, result, handle = quick_report(cfg, seed=3, warmup=20.0,
+                                          batches=10, length=20.0)
+    queries = standard_queries(handle)
+    diffs = []
+    for values in zip(*(result.batch_values(q) for q in queries)):
+        v = dict(zip(queries, values)).__getitem__
+        diffs.append(throughput(v, handle)
+                     - lam * (1.0 - discard_probability(v, handle)))
+    assert report.dp_prob.value > 0.3
+    gap = report.tp_tps.value - lam * (1.0 - report.dp_prob.value)
+    assert abs(gap) <= t_halfwidth(diffs, 0.95)

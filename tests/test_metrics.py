@@ -1,16 +1,18 @@
-"""Metric formulas over a fabricated result record."""
+"""Metric formulas over a reward-value lookup, and the report's values and
+CIs over fabricated and simulated result records."""
 
 import math
 
 import pytest
+from scipy import stats as scipy_stats
 
 from hlfspn.hlf import HlfConfig, build_hlf_net
 from hlfspn.metrics import (
     METRIC_NAMES,
     MissingQueryError,
     UndefinedMetricError,
+    all_queues_full,
     block_call_rate,
-    discard_predicate,
     discard_probability,
     metric_report,
     mrt,
@@ -20,24 +22,15 @@ from hlfspn.metrics import (
     timeout_call_rate,
     transactions_in_progress,
 )
-from hlfspn.spn import ExpectedTokens, ProbabilityOf
-
-
-class StubResult:
-    """Result double: fixed reward values, fixed CI halfwidth."""
-
-    def __init__(self, values, ci=0.0):
-        self.values = values
-        self.ci = ci
-
-    def has(self, query):
-        return query in self.values
-
-    def value(self, query):
-        return self.values[query]
-
-    def halfwidth(self, query):
-        return self.ci
+from hlfspn.spn import (
+    Estimate,
+    ExactResult,
+    ExpectedTokens,
+    FiringRate,
+    SimConfig,
+    SimulationResult,
+    simulate_stationary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,101 +38,180 @@ def handle():
     return build_hlf_net(HlfConfig().with_arrival_rate(50.0))
 
 
-def full_stub(handle, overrides=None, ci=0.0):
+def lookup(handle, overrides=None):
+    """Every standard query at 0, except the overrides, with 50 arrivals
+    per second."""
     values = {q: 0.0 for q in standard_queries(handle)}
+    values[FiringRate(handle.arrival)] = 50.0
     values.update(overrides or {})
-    return StubResult(values, ci=ci)
+    return values.__getitem__
+
+
+def simulation_result(batches: dict, confidence_level=0.95):
+    """A simulation result record holding the given batch series."""
+    estimates = {q: Estimate(sum(vals) / len(vals), math.nan, tuple(vals))
+                 for q, vals in batches.items()}
+    return SimulationResult(estimates=estimates, total_time=0.0,
+                            event_count=0, seed=1,
+                            confidence_level=confidence_level)
 
 
 class TestFormulas:
     def test_tip_sums_in_flight_places(self, handle):
-        overrides = {ExpectedTokens(p): 2.0
-                     for p in handle.in_progress_places}
-        res = full_stub(handle, overrides, ci=0.1)
-        tip = transactions_in_progress(res, handle)
+        v = lookup(handle, {ExpectedTokens(p): 2.0
+                            for p in handle.in_progress_places})
         n = len(handle.in_progress_places)
-        assert tip.value == pytest.approx(2.0 * n)
-        assert tip.ci == pytest.approx(0.1 * math.sqrt(n))
+        assert transactions_in_progress(v, handle) == pytest.approx(2.0 * n)
 
-    def test_discard_probability_reads_all_queues_empty(self, handle):
-        q = ProbabilityOf(discard_predicate(handle))
-        res = full_stub(handle, {q: 0.25})
-        assert discard_probability(res, handle).value == 0.25
-        # out-of-range estimates are clamped into [0, 1]
-        assert discard_probability(
-            full_stub(handle, {q: 1.2}), handle).value == 1.0
+    def test_discard_probability_is_drops_over_arrivals(self, handle):
+        v = lookup(handle, {FiringRate(handle.entry_drop): 5.0,
+                            FiringRate(handle.arrival): 20.0})
+        assert discard_probability(v, handle) == 0.25
+
+    def test_all_queues_full_is_the_drop_guard(self, handle):
+        guard = handle.net.transition(handle.entry_drop).guard
+        assert all_queues_full(handle).predicate == guard
+        assert all_queues_full(handle) in standard_queries(handle)
 
     def test_mrt_modes(self, handle):
-        overrides = {ExpectedTokens(p): 0.0
-                     for p in handle.in_progress_places}
-        overrides[ExpectedTokens(handle.entry_place)] = 10.0
-        overrides[ProbabilityOf(discard_predicate(handle))] = 0.5
-        res = full_stub(handle, overrides)
-        assert mrt(res, handle, 50.0, mode="literal").value == \
-            pytest.approx(0.2)
-        assert mrt(res, handle, 50.0, mode="effective").value == \
-            pytest.approx(0.4)
-        with pytest.raises(ValueError):
-            mrt(res, handle, 50.0, mode="bogus")
-
-    def test_mrt_undefined_cases(self, handle):
-        res = full_stub(handle, {
-            ProbabilityOf(discard_predicate(handle)): 1.0})
-        with pytest.raises(UndefinedMetricError):
-            mrt(res, handle, 50.0, mode="effective")
-        with pytest.raises(UndefinedMetricError):
-            mrt(res, handle, 0.0)
+        v = lookup(handle, {ExpectedTokens(handle.entry_place): 10.0,
+                            all_queues_full(handle): 0.5,
+                            FiringRate(handle.entry_drop): 10.0})
+        assert mrt(v, handle, mode="literal") == pytest.approx(0.2)
+        # effective: divided by 50 * (1 - P(all queues full)), not by
+        # 50 * (1 - dp_prob)
+        assert mrt(v, handle, mode="effective") == pytest.approx(0.4)
 
     def test_stage_utilization_is_busy_fraction(self, handle):
         # 2 of 6 commit slots free on node 1, 6 of 6 free on node 2
-        overrides = {
+        v = lookup(handle, {
             ExpectedTokens(handle.committer_proc_caps[0]): 2.0,
             ExpectedTokens(handle.committer_proc_caps[1]): 6.0,
-        }
-        res = full_stub(handle, overrides)
-        assert stage_utilization(res, handle, "commit", node=1).value == \
-            pytest.approx(4.0 / 6.0)
-        assert stage_utilization(res, handle, "commit", node=2).value == 0.0
-        assert stage_utilization(res, handle, "commit").value == \
+        })
+        assert stage_utilization(v, handle, "commit") == \
             pytest.approx(2.0 / 6.0)
         with pytest.raises(ValueError):
-            stage_utilization(res, handle, "commit", node=3)
-        with pytest.raises(ValueError):
-            stage_utilization(res, handle, "bogus")
+            stage_utilization(v, handle, "bogus")
 
     def test_throughput_mean_over_committers(self, handle):
-        overrides = {
+        v = lookup(handle, {
             ExpectedTokens(handle.committer_proc_fills[0]): 4.0,
             ExpectedTokens(handle.committer_proc_fills[1]): 2.0,
-        }
-        res = full_stub(handle, overrides)
+        })
         # (4 / 0.08 + 2 / 0.08) / 2
-        assert throughput(res, handle).value == pytest.approx(37.5)
+        assert throughput(v, handle) == pytest.approx(37.5)
 
     def test_call_rates_divide_by_service_means(self, handle):
-        overrides = {
+        v = lookup(handle, {
             ExpectedTokens(handle.full_block): 0.01,
             ExpectedTokens(handle.partial_block): 0.002,
-        }
-        res = full_stub(handle, overrides)
-        assert block_call_rate(res, handle).value == pytest.approx(5.0)
-        assert timeout_call_rate(res, handle).value == pytest.approx(1.0)
+        })
+        assert block_call_rate(v, handle) == pytest.approx(5.0)
+        assert timeout_call_rate(v, handle) == pytest.approx(1.0)
+
+    def test_mrt_undefined_cases(self, handle):
+        # no arrival at all, and endorser queues full throughout
+        for arrivals, full in ((0.0, 0.0), (50.0, 1.0)):
+            estimates = {q: 0.0 for q in standard_queries(handle)}
+            estimates[FiringRate(handle.arrival)] = arrivals
+            estimates[all_queues_full(handle)] = full
+            with pytest.raises(UndefinedMetricError):
+                metric_report(ExactResult(estimates, n_states=1), handle)
 
     def test_missing_query_raises(self, handle):
-        res = StubResult({})
         with pytest.raises(MissingQueryError):
-            transactions_in_progress(res, handle)
-        with pytest.raises(MissingQueryError):
-            discard_probability(res, handle)
+            metric_report(ExactResult({}, n_states=1), handle)
 
     def test_report_covers_all_metric_names(self, handle):
-        res = full_stub(handle, {
-            ExpectedTokens(handle.entry_place): 1.0})
-        report = metric_report(res, handle)
+        # an exact result has no batch series: every CI is 0
+        estimates = {q: 0.0 for q in standard_queries(handle)}
+        estimates[FiringRate(handle.arrival)] = 50.0
+        estimates[ExpectedTokens(handle.entry_place)] = 1.0
+        report = metric_report(ExactResult(estimates, n_states=1), handle)
         for name in METRIC_NAMES:
             metric = getattr(report, name)
             assert math.isfinite(metric.value)
+            assert metric.ci == 0.0
+        assert report.tip.value == 1.0
 
     def test_standard_queries_have_no_duplicates(self, handle):
         queries = standard_queries(handle)
         assert len(queries) == len(set(queries))
+
+
+class TestReport:
+    def test_ci_is_t_interval_of_per_batch_formula(self, handle):
+        # two in-flight places whose batch means move against each other:
+        # the per-batch sum is far steadier than either place alone
+        places = handle.in_progress_places
+        batches = {q: [0.0] * 4 for q in standard_queries(handle)}
+        batches[FiringRate(handle.arrival)] = [50.0] * 4
+        batches[FiringRate(handle.entry_drop)] = [0.0, 5.0, 10.0, 5.0]
+        batches[ExpectedTokens(places[0])] = [1.0, 3.0, 2.0, 6.0]
+        batches[ExpectedTokens(places[1])] = [5.0, 3.0, 4.0, 1.0]
+        report = metric_report(simulation_result(batches, 0.9), handle)
+
+        def t_ci(series):
+            n = len(series)
+            mean = sum(series) / n
+            var = sum((x - mean) ** 2 for x in series) / (n - 1)
+            return scipy_stats.t.ppf(0.95, n - 1) * math.sqrt(var / n)
+
+        tips = [6.0, 6.0, 6.0, 7.0]
+        assert report.tip.value == pytest.approx(6.25)
+        assert report.tip.ci == pytest.approx(t_ci(tips))
+        dps = [0.0, 0.1, 0.2, 0.1]
+        assert report.dp_prob.value == pytest.approx(0.1)
+        assert report.dp_prob.ci == pytest.approx(t_ci(dps))
+        mrts = [t / 50.0 for t in tips]
+        assert report.mrt_s.ci == pytest.approx(t_ci(mrts))
+
+    def test_bad_mode_raises(self, handle):
+        with pytest.raises(ValueError):
+            metric_report(ExactResult({}, n_states=1), handle, mode="bogus")
+
+    def test_batch_without_arrival_gives_infinite_ci(self, handle):
+        batches = {q: [0.0, 0.0, 0.0] for q in standard_queries(handle)}
+        batches[FiringRate(handle.arrival)] = [50.0, 0.0, 50.0]
+        batches[ExpectedTokens(handle.entry_place)] = [1.0, 2.0, 3.0]
+        report = metric_report(simulation_result(batches), handle)
+        assert report.dp_prob.value == 0.0
+        assert report.dp_prob.ci == math.inf
+        assert math.isfinite(report.mrt_s.ci)
+        assert math.isfinite(report.tip.ci)
+
+    def test_batch_with_queues_full_throughout_gives_infinite_mrt_ci(
+            self, handle):
+        batches = {q: [0.0, 0.0] for q in standard_queries(handle)}
+        batches[FiringRate(handle.arrival)] = [50.0, 50.0]
+        batches[FiringRate(handle.entry_drop)] = [50.0, 0.0]
+        batches[all_queues_full(handle)] = [1.0, 0.0]
+        report = metric_report(simulation_result(batches), handle)
+        assert report.dp_prob.value == 0.5
+        assert math.isfinite(report.dp_prob.ci)
+        assert report.mrt_s.ci == math.inf
+
+
+
+class TestShortBatches:
+    def test_batches_shorter_than_the_arrival_period(self):
+        # one arrival a second, half-second batches: every other batch has
+        # no arrival, so dp_prob is undefined on it
+        handle = build_hlf_net(HlfConfig().with_arrival_rate(1.0))
+        sim = SimConfig(warmup_time=2.0, batch_count=8, batch_length=0.5,
+                        seed=3)
+        res = simulate_stationary(handle.net, standard_queries(handle), sim)
+        arrivals = res.batch_values(FiringRate(handle.arrival))
+        assert 0.0 in arrivals
+        report = metric_report(res, handle)
+        assert report.dp_prob.value == 0.0
+        assert report.dp_prob.ci == math.inf
+        assert math.isfinite(report.mrt_s.ci)
+        assert math.isfinite(report.tip.ci)
+
+    def test_run_without_arrivals_raises(self):
+        handle = build_hlf_net(HlfConfig().with_arrival_rate(0.01))
+        sim = SimConfig(warmup_time=0.0, batch_count=2, batch_length=1.0)
+        res = simulate_stationary(handle.net, standard_queries(handle), sim)
+        with pytest.raises(UndefinedMetricError):
+            metric_report(res, handle)
