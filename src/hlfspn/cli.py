@@ -4,7 +4,7 @@ Subcommands::
 
     hlfspn run <spec.ini>          sweep or DoE experiment -> CSV
     hlfspn case-study <1|2|3|4>    built-in scenario -> CSV set
-    hlfspn export-dot <config>     model config -> DOT on stdout
+    hlfspn export-dot <spec.ini>   the [base] model -> DOT on stdout
     hlfspn solve <spec.ini>        exact CTMC rewards (exponential-only)
 
 Exit codes: 0 success, 2 parse or validation error, 3 no usable estimate
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .experiments import (
     CASE_STUDY_IDS,
@@ -25,7 +24,7 @@ from .experiments import (
     load_experiment,
     run_experiment,
 )
-from .hlf import ConfigError, build_hlf_net, parse_config
+from .hlf import ConfigError, build_hlf_net
 from .metrics import METRIC_NAMES, metric_report, standard_queries
 from .spn.ctmc import UnsupportedModelError, solve_ctmc
 from .spn.net import EvaluationError, SpnError
@@ -68,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="batches per point (default 10)")
 
     p_dot = sub.add_parser("export-dot",
-                           help="render a model config as DOT")
-    p_dot.add_argument("config", help="flat key=value model config file")
+                           help="render a single-point spec's model as DOT")
+    p_dot.add_argument("spec", help="experiment spec (INI), no sweep/doe")
     p_dot.add_argument("--arrival-rate", type=float, default=None,
-                       help="arrival rate in tps if the config leaves it unset")
+                       help="arrival rate in tps if [base] leaves it unset")
 
     p_solve = sub.add_parser("solve", parents=[mode],
                              help="exact CTMC rewards for a single-point spec")
@@ -129,8 +128,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_case_study(args) -> int:
-    seed = args.seed if args.seed is not None else 1
-    specs = case_study_specs(args.id, seed=seed, batch_count=args.batches)
+    specs = case_study_specs(args.id, batch_count=args.batches)
     for spec in specs.values():
         spec = _apply_overrides(spec, args)
         for path in run_experiment(spec, args.out_dir, jobs=args.jobs):
@@ -138,8 +136,17 @@ def _cmd_case_study(args) -> int:
     return EXIT_OK
 
 
+def _load_point(args):
+    """The spec named on the command line, which must be a single point."""
+    spec = load_experiment(args.spec)
+    if spec.sweep or spec.doe_factors:
+        raise SpecError(f"{args.command} expects a single-point spec "
+                        "(no sweep/doe)")
+    return spec
+
+
 def _cmd_export_dot(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = _load_point(args).base
     if cfg.arrival_delay_s is None:
         rate = args.arrival_rate if args.arrival_rate is not None else 100.0
         cfg = cfg.with_arrival_rate(rate)
@@ -149,9 +156,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = load_experiment(args.spec)
-    if spec.sweep or spec.doe_factors:
-        raise SpecError("solve expects a single-point spec (no sweep/doe)")
+    spec = _load_point(args)
     handle = build_hlf_net(spec.base)
     result = solve_ctmc(handle.net, standard_queries(handle),
                         max_states=args.max_states)

@@ -100,7 +100,7 @@ _SIM_TYPES = {f.name: int if f.type == "int" else float
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -115,8 +115,8 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 continue
             try:
                 cfg = apply_param(cfg, key, val)
-            except (SpecError, ConfigError) as exc:
-                raise SpecError(f"[base] {key}: {exc}") from exc
+            except (SpecError, ConfigError) as exc:  # exc names the key
+                raise SpecError(f"[base] {exc}") from exc
 
     sim_kwargs = {}
     sim_items = parser.items("sim") if parser.has_section("sim") else []

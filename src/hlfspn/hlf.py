@@ -71,7 +71,7 @@ class HlfConfig:
 
     def __post_init__(self):
         if self.n_endorsers < 1 or self.n_committers < 1:
-            raise ConfigError("node counts must be >= 1")
+            raise ConfigError("n_endorsers and n_committers must be >= 1")
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
         for f in ("eq", "oq", "cq", "ep", "op", "cp"):
@@ -137,27 +137,9 @@ def coerce_field(key: str, value) -> tuple[str, object]:
         raise ConfigError(f"{name} must be an integer, got {value}")
     if name == "arrival_rate_tps":
         if not v > 0:
-            raise ConfigError("arrival rate must be positive")
+            raise ConfigError("arrival_rate_tps must be positive")
         return "arrival_delay_s", 1.0 / v
     return name, kind(v)
-
-
-def parse_config(text: str) -> HlfConfig:
-    """Parse a flat key = value configuration document."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        try:
-            name, v = coerce_field(key, val)
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
-        values[name] = v
-    return HlfConfig(**values)
 
 
 # ---------------------------------------------------------------------------

@@ -12,27 +12,22 @@ even one that is left with probability 1.
 
 The normalised system is solved by GMRES with an incomplete-LU
 preconditioner; the complete LU takes its place when the incomplete
-factorisation is singular or GMRES does not converge with it.
+factorisation is singular or GMRES does not converge with it. Rate rewards
+are pi @ R, where R holds CompiledNet.rewards of each tangible state;
+impulse rewards are the firing rates, immediates' included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from .engine import CompiledNet, LivelockError, compile_net
-from .net import (
-    Deterministic,
-    ExpectedTokens,
-    FiringRate,
-    PetriNet,
-    ProbabilityOf,
-    RewardQuery,
-    SpnError,
-)
+from .net import Deterministic, PetriNet, RewardQuery, SpnError
 
 
 class UnsupportedModelError(SpnError):
@@ -180,16 +175,8 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
             raise UnsupportedModelError(
                 f"deterministic transition {t.name!r} is not supported by "
                 "the CTMC solver")
-    targets = []
-    for q in queries:
-        if isinstance(q, ExpectedTokens):
-            targets.append(cn.place_id(q.place))
-        elif isinstance(q, ProbabilityOf):
-            targets.append(cn.predicate(q.predicate))
-        elif isinstance(q, FiringRate):
-            targets.append(cn.transition_id(q.transition))
-        else:
-            raise TypeError(f"not a reward query: {q!r}")
+    rate_rewards, slots = cn.reward_slots(queries)
+    reward = cn.rewards(rate_rewards)
 
     timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
               ct.mean, cn.affects_imm[ct.idx])
@@ -248,19 +235,17 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     n = len(states)
     pi = _stationary(n, rows, cols, rates)
 
-    tokens = pi @ np.array(states, dtype=float)
+    # rate rewards: pi @ R, R holding each state's reward values as a row
+    # (read flat: on 5,768 states faster than np.array of the row tuples);
+    # impulse rewards: each transition's firing rate
+    k = len(rate_rewards)
+    R = np.fromiter(chain.from_iterable(map(reward, states)), float, n * k)
+    values = pi @ R.reshape(n, k)
     firing = np.bincount(np.asarray(f_tids, dtype=np.int64),
                          weights=pi[f_rows] * np.asarray(f_rates),
                          minlength=len(cn.trans))
-    estimates: dict[RewardQuery, float] = {}
-    for q, target in zip(queries, targets):
-        if isinstance(q, ExpectedTokens):
-            estimates[q] = float(tokens[target])
-        elif isinstance(q, ProbabilityOf):
-            estimates[q] = float(
-                pi @ np.fromiter(map(target, states), float, n))
-        else:
-            estimates[q] = float(firing[target])
+    estimates = {q: float((values if is_rate else firing)[i])
+                 for q, (is_rate, i) in slots.items()}
     return ExactResult(estimates=estimates, n_states=n)
 
 

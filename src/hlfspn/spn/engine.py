@@ -10,9 +10,14 @@ firing: each transition gets generated enabling-degree and firing code
 specialised to its arcs, with its guard written into that code as a Python
 expression over the marking, and a precomputed list of the transitions
 whose enabling its firing may change. That list is the dependency graph of
-the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000). The
-simulator writes its reward predicates into its generated steps the same
-way.
+the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000).
+
+Queries are Markov rewards of two kinds (Ciardo, Blakemore, Chimento,
+Muppala & Trivedi, 1993). A rate reward, ExpectedTokens or ProbabilityOf, is
+a Python expression over the marking, written into the simulator's
+generated steps like a guard: each step settles the time integral of every
+rate reward that reads a place it touches, from the marking before the
+firing. An impulse reward, FiringRate, counts firings.
 """
 
 from __future__ import annotations
@@ -323,11 +328,50 @@ class CompiledNet:
             return f"(not {self._predicate_source(pred.operand, ns)})"
         raise TypeError(f"not a predicate: {pred!r}")
 
-    def predicate(self, pred: Predicate) -> Callable[[list[int]], bool]:
-        """pred compiled to a function of the marking m. Raises
-        ContractViolationError when pred names a place the net lacks."""
+    def reward_source(self, query: RewardQuery,
+                      ns: dict) -> tuple[str, tuple[int, ...]]:
+        """A rate reward as a Python expression over the marking m, and the
+        places it reads: `m[i]` for ExpectedTokens, and for ProbabilityOf 1
+        or 0 as its predicate holds or not, an int so that the time
+        integrals stay Python floats. Raises ContractViolationError for an
+        unknown place and TypeError for anything else, a FiringRate (an
+        impulse reward) included."""
+        if isinstance(query, ExpectedTokens):
+            p = self.place_id(query.place)
+            return f"m[{p:d}]", (p,)
+        if isinstance(query, ProbabilityOf):
+            pred = query.predicate
+            return (f"(1 if {self._predicate_source(pred, ns)} else 0)",
+                    tuple(sorted(map(self.place_id, predicate_places(pred)))))
+        raise TypeError(f"not a rate reward query: {query!r}")
+
+    def rewards(self, queries: Sequence[RewardQuery]
+                ) -> Callable[[list[int]], tuple]:
+        """Rate rewards compiled to one function of the marking m that
+        returns their values, in order."""
         ns: dict = {}
-        return eval("lambda m: " + self._predicate_source(pred, ns), ns)
+        body = "".join(self.reward_source(q, ns)[0] + ", " for q in queries)
+        return eval(f"lambda m: ({body})", ns)
+
+    def reward_slots(self, queries: Sequence[RewardQuery]
+                     ) -> tuple[list[RewardQuery],
+                                dict[RewardQuery, tuple[bool, int]]]:
+        """The distinct queries, each with its slot (is_rate, index): a
+        FiringRate is an impulse reward, indexed by its transition; any
+        other query is a rate reward, indexed by its place in the returned
+        list of rate rewards. Raises ContractViolationError for an unknown
+        transition."""
+        rates: list[RewardQuery] = []
+        slots: dict[RewardQuery, tuple[bool, int]] = {}
+        for q in queries:
+            if q in slots:
+                continue
+            if isinstance(q, FiringRate):
+                slots[q] = (False, self.transition_id(q.transition))
+            else:
+                slots[q] = (True, len(rates))
+                rates.append(q)
+        return rates, slots
 
     # -- token game ---------------------------------------------------------
 
@@ -550,81 +594,50 @@ class _Simulator:
         self.rng = random.Random(cfg.seed)
         self.on_fire = on_fire
 
-        n_places = cn.n_places
-        # reward bookkeeping: lazily settled time integrals
-        self.watch_place = [False] * n_places
-        self.place_last = [0.0] * n_places
-        self.place_acc = [0.0] * n_places
-        self.preds: list[Predicate] = []
-        self.pred_cur: list[bool] = []
-        self.pred_last: list[float] = []
-        self.pred_acc: list[float] = []
-        self.pred_dep: list[list[int]] = [[] for _ in range(n_places)]
+        # a rate reward's time integral since the batch began and the time
+        # it was last settled, both indexed as in `rates`; the firings of
+        # each transition with an impulse reward
+        rates, self.slots = cn.reward_slots(queries)
+        self.rewards = cn.rewards(rates)
+        self.ra = [0.0] * len(rates)
+        self.rl = [0.0] * len(rates)
         self.fire_count = [0] * len(cn.trans)
-        self.counted: set[int] = set()
-
-        self.slots: dict[RewardQuery, tuple[str, int]] = {}
-        for q in queries:
-            if q in self.slots:
-                continue
-            if isinstance(q, ExpectedTokens):
-                p = cn.place_id(q.place)
-                self.watch_place[p] = True
-                self.slots[q] = ("place", p)
-            elif isinstance(q, ProbabilityOf):
-                k = len(self.preds)
-                self.preds.append(q.predicate)
-                self.pred_cur.append(False)
-                self.pred_last.append(0.0)
-                self.pred_acc.append(0.0)
-                for pl in predicate_places(q.predicate):
-                    self.pred_dep[cn.place_id(pl)].append(k)
-                self.slots[q] = ("pred", k)
-            elif isinstance(q, FiringRate):
-                t = cn.transition_id(q.transition)
-                self.counted.add(t)
-                self.slots[q] = ("fire", t)
-            else:
-                raise TypeError(f"not a reward query: {q!r}")
-
         self.batches: dict[RewardQuery, list[float]] = {
             q: [] for q in self.slots}
-        self.steps = self._generate_steps()
+        self.steps = self._generate_steps(rates)
 
-    def _generate_steps(self) -> list[Callable]:
-        """One `_S<i>(m, now)` per transition: fire it atomically, settling
-        the reward integrals of the places and predicates it touches."""
+    def _generate_steps(self, rates: list[RewardQuery]) -> list[Callable]:
+        """One `_S<i>(m, now)` per transition: fire it atomically, first
+        settling, from the marking before the firing, the integrals of the
+        rate rewards that read a place it touches."""
         cn = self.cn
         names = cn.place_names
-        ns = {"pa": self.place_acc, "pl": self.place_last,
-              "qa": self.pred_acc, "ql": self.pred_last, "qc": self.pred_cur,
-              "fc": self.fire_count, "on_fire": self.on_fire,
-              "N": [ct.name for ct in cn.trans],
+        ns = {"ra": self.ra, "rl": self.rl, "fc": self.fire_count,
+              "on_fire": self.on_fire, "N": [ct.name for ct in cn.trans],
               "_diverged": lambda p: DivergenceError(names[p]),
               "_negative": cn._negative}
-        exprs = [cn._predicate_source(pred, ns) for pred in self.preds]
+        exprs = []
+        readers: list[list[int]] = [[] for _ in range(cn.n_places)]
+        for k, q in enumerate(rates):
+            expr, places = cn.reward_source(q, ns)
+            exprs.append(expr)
+            for p in places:
+                readers[p].append(k)
+        counted = {i for is_rate, i in self.slots.values() if not is_rate}
         lines = []
         for ct in cn.trans:
             i = ct.idx
             outputs = {p for p, _ in ct.const_out} | set(ct.flushed_out)
-            preds = list(dict.fromkeys(
-                k for p in ct.touched for k in self.pred_dep[p]))
             body = []
-            for p in ct.touched:
-                if self.watch_place[p]:
-                    body += [f"pa[{p:d}] += m[{p:d}] * (now - pl[{p:d}])",
-                             f"pl[{p:d}] = now"]
+            for k in dict.fromkeys(k for p in ct.touched for k in readers[p]):
+                body += [f"ra[{k:d}] += {exprs[k]} * (now - rl[{k:d}])",
+                         f"rl[{k:d}] = now"]
             body += _fire_body(ct)
             for p in ct.touched:
                 if p in outputs:
                     body.append(f"if m[{p:d}] > {_TOKEN_LIMIT:d}: "
                                 f"raise _diverged({p:d})")
-            for k in preds:
-                body += [f"if ql[{k:d}] != now:",
-                         f"    if qc[{k:d}]: qa[{k:d}] += now - ql[{k:d}]",
-                         f"    ql[{k:d}] = now",
-                         f"qc[{k:d}] = {exprs[k]}"]
-            if i in self.counted:
+            if i in counted:
                 body.append(f"fc[{i:d}] += 1")
             if self.on_fire is not None:
                 body.append(f"on_fire(N[{i:d}], tuple(m), now)")
@@ -670,8 +683,6 @@ class _Simulator:
         # initial vanishing, then every timed transition is scheduled
         event_count = _vanish_inplace(cn, m, rng,
                                       lambda ct: steps[ct.idx](m, 0.0))
-        for k, pred in enumerate(self.preds):
-            self.pred_cur[k] = cn.predicate(pred)(m)
         reconcile = cn.timed
         pending: set[int] = set()
         imm_steps = 0
@@ -759,34 +770,20 @@ class _Simulator:
                 cfg.max_events, result=self._finish(event_count)) from exc
 
     def _close_batch(self, t: float, is_warmup: bool, m: list[int]) -> None:
-        """Settle every integral at boundary time t, record the batch
+        """Settle every rate reward at boundary time t, record the batch
         unless it is the warmup, and reset the accumulators."""
-        cfg = self.cfg
-        place_acc = self.place_acc
-        pred_acc = self.pred_acc
-        for p in range(self.cn.n_places):
-            if self.watch_place[p]:
-                place_acc[p] += m[p] * (t - self.place_last[p])
-                self.place_last[p] = t
-        for k in range(len(self.preds)):
-            if self.pred_cur[k]:
-                pred_acc[k] += t - self.pred_last[k]
-            self.pred_last[k] = t
+        ra = self.ra
+        rl = self.rl
+        for k, v in enumerate(self.rewards(m)):
+            ra[k] += v * (t - rl[k])
+            rl[k] = t
         if not is_warmup:
-            for q, (kind, i) in self.slots.items():
-                if kind == "place":
-                    acc = place_acc[i]
-                elif kind == "pred":
-                    acc = pred_acc[i]
-                else:
-                    acc = self.fire_count[i]
-                self.batches[q].append(acc / cfg.batch_length)
-        for p in range(self.cn.n_places):
-            place_acc[p] = 0.0
-        for k in range(len(self.preds)):
-            pred_acc[k] = 0.0
-        for tid in self.counted:
-            self.fire_count[tid] = 0
+            length = self.cfg.batch_length
+            for q, (is_rate, i) in self.slots.items():
+                self.batches[q].append(
+                    (ra if is_rate else self.fire_count)[i] / length)
+        ra[:] = [0.0] * len(ra)
+        self.fire_count[:] = [0] * len(self.fire_count)
 
     def _finish(self, event_count: int) -> SimulationResult:
         cfg = self.cfg

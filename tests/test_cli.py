@@ -2,6 +2,7 @@
 
 import csv
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -59,7 +60,7 @@ op = 1
 cp = 1
 """
 
-TINY_CONFIG = "arrival_rate_tps = 50\nblock_size = 2\n"
+DOT_SPEC = "[base]\narrival_rate_tps = 50\nblock_size = 2\n"
 
 
 class TestRun:
@@ -166,8 +167,8 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
 
 class TestExportDot:
     def test_deterministic_and_complete(self, tmp_path, capsys):
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text(TINY_CONFIG)
+        cfg = tmp_path / "spec.ini"
+        cfg.write_text(DOT_SPEC)
         assert main(["export-dot", str(cfg)]) == EXIT_OK
         first = capsys.readouterr().out
         assert main(["export-dot", str(cfg)]) == EXIT_OK
@@ -179,9 +180,26 @@ class TestExportDot:
             assert f'"{name}"' in first
 
     def test_bad_config_is_a_parse_error(self, tmp_path):
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text("block_size = maybe\n")
+        cfg = tmp_path / "spec.ini"
+        cfg.write_text("[base]\nblock_size = maybe\n")
         assert main(["export-dot", str(cfg)]) == EXIT_PARSE
+
+    def test_arrival_rate_fallback_and_sweep_rejection(self, tmp_path,
+                                                       capsys):
+        # the rate sets only the arrival delay, which the DOT labels show
+        cfg = tmp_path / "spec.ini"
+        cfg.write_text("[base]\nblock_size = 2\n")
+        assert main(["export-dot", str(cfg), "--arrival-rate", "50"]) == \
+            EXIT_OK
+        fallback = capsys.readouterr().out
+        cfg.write_text(DOT_SPEC)
+        assert main(["export-dot", str(cfg), "--arrival-rate", "10"]) == \
+            EXIT_OK
+        assert capsys.readouterr().out == fallback
+        cfg.write_text(TINY_SPEC)
+        assert main(["export-dot", str(cfg)]) == EXIT_PARSE
+        assert "export-dot expects a single-point spec" in \
+            capsys.readouterr().err
 
 
 class TestSolve:
@@ -254,6 +272,19 @@ class TestCaseStudy:
         for spec in specs:
             assert spec.mrt_mode == "literal"
             assert spec.sim.confidence_level == 0.9
+
+    def test_seed_overrides_the_catalog_seed(self, tmp_path, monkeypatch):
+        specs = []
+
+        def capture(spec, out_dir, jobs=1):
+            specs.append(spec)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert main(["case-study", "2", "--out-dir", str(tmp_path),
+                     "--seed", "5"]) == EXIT_OK
+        assert specs == [replace(spec, sim=replace(spec.sim, seed=5))
+                         for spec in case_study_specs(2).values()]
 
     def test_defaults_run_the_catalog_specs(self, tmp_path, monkeypatch,
                                             capsys):

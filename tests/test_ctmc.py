@@ -39,6 +39,7 @@ from hlfspn.spn.engine import compile_net
 from queueing import mm1k, mmck
 from refnets import branch_net, flush_net, mm1k_net, mmck_net, tandem_net
 from test_cli import SOLVE_SPEC
+from test_hlf import littles_law_pairs
 
 
 class TestClosedForms:
@@ -376,6 +377,22 @@ def test_discard_fraction_is_all_full_probability_under_poisson_arrivals(
     assert dp.value == pytest.approx(res.value(all_full), rel=1e-10)
     assert dp.value > 1e-4
     assert dp.ci == 0.0
+
+
+@pytest.mark.parametrize("cfg", [
+    parse_experiment(SOLVE_SPEC).base,
+    benchmark_small_hlf_config(),
+], ids=["solve-spec", "hlf-1200"])
+def test_rate_and_impulse_rewards_agree_by_littles_law(cfg):
+    # rate rewards come from pi @ R, impulse rewards from the firing-rate
+    # triplets; in the stationary chain each pair is equal
+    handle = hlf.build_hlf_net(cfg)
+    pairs = littles_law_pairs(handle)
+    res = solve_ctmc(handle.net, [q for pair in pairs for q in pair[:2]])
+    for rate, tokens, mean in pairs:
+        assert res.value(rate) > 0.1
+        assert res.value(rate) == pytest.approx(res.value(tokens) / mean,
+                                                rel=1e-10)
 
 
 def generator_triplets(net: PetriNet) -> tuple:

@@ -353,7 +353,7 @@ def test_compiled_predicate_matches_eval_predicate(pred, tokens):
     cn = compile_net(net)
     m = tokens + [1]
     want = eval_predicate(pred, dict(zip(place_names, tokens)), PRED_PARAMS)
-    assert cn.predicate(pred)(m) == want
+    assert cn.rewards([ProbabilityOf(pred)])(m) == (int(want),)
     assert [d(m) for d in cn.degrees] == [int(want)] * 2
 
 
@@ -527,6 +527,55 @@ class TestStationarySimulation:
                 run(net, [query], batch_count=2, batch_length=1.0)
             else:
                 ctmc.solve_ctmc(net, [query])
+
+
+# ---------------------------------------------------------------------------
+# Query sets, in the simulator and the exact solver alike
+
+MM1K_QUERIES = [ExpectedTokens("Q"),
+                ProbabilityOf(Atom("ROOM", "=", IntRhs(0))),
+                FiringRate("ARRIVE"), FiringRate("SERVE")]
+
+
+def evaluate(evaluator, net, queries):
+    if evaluator == "simulate":
+        return run(net, queries, batch_count=4, batch_length=50.0)
+    return ctmc.solve_ctmc(net, queries)
+
+
+@pytest.mark.parametrize("evaluator", ["simulate", "solve"])
+class TestQuerySets:
+    @pytest.mark.parametrize("subset", [[2, 3], [0, 1], [1, 0, 1, 3, 3], []],
+                             ids=["impulse-only", "rate-only", "duplicates",
+                                  "empty"])
+    def test_a_subset_gives_the_full_set_values(self, evaluator, subset):
+        # rewards never feed back into the simulation, so a query's value
+        # does not depend on which other queries are asked
+        net = mm1k_net(8.0, 10.0, 5)
+        full = evaluate(evaluator, net, MM1K_QUERIES)
+        queries = [MM1K_QUERIES[i] for i in subset]
+        part = evaluate(evaluator, net, queries)
+        assert list(part.estimates) == list(dict.fromkeys(queries))
+        for q in queries:
+            assert part.batch_values(q) == full.batch_values(q)
+            assert part.value(q) == pytest.approx(full.value(q), rel=1e-12)
+
+    @pytest.mark.parametrize("kinds", ["all", "impulse-only"])
+    def test_one_state_chain(self, evaluator, kinds):
+        # a timed self-loop on the one token: the marking never changes
+        net = PetriNet(places=(Place("P", 1),), transitions=(
+            Transition("T", Exponential(0.5), input_arcs=(Arc("P"),),
+                       output_arcs=(Arc("P"),)),))
+        rates = [ExpectedTokens("P"), ProbabilityOf(Atom("P", "=", IntRhs(1)))]
+        res = evaluate(evaluator, net, [FiringRate("T")]
+                       + (rates if kinds == "all" else []))
+        if evaluator == "solve":
+            assert res.n_states == 1
+            assert res.value(FiringRate("T")) == pytest.approx(2.0, rel=1e-12)
+        else:
+            assert res.value(FiringRate("T")) == pytest.approx(2.0, rel=0.15)
+        for q in rates if kinds == "all" else []:
+            assert res.value(q) == pytest.approx(1.0, rel=1e-12)
 
 
 # simulate_stationary on the exponential-arrival criterion-1 configuration,

@@ -76,6 +76,40 @@ class TestParsing:
         with pytest.raises(SpecError):
             parse_experiment("[base]\nmrt_mode = bogus\n")
 
+    def test_inline_comments_are_not_part_of_values(self):
+        # the form the module docstring's example uses
+        spec = parse_experiment("""
+[base]
+block_size = 2  # inline
+[sweep]
+parameter = arrival_rate_tps
+values = 2.5, 17.5
+parameter2 = cp          # optional second axis
+values2 = 2, 4
+[outputs]
+metrics = mrt_s, tp_tps  # optional; default: all
+""")
+        assert spec.base.block_size == 2
+        assert spec.sweep == (("arrival_rate_tps", (2.5, 17.5)),
+                              ("cp", (2.0, 4.0)))
+        assert spec.metrics == ("mrt_s", "tp_tps")
+        spec = parse_experiment("[doe]    # mutually exclusive with [sweep]\n"
+                                "factors = block_size:1:10\n")
+        assert [f.name for f in spec.doe_factors] == ["block_size"]
+
+    @pytest.mark.parametrize("line,message", [
+        ("block_size = maybe",
+         "[base] block_size: could not convert string to float: 'maybe'"),
+        ("block_size = 0", "[base] block_size must be >= 1"),
+        ("block_size = 1.5", "[base] block_size must be an integer, got 1.5"),
+        ("arrival_rate_tps = 0", "[base] arrival_rate_tps must be positive"),
+        ("bogus = 1", "[base] unknown model parameter 'bogus'"),
+    ])
+    def test_base_errors_name_the_key_once(self, line, message):
+        with pytest.raises(SpecError) as exc_info:
+            parse_experiment(f"[base]\n{line}\n")
+        assert str(exc_info.value) == message
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(SpecError):
             apply_param(HlfConfig(), "bogus", 1.0)

@@ -2,12 +2,8 @@
 
 import pytest
 
-from hlfspn.hlf import (
-    ConfigError,
-    HlfConfig,
-    build_hlf_net,
-    parse_config,
-)
+from hlfspn.experiments import SpecError, parse_experiment
+from hlfspn.hlf import ConfigError, HlfConfig, build_hlf_net
 from hlfspn.metrics import (
     discard_probability,
     metric_report,
@@ -67,25 +63,31 @@ class TestConfig:
             HlfConfig(**kwargs)
 
     def test_parse_accepts_rate_as_reciprocal_delay(self):
-        cfg = parse_config("arrival_rate_tps = 100\nblock_size = 10\n")
+        cfg = parse_base("arrival_rate_tps = 100\nblock_size = 10\n")
         assert cfg.arrival_delay_s == pytest.approx(0.01)
         assert cfg.block_size == 10
 
     def test_parse_accepts_documented_aliases(self):
-        cfg = parse_config("BLOCK = 4\nTIME_OUT = 2.5\nAD = 0.02\n")
+        cfg = parse_base("BLOCK = 4\nTIME_OUT = 2.5\nAD = 0.02\n")
         assert cfg.block_size == 4
         assert cfg.timeout_s == 2.5
         assert cfg.arrival_delay_s == 0.02
 
     def test_parse_comments_and_errors(self):
-        cfg = parse_config("# note\nblock_size = 2  # inline\n")
+        cfg = parse_base("# note\nblock_size = 2  # inline\n")
         assert cfg.block_size == 2
-        with pytest.raises(ConfigError):
-            parse_config("no_such_key = 1\n")
-        with pytest.raises(ConfigError):
-            parse_config("just words\n")
-        with pytest.raises(ConfigError):
-            parse_config("block_size = 0\n")
+        with pytest.raises(SpecError):
+            parse_base("no_such_key = 1\n")
+        with pytest.raises(SpecError):
+            parse_base("just words\n")
+        with pytest.raises(SpecError):
+            parse_base("block_size = 0\n")
+
+
+def parse_base(lines: str) -> HlfConfig:
+    """The model configuration of a spec whose [base] section holds
+    `lines`."""
+    return parse_experiment("[base]\n" + lines).base
 
 
 class TestStructure:
@@ -246,3 +248,34 @@ def test_delivered_rate_conserves_flow_under_deterministic_arrivals(cfg):
     assert report.dp_prob.value > 0.3
     gap = report.tp_tps.value - lam * (1.0 - report.dp_prob.value)
     assert abs(gap) <= t_halfwidth(diffs, 0.95)
+
+
+def littles_law_pairs(handle) -> list:
+    """(impulse reward, rate reward, mean) triples in which the firing rate
+    equals the expected token count over the mean: TE7 and TE4 are
+    infinite-server exponential transitions, and TI6 puts the one token
+    into FULLBLK_1 that TE4 takes out."""
+    cfg = handle.cfg
+    full = ExpectedTokens(handle.full_block)
+    return [(FiringRate(handle.commit_services[0]),
+             ExpectedTokens(handle.committer_proc_fills[0]), cfg.te7),
+            (FiringRate(handle.full_block_service), full, cfg.te4),
+            (FiringRate(handle.full_block_cut), full, cfg.te4)]
+
+
+@pytest.mark.parametrize("cfg", [
+    HlfConfig().with_arrival_rate(150.0),
+    HlfConfig(cp=2).with_arrival_rate(100.0),
+    HlfConfig(block_size=6, timeout_s=1.0).with_arrival_rate(60.0),
+], ids=["default-150tps", "cp2-100tps", "block6-60tps"])
+def test_rate_and_impulse_rewards_agree_by_littles_law(cfg):
+    # a firing count and a token-time integral are settled by different
+    # code; each pair must agree within the CI of the per-batch difference
+    _, result, handle = quick_report(cfg, seed=3, warmup=20.0, batches=10,
+                                     length=20.0)
+    for rate, tokens, mean in littles_law_pairs(handle):
+        diffs = [a - b / mean for a, b in zip(result.batch_values(rate),
+                                              result.batch_values(tokens))]
+        gap = result.value(rate) - result.value(tokens) / mean
+        assert result.value(rate) > 1.0
+        assert abs(gap) <= t_halfwidth(diffs, 0.95)
