@@ -79,9 +79,9 @@ class HlfConfig:
                 raise ConfigError(f"capacity {f} must be >= 1")
         for f in ("timeout_s", "te1", "te2", "te3", "te4", "te5", "te6",
                   "te7", "te8"):
-            if getattr(self, f) <= 0:
+            if not getattr(self, f) > 0:  # NaN fails too
                 raise ConfigError(f"{f} must be positive")
-        if self.arrival_delay_s is not None and self.arrival_delay_s <= 0:
+        if self.arrival_delay_s is not None and not self.arrival_delay_s > 0:
             raise ConfigError("arrival_delay_s must be positive")
         for f in ("arrival_dist", "timeout_dist"):
             if getattr(self, f) not in ("deterministic", "exponential"):
@@ -94,7 +94,7 @@ class HlfConfig:
         return 1.0 / self.arrival_delay_s
 
     def with_arrival_rate(self, tps: float) -> "HlfConfig":
-        if tps <= 0:
+        if not tps > 0:
             raise ConfigError("arrival rate must be positive")
         return replace(self, arrival_delay_s=1.0 / tps)
 

@@ -15,6 +15,9 @@ preconditioner; the complete LU takes its place when the incomplete
 factorisation is singular or GMRES does not converge with it. Rate rewards
 are pi @ R, where R holds CompiledNet.rewards of each tangible state;
 impulse rewards are the firing rates, immediates' included.
+
+scipy is imported by the first solve, not with the module, so that the
+simulator never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from .engine import CompiledNet, LivelockError, compile_net
 from .net import Deterministic, PetriNet, RewardQuery, SpnError
@@ -249,6 +250,30 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     return ExactResult(estimates=estimates, n_states=n)
 
 
+# scipy names the stationary solve uses: bound in the module namespace by
+# _load_sparse on first use (or read through __getattr__), so that a name
+# replaced from outside, as the tests do, stays replaced
+_SPARSE_NAMES = ("sparse", "LinearOperator", "gmres", "spilu", "splu")
+
+
+def _load_sparse() -> None:
+    """Import scipy.sparse and bind every name of _SPARSE_NAMES that is not
+    bound yet."""
+    from scipy import sparse
+    from scipy.sparse import linalg
+    g = globals()
+    for name in _SPARSE_NAMES:
+        g.setdefault(name, sparse if name == "sparse"
+                     else getattr(linalg, name))
+
+
+def __getattr__(name: str):
+    if name in _SPARSE_NAMES:
+        _load_sparse()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # GMRES settings of the stationary solve: incomplete-LU drop tolerance,
 # Krylov vectors per restart, residual tolerance (|b| = 1), restarts
 _DROP_TOL = 1e-2
@@ -269,6 +294,7 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     sum."""
     if n == 1:
         return np.ones(1)
+    _load_sparse()
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     rates = np.asarray(rates, dtype=float)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from functools import lru_cache
 from heapq import heappop, heappush
 from operator import attrgetter
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
-
-from scipy.special import stdtrit
 
 from .net import (
     And,
@@ -538,14 +539,85 @@ class Estimate:
 def t_halfwidth(values: Sequence[float], confidence_level: float) -> float:
     """Half-width of the Student-t confidence interval for the mean of a
     series of batch means (Law, *Simulation Modeling and Analysis*); inf
-    for fewer than two values."""
+    for fewer than two values. The quantile is t_quantile's."""
     n = len(values)
     if n < 2:
         return math.inf
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    tq = stdtrit(n - 1, (1.0 + confidence_level) / 2.0)
-    return tq * math.sqrt(var / n)
+    return t_quantile(n - 1, confidence_level) * math.sqrt(var / n)
+
+
+# digits of the decimal arithmetic in t_quantile, and pi to more of them
+_T_DIGITS = 40
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+@lru_cache(maxsize=None)
+def t_quantile(df: int, level: float) -> float:
+    """The two-sided Student-t quantile: the t with P(|T| <= t) = 2p - 1
+    for T with df degrees of freedom and p = (1 + level)/2, i.e. the
+    p-quantile, rounded to the nearest float.
+
+    Newton's method on theta = arctan(t / sqrt(df)) in 40-digit decimal
+    arithmetic, applied to the closed form of P(|T| <= t) for integer df
+    (Abramowitz & Stegun, *Handbook of Mathematical Functions*, 26.7.3-4).
+    The form is increasing and concave in theta, so from below the root
+    the iterates increase to it. The start is the first Cornish-Fisher
+    term (A&S 26.7.5), which lies below the root. One step costs O(df)."""
+    p = (1.0 + level) / 2.0
+    z = NormalDist().inv_cdf(p)
+    guess = z + (z ** 3 + z) / (4 * df)
+    with localcontext() as ctx:
+        ctx.prec = _T_DIGITS
+        target = 2 * Decimal(p) - 1
+        theta = Decimal(math.atan(guess / math.sqrt(df)))
+        tol = Decimal(10) ** (10 - _T_DIGITS)
+        for _ in range(100):
+            a, slope = _t_abs_cdf(df, theta)
+            step = (target - a) / slope
+            theta += step
+            if abs(step) <= theta * tol:
+                break
+        s, c = _sin_cos(theta)
+        return float(Decimal(df).sqrt() * s / c)
+
+
+def _t_abs_cdf(df: int, theta: Decimal) -> tuple[Decimal, Decimal]:
+    """P(|T| <= sqrt(df) tan(theta)) for T with df degrees of freedom, and
+    its derivative in theta, which is proportional to cos(theta)^(df-1):
+    A&S 26.7.3 (odd df) and 26.7.4 (even df)."""
+    s, c = _sin_cos(theta)
+    c2 = c * c
+    term = total = Decimal(1)  # term k: the series' coefficient * c^(2k)
+    if df % 2 == 0:
+        for k in range(1, df // 2):
+            term = term * c2 * (2 * k - 1) / (2 * k)
+            total += term
+        return s * total, (df - 1) * term * c
+    if df == 1:
+        return 2 * theta / _PI, 2 / _PI
+    for k in range(1, (df - 1) // 2):
+        term = term * c2 * (2 * k) / (2 * k + 1)
+        total += term
+    return (2 * (theta + s * c * total) / _PI,
+            2 * (df - 1) * term * c2 / _PI)
+
+
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x by their Taylor series, for 0 <= x <= pi/2."""
+    x2 = x * x
+    eps = Decimal(10) ** -(_T_DIGITS + 2)
+    s = ts = x
+    c = tc = Decimal(1)
+    n = 0
+    while abs(ts) > eps:
+        tc = -tc * x2 / ((n + 1) * (n + 2))
+        ts = -ts * x2 / ((n + 2) * (n + 3))
+        c += tc
+        s += ts
+        n += 2
+    return s, c
 
 
 @dataclass(frozen=True)
@@ -604,6 +676,7 @@ class _Simulator:
         self.fire_count = [0] * len(cn.trans)
         self.batches: dict[RewardQuery, list[float]] = {
             q: [] for q in self.slots}
+        self.closed = 0  # batches closed after the warmup
         self.steps = self._generate_steps(rates)
 
     def _generate_steps(self, rates: list[RewardQuery]) -> list[Callable]:
@@ -778,6 +851,7 @@ class _Simulator:
             ra[k] += v * (t - rl[k])
             rl[k] = t
         if not is_warmup:
+            self.closed += 1
             length = self.cfg.batch_length
             for q, (is_rate, i) in self.slots.items():
                 self.batches[q].append(
@@ -792,8 +866,7 @@ class _Simulator:
             mean = sum(vals) / len(vals) if vals else math.nan
             estimates[q] = Estimate(
                 mean, t_halfwidth(vals, cfg.confidence_level), tuple(vals))
-        total = cfg.warmup_time + len(
-            next(iter(self.batches.values()), [])) * cfg.batch_length
+        total = cfg.warmup_time + self.closed * cfg.batch_length
         return SimulationResult(estimates=estimates, total_time=total,
                                 event_count=event_count, seed=cfg.seed,
                                 confidence_level=cfg.confidence_level)

@@ -165,6 +165,20 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
     assert key in err
 
 
+
+@pytest.mark.parametrize("key", ["te7", "timeout_s", "arrival_delay_s"])
+def test_nan_model_parameter_is_a_parse_error(tmp_path, capsys, key):
+    rate = "" if key == "arrival_delay_s" else "arrival_rate_tps = 20\n"
+    spec = tmp_path / "spec.ini"
+    spec.write_text(f"[base]\n{rate}block_size = 6\n{key} = nan\n\n"
+                    "[sim]\nwarmup_time = 0\nbatch_count = 2\n"
+                    "batch_length = 2\n\n[outputs]\nresults = out.csv\n")
+    assert main(["run", str(spec), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and key in err[0]
+    assert not (tmp_path / "out.csv").exists()
+
 class TestExportDot:
     def test_deterministic_and_complete(self, tmp_path, capsys):
         cfg = tmp_path / "spec.ini"

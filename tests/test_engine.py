@@ -2,12 +2,17 @@
 
 import math
 import random
+import subprocess
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from hlfspn.spn import (
     And,
@@ -495,6 +500,28 @@ class TestStationarySimulation:
         assert partial is not None
         assert partial.event_count >= 50
 
+    @pytest.mark.parametrize("queries", [[], [FiringRate("SERVE")]],
+                             ids=["no-query", "one-query"])
+    def test_total_time_counts_closed_batches(self, queries):
+        res = run(mm1k_net(8.0, 10.0, 5), queries, warmup_time=10.0,
+                  batch_count=4, batch_length=50.0)
+        assert res.total_time == 210.0
+
+    def test_partial_result_total_time_counts_closed_batches(self):
+        # queries draw no random numbers, so both runs stop at the same
+        # event, after the same number of closed batches
+        q = FiringRate("SERVE")
+        partial = {}
+        for queries in ([], [q]):
+            with pytest.raises(PartialResultError) as exc_info:
+                run(mm1k_net(8.0, 10.0, 5), queries, warmup_time=10.0,
+                    batch_count=4, batch_length=50.0, max_events=2000)
+            partial[len(queries)] = exc_info.value.result
+        closed = len(partial[1].estimates[q].batch_values)
+        assert 0 < closed < 4
+        assert partial[1].total_time == 10.0 + 50.0 * closed
+        assert partial[0].total_time == partial[1].total_time
+
     def test_token_divergence_detected(self):
         net = PetriNet(
             places=(Place("Q", 0),),
@@ -621,3 +648,56 @@ def test_fixed_seed_result_is_pinned():
     assert res.event_count == PINNED_EVENTS
     got = [(res.value(q), res.halfwidth(q)) for q in queries]
     assert got == PINNED_ESTIMATES
+
+
+# ---------------------------------------------------------------------------
+# Student-t quantile
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_t_quantile_matches_scipy(level):
+    for df in [*range(1, 201), 499, 999, 10_000]:
+        want = stdtrit(df, (1.0 + level) / 2.0)
+        assert engine.t_quantile(df, level) == pytest.approx(
+            want, rel=1e-13, abs=0.0), df
+
+
+@pytest.mark.parametrize("df", [1, 4])
+def test_t_quantile_equals_scipy_at_pinned_points(df):
+    # the degrees of freedom of the pinned fixed-seed tests' intervals
+    assert engine.t_quantile(df, 0.95) == stdtrit(df, 0.975)
+
+
+def test_t_quantile_at_large_df():
+    assert engine.t_quantile(100_000, 0.95) == pytest.approx(
+        stdtrit(100_000, 0.975), rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Import path
+
+_SIMULATE_WITHOUT_SCIPY = """
+import sys
+import hlfspn
+from hlfspn.hlf import HlfConfig, build_hlf_net
+from hlfspn.metrics import metric_report, standard_queries
+from hlfspn.spn import SimConfig, simulate_stationary, solve_ctmc
+handle = build_hlf_net(HlfConfig(block_size=2).with_arrival_rate(20.0))
+res = simulate_stationary(handle.net, standard_queries(handle), SimConfig(
+    warmup_time=1.0, batch_count=3, batch_length=2.0, seed=1))
+metric_report(res, handle)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.path.insert(0, {tests!r})
+from refnets import mm1k_net
+from hlfspn.spn import ExpectedTokens
+print(solve_ctmc(mm1k_net(3.0, 4.0, 5), [ExpectedTokens("Q")]).n_states)
+print("scipy" in sys.modules)
+"""
+
+
+def test_simulation_path_does_not_import_scipy():
+    code = _SIMULATE_WITHOUT_SCIPY.format(tests=str(Path(__file__).parent))
+    src = str(Path(engine.__file__).resolve().parents[2])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split("\n")[:3] == ["[]", "6", "True"]

@@ -1,5 +1,7 @@
 """Transaction-flow model: configuration, structure, behavior."""
 
+import math
+
 import pytest
 
 from hlfspn.experiments import SpecError, parse_experiment
@@ -61,6 +63,16 @@ class TestConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             HlfConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [
+        "timeout_s", *(f"te{i}" for i in range(1, 9)), "arrival_delay_s"])
+    def test_nan_values_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            HlfConfig(**{field: math.nan})
+
+    def test_nan_arrival_rate_rejected(self):
+        with pytest.raises(ConfigError):
+            HlfConfig().with_arrival_rate(math.nan)
 
     def test_parse_accepts_rate_as_reciprocal_delay(self):
         cfg = parse_base("arrival_rate_tps = 100\nblock_size = 10\n")
