@@ -165,7 +165,6 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
     assert key in err
 
 
-
 @pytest.mark.parametrize("key", ["te7", "timeout_s", "arrival_delay_s"])
 def test_nan_model_parameter_is_a_parse_error(tmp_path, capsys, key):
     rate = "" if key == "arrival_delay_s" else "arrival_rate_tps = 20\n"
@@ -178,6 +177,7 @@ def test_nan_model_parameter_is_a_parse_error(tmp_path, capsys, key):
     assert len(err) == 1
     assert err[0].startswith("error: ") and key in err[0]
     assert not (tmp_path / "out.csv").exists()
+
 
 class TestExportDot:
     def test_deterministic_and_complete(self, tmp_path, capsys):

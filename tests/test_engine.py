@@ -1,9 +1,9 @@
 """Token game and stationary simulator."""
 
 import math
+import os
 import random
 import subprocess
-import os
 import sys
 from pathlib import Path
 
