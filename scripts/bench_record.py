@@ -5,12 +5,15 @@
 
 DIR is the root of a checkout; each side runs its own perfbench/run.py
 from its root, so both sides use the benchmark code of their checkout.
-For every workload, pair k (of PAIRS) runs the parent and the change
-untraced for SECONDS with seed SEED + k, alternating which side runs
-first. Then each side makes one traced run (--trace 1) with TRACE_SEED.
-The file records the machine, the Python version, every run's end-to-end
-metrics, the median and quartiles per side, how many pairs the change
-won, and the traced per-layer metrics of both sides.
+The workloads, the run length and the end-to-end metrics are those the
+change side's BENCHMARK.json declares. For every workload, pair k (of
+PAIRS) runs the parent and the change untraced for the declared
+run_seconds with seed SEED + k, alternating which side runs first. Then
+each side makes one traced run (--trace 1) with TRACE_SEED. The file
+records the machine, the Python version, every run's end-to-end metrics,
+the median and quartiles per side, how many pairs the change won (by
+each metric's declared `better` direction), and the traced per-layer
+metrics of both sides.
 """
 
 from __future__ import annotations
@@ -25,16 +28,15 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
-SECONDS = 55.0
-WORKLOADS = ("sim", "ctmc")
 TRACE_SEED = 101
 
 
-def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
     """The last stdout line of one perfbench/run.py run, parsed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS),
+         "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -59,16 +61,18 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
 
     record = {
         "machine": {"system": platform.platform(),
                     "processor": platform.machine(),
                     "cpus": os.cpu_count()},
         "python": platform.python_version(),
-        "run_seconds": SECONDS,
+        "run_seconds": seconds,
         "workloads": {},
     }
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for k in range(PAIRS):
             seed = args.seed + k
@@ -76,22 +80,25 @@ def main(argv=None) -> int:
                 ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                res = run_bench(sides[side], workload, seed, 0)
+                res = run_bench(sides[side], workload, seed, seconds, 0)
                 pair[side] = {"correct": res["correct"],
                               "attempted": res["attempted"],
                               "failed": res["failed"], **res["metrics"]}
             print(workload, json.dumps(pair), file=sys.stderr, flush=True)
             pairs.append(pair)
         summary = {}
-        for metric in ("setup_s", "wall_s", "peak_rss_mb"):
-            summary[metric] = {
-                side: spread([p[side][metric] for p in pairs])
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            sign = 1 if metric["better"] == "higher" else -1
+            summary[name] = {
+                side: spread([p[side][name] for p in pairs])
                 for side in sides}
-            summary[metric]["change_wins"] = sum(
-                p["change"][metric] < p["parent"][metric] for p in pairs)
-            summary[metric]["pairs"] = len(pairs)
+            summary[name]["change_wins"] = sum(
+                sign * (p["change"][name] - p["parent"][name]) > 0
+                for p in pairs)
+            summary[name]["pairs"] = len(pairs)
         traced = {side: run_bench(sides[side], workload, TRACE_SEED,
-                                  1)["metrics"]
+                                  seconds, 1)["metrics"]
                   for side in sides}
         record["workloads"][workload] = {
             "summary": summary, "pairs": pairs,

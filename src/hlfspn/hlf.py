@@ -177,7 +177,6 @@ class HlfNetHandle:
     timeout_cut: str                       # TI7
     full_block_service: str                # TE4
     partial_block_service: str             # TE5
-    transfer_services: tuple[str, ...]     # TE6 variants
     endorse_services: tuple[str, ...]      # TE1, TE2, ...
     commit_services: tuple[str, ...]       # TE7, TE8, ...
 
@@ -320,16 +319,15 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         output_arcs=(Arc("CLK_RUN"),)))
 
     # --- block transfer + commit broadcast; resets the clock by routing its
-    # token through the vanishing CLK_RESET place, which restarts T_TIMEOUT
-    transfer_services = ("TE6", "TE6_EXP")
-    # transfer waits until every committer queue can absorb the whole block,
+    # token through the vanishing CLK_RESET place, which restarts T_TIMEOUT.
+    # Transfer waits until every committer queue can absorb the whole block,
     # so commit congestion backs up through the orderer to the entry queues
     room_for_block = None
     for cq in cq_names:
         atom = Atom(cq, ">=", PlaceRhs("BLKTX_1"))
         room_for_block = atom if room_for_block is None \
             else And(room_for_block, atom)
-    for te6, clock_place in zip(transfer_services, ("CLK_RUN", "CLK_EXP")):
+    for te6, clock_place in (("TE6", "CLK_RUN"), ("TE6_EXP", "CLK_EXP")):
         transitions.append(Transition(
             te6, Exponential(cfg.te6),
             input_arcs=(Arc("OPF5_1"), Arc("BLKTX_1", FlushAll()),
@@ -398,7 +396,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         timeout_cut="TI7",
         full_block_service="TE4",
         partial_block_service="TE5",
-        transfer_services=transfer_services,
         endorse_services=tuple(endorse_services),
         commit_services=tuple(commit_services),
     )

@@ -1,4 +1,5 @@
-"""Token-game semantics and the stationary discrete-event simulator.
+"""Compiled nets over index markings, and the stationary discrete-event
+simulator that runs them.
 
 The simulator uses race-with-restart memory: whenever the enabling degree
 of a timed transition drops, its newest pending firings are cancelled;
@@ -66,8 +67,8 @@ _MAX_IMMEDIATE_STEPS = 10 ** 6
 
 
 class ContractViolationError(SpnError):
-    """An operation was applied outside its precondition (e.g. firing a
-    disabled transition)."""
+    """An operation was applied outside its precondition (e.g. a firing that
+    would drive a place negative, or a query naming an unknown place)."""
 
 
 class LivelockError(SpnError):
@@ -374,12 +375,6 @@ class CompiledNet:
                 rates.append(q)
         return rates, slots
 
-    # -- token game ---------------------------------------------------------
-
-    def degree(self, ct: _CTrans, m: list[int]) -> int:
-        """Enabling degree of a transition in marking m (0 = disabled)."""
-        return self.degrees[ct.idx](m)
-
     def top_immediates(self, candidates, m: list[int],
                        prune: Optional[set] = None) -> list[_CTrans]:
         """The enabled immediates of highest priority among `candidates`
@@ -405,88 +400,29 @@ class CompiledNet:
             top.sort(key=_by_index)
         return top
 
-    def fire_inplace(self, ct: _CTrans, m: list[int]) -> int:
-        """Fire in place; returns the flushed token count."""
-        return self.fires[ct.idx](m)
-
-
-# the last net compiled: a run compiles each net once, while the
-# dict-marking helpers below take the same net many times in a row
-_last_compiled: Optional[tuple[PetriNet, CompiledNet]] = None
-
 
 def compile_net(net: PetriNet) -> CompiledNet:
-    global _last_compiled
-    if _last_compiled is None or _last_compiled[0] is not net:
-        _last_compiled = (net, CompiledNet(net))
-    return _last_compiled[1]
-
-
-# ---------------------------------------------------------------------------
-# Public token-game operations on dict markings
-
-def _to_vec(cn: CompiledNet, marking: dict) -> list[int]:
-    try:
-        return [marking[name] for name in cn.place_names]
-    except KeyError as exc:
-        raise ContractViolationError(f"marking missing place {exc}") from exc
-
-
-def _to_dict(cn: CompiledNet, m: list[int]) -> dict:
-    return dict(zip(cn.place_names, m))
-
-
-def enabled_set(net: PetriNet, marking: dict) -> dict[str, int]:
-    """Transitions enabled in the marking, with their enabling degree."""
-    cn = compile_net(net)
-    m = _to_vec(cn, marking)
-    out = {}
-    for ct in cn.trans:
-        d = cn.degree(ct, m)
-        if d > 0:
-            out[ct.name] = d
-    return out
-
-
-def fire(net: PetriNet, marking: dict, transition: str) -> tuple[dict, int]:
-    """Fire an enabled transition; returns (new marking, flushed count)."""
-    cn = compile_net(net)
-    if transition not in cn.trans_index:
-        raise KeyError(transition)
-    ct = cn.trans[cn.trans_index[transition]]
-    m = _to_vec(cn, marking)
-    if cn.degree(ct, m) == 0:
-        raise ContractViolationError(
-            f"transition {transition!r} is not enabled")
-    kappa = cn.fire_inplace(ct, m)
-    return _to_dict(cn, m), kappa
-
-
-def vanish(net: PetriNet, marking: dict, rng: random.Random) -> dict:
-    """Resolve immediate transitions down to a tangible marking."""
-    cn = compile_net(net)
-    m = _to_vec(cn, marking)
-    _vanish_inplace(cn, m, rng, lambda ct: cn.fire_inplace(ct, m))
-    return _to_dict(cn, m)
+    """The compiled form of a net; each call compiles it afresh."""
+    return CompiledNet(net)
 
 
 def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
-                    fire: Callable[[_CTrans], object]) -> int:
-    """Fire immediates, each through `fire(ct)`, until none is enabled in
-    m; returns the step count."""
-    steps = 0
+                    steps: list[Callable]) -> int:
+    """Fire immediates at time 0, each through its simulator step, until
+    none is enabled in m; returns the step count."""
+    n = 0
     recent: list[str] = []
     while True:
         candidates = cn.top_immediates(cn.immediates, m)
         if not candidates:
-            return steps
+            return n
         ct = _pick_weighted(candidates, rng)
-        fire(ct)
-        steps += 1
+        steps[ct.idx](m, 0.0)
+        n += 1
         recent.append(ct.name)
         if len(recent) > 64:
             recent.pop(0)
-        if steps > _MAX_IMMEDIATE_STEPS:
+        if n > _MAX_IMMEDIATE_STEPS:
             raise LivelockError(recent)
 
 
@@ -517,11 +453,11 @@ class SimConfig:
     max_events: int = 200_000_000
 
     def __post_init__(self):
-        if self.warmup_time < 0:
+        if not self.warmup_time >= 0:  # NaN fails too
             raise ValueError("warmup_time must be >= 0")
         if self.batch_count < 2:
             raise ValueError("batch_count must be >= 2")
-        if self.batch_length <= 0:
+        if not self.batch_length > 0:  # NaN fails too
             raise ValueError("batch_length must be positive")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError("confidence_level must be in (0, 1)")
@@ -754,8 +690,7 @@ class _Simulator:
         now = 0.0
 
         # initial vanishing, then every timed transition is scheduled
-        event_count = _vanish_inplace(cn, m, rng,
-                                      lambda ct: steps[ct.idx](m, 0.0))
+        event_count = _vanish_inplace(cn, m, rng, steps)
         reconcile = cn.timed
         pending: set[int] = set()
         imm_steps = 0

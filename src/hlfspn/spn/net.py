@@ -110,50 +110,6 @@ class Not:
 Predicate = Union[Atom, And, Or, Not]
 
 
-def eval_predicate(pred: Predicate, tokens: Mapping[str, int],
-                   params: Mapping[str, float]) -> bool:
-    """Evaluate a guard over a marking.  Total; raises only on unknown names."""
-    if isinstance(pred, Atom):
-        if pred.place not in tokens:
-            raise EvaluationError(f"unknown place {pred.place!r} in guard")
-        lhs = tokens[pred.place]
-        rhs = pred.rhs
-        if isinstance(rhs, IntRhs):
-            r = rhs.value
-        elif isinstance(rhs, ParamRhs):
-            if rhs.name not in params:
-                raise EvaluationError(f"unknown parameter {rhs.name!r} in guard")
-            r = params[rhs.name]
-        else:
-            if rhs.place not in tokens:
-                raise EvaluationError(f"unknown place {rhs.place!r} in guard")
-            r = tokens[rhs.place]
-        return _compare(lhs, pred.op, r)
-    if isinstance(pred, And):
-        return eval_predicate(pred.left, tokens, params) and \
-            eval_predicate(pred.right, tokens, params)
-    if isinstance(pred, Or):
-        return eval_predicate(pred.left, tokens, params) or \
-            eval_predicate(pred.right, tokens, params)
-    if isinstance(pred, Not):
-        return not eval_predicate(pred.operand, tokens, params)
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def _compare(a, op, b) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
-
-
 def predicate_places(pred: Predicate) -> set[str]:
     """All places a predicate reads."""
     if isinstance(pred, Atom):
@@ -252,9 +208,6 @@ class PetriNet:
             if t.name == name:
                 return t
         raise KeyError(name)
-
-    def initial_marking(self) -> dict[str, int]:
-        return {p.name: p.initial_tokens for p in self.places}
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,12 @@ class TestRun:
      ["run"], "factors"),
     (None, ["case-study", "3", "--batches", "1"], "--batches"),
     (None, ["case-study", "3", "--confidence", "1.5"], "--confidence"),
+    ("[base]\narrival_rate_tps = 20\n\n[sim]\nbatch_length = nan\n",
+     ["run"], "batch_length"),
+    ("[base]\narrival_rate_tps = 20\n\n[sim]\nwarmup_time = nan\n",
+     ["run"], "warmup_time"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
-        "confidence"])
+        "confidence", "sim-nan-length", "sim-nan-warmup"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):

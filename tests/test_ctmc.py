@@ -271,7 +271,7 @@ def naive_resolve(cn, m0: list[int], max_steps: int = 10 ** 6):
         total_w = sum(ct.weight for ct in cands)
         for ct in cands:
             m2 = list(m)
-            cn.fire_inplace(ct, m2)
+            cn.fires[ct.idx](m2)
             c2 = dict(counts)
             c2[ct.idx] = c2.get(ct.idx, 0.0) + 1.0
             stack.append((m2, pr * ct.weight / total_w, c2))

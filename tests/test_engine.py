@@ -1,6 +1,7 @@
 """Token game and stationary simulator."""
 
 import math
+import operator
 import os
 import random
 import subprocess
@@ -42,21 +43,35 @@ from hlfspn.spn import (
     ServerSemantics,
     SimConfig,
     Transition,
-    enabled_set,
-    eval_predicate,
-    fire,
     simulate_stationary,
-    vanish,
 )
 
 from hlfspn.hlf import HlfConfig, build_hlf_net
 from hlfspn.metrics import standard_queries
 from hlfspn.spn import ctmc, engine
-from hlfspn.spn.engine import compile_net
+from hlfspn.spn.engine import CompiledNet, compile_net
 
 from queueing import mm1k, mmck
 from refnets import branch_net, flush_net, mm1k_net, mmck_net, tandem_net
 from test_acceptance import degenerate_endorse_config
+
+
+def compiled_degrees(net, marking):
+    """The transitions enabled in a dict marking, with their enabling
+    degrees, by the generated `_D<i>` code."""
+    cn = CompiledNet(net)
+    m = [marking[name] for name in cn.place_names]
+    return {ct.name: d for ct, d in zip(cn.trans, (f(m) for f in cn.degrees))
+            if d}
+
+
+def compiled_fire(net, marking, name):
+    """Fire a transition on a dict marking by the generated `_F<i>` code;
+    returns (new marking, flushed count)."""
+    cn = CompiledNet(net)
+    m = [marking[p] for p in cn.place_names]
+    kappa = cn.fires[cn.transition_id(name)](m)
+    return dict(zip(cn.place_names, m)), kappa
 
 
 class TestEnabledSet:
@@ -70,7 +85,8 @@ class TestEnabledSet:
                 Transition("T4", Immediate(), input_arcs=(Arc("A"),),
                            guard=Atom("B", "=", IntRhs(0))),
             ))
-        assert enabled_set(net, net.initial_marking()) == {"T1": 3, "T2": 1}
+        assert compiled_degrees(net, {"A": 6, "B": 1, "C": 0}) == \
+            {"T1": 3, "T2": 1}
 
     def test_flush_enabling_degree_is_one(self):
         net = PetriNet(
@@ -80,15 +96,15 @@ class TestEnabledSet:
                            input_arcs=(Arc("A", FlushAll()),),
                            output_arcs=(Arc("B", Flushed()),)),
             ))
-        assert enabled_set(net, {"A": 7, "B": 0}) == {"T": 1}
-        assert enabled_set(net, {"A": 0, "B": 0}) == {}
+        assert compiled_degrees(net, {"A": 7, "B": 0}) == {"T": 1}
+        assert compiled_degrees(net, {"A": 0, "B": 0}) == {}
 
     def test_source_transition_degree_is_one(self):
         net = PetriNet(
             places=(Place("A", 0),),
             transitions=(Transition("SRC", Exponential(1.0),
                                     output_arcs=(Arc("A"),)),))
-        assert enabled_set(net, {"A": 0}) == {"SRC": 1}
+        assert compiled_degrees(net, {"A": 0}) == {"SRC": 1}
 
     def test_param_arc_threshold(self):
         net = PetriNet(
@@ -96,8 +112,8 @@ class TestEnabledSet:
             transitions=(Transition("T", Immediate(),
                                     input_arcs=(Arc("A", Param("N")),)),),
             parameters={"N": 3})
-        assert enabled_set(net, {"A": 5}) == {"T": 1}
-        assert enabled_set(net, {"A": 2}) == {}
+        assert compiled_degrees(net, {"A": 5}) == {"T": 1}
+        assert compiled_degrees(net, {"A": 2}) == {}
 
 
 class TestFire:
@@ -107,7 +123,7 @@ class TestFire:
             transitions=(Transition("T", Immediate(),
                                     input_arcs=(Arc("A", Constant(2)),),
                                     output_arcs=(Arc("B", Constant(5)),)),))
-        marking, kappa = fire(net, {"A": 3, "B": 0}, "T")
+        marking, kappa = compiled_fire(net, {"A": 3, "B": 0}, "T")
         assert marking == {"A": 1, "B": 5}
         assert kappa == 0
 
@@ -118,7 +134,7 @@ class TestFire:
                                     input_arcs=(Arc("A", FlushAll()),),
                                     output_arcs=(Arc("B", Flushed()),
                                                  Arc("C", Constant(1)))),))
-        marking, kappa = fire(net, {"A": 4, "B": 0, "C": 0}, "T")
+        marking, kappa = compiled_fire(net, {"A": 4, "B": 0, "C": 0}, "T")
         assert kappa == 4
         assert marking == {"A": 0, "B": 4, "C": 1}
 
@@ -127,16 +143,23 @@ class TestFire:
             places=(Place("A", 0),),
             transitions=(Transition("T", Immediate(),
                                     input_arcs=(Arc("A"),)),))
-        with pytest.raises(ContractViolationError):
-            fire(net, {"A": 0}, "T")
+        with pytest.raises(ContractViolationError, match="negative"):
+            compiled_fire(net, {"A": 0}, "T")
 
-    def test_unknown_transition_raises(self):
-        net = PetriNet(places=(Place("A", 0),), transitions=())
-        with pytest.raises(KeyError):
-            fire(net, {"A": 0}, "NOPE")
+
+def firings(net, seed=0, batch_length=1.0):
+    """The names of the transitions simulate_stationary fires, in order."""
+    names = []
+    simulate_stationary(net, [], SimConfig(batch_count=2,
+                                           batch_length=batch_length,
+                                           seed=seed),
+                        on_fire=lambda name, m, now: names.append(name))
+    return names
 
 
 class TestVanish:
+    """Immediate-transition resolution, as simulate_stationary runs it."""
+
     def test_resolves_chain_to_tangible(self):
         net = PetriNet(
             places=(Place("A", 2), Place("B", 0), Place("C", 0)),
@@ -146,8 +169,13 @@ class TestVanish:
                 Transition("T2", Immediate(), input_arcs=(Arc("B"),),
                            output_arcs=(Arc("C"),)),
             ))
-        out = vanish(net, {"A": 2, "B": 0, "C": 0}, random.Random(0))
-        assert out == {"A": 0, "B": 0, "C": 2}
+        seen = []
+        res = simulate_stationary(
+            net, [ExpectedTokens("C")], SimConfig(batch_count=2),
+            on_fire=lambda name, m, now: seen.append((name, m, now)))
+        assert sorted(name for name, _, _ in seen) == ["T1", "T1", "T2", "T2"]
+        assert seen[-1][1:] == ((0, 0, 2), 0.0)
+        assert res.value(ExpectedTokens("C")) == 2.0
 
     def test_priority_beats_weight(self):
         net = PetriNet(
@@ -159,11 +187,11 @@ class TestVanish:
                            input_arcs=(Arc("A"),), output_arcs=(Arc("HI"),)),
             ))
         for seed in range(20):
-            out = vanish(net, {"A": 1, "LO": 0, "HI": 0},
-                         random.Random(seed))
-            assert out == {"A": 0, "LO": 0, "HI": 1}
+            assert firings(net, seed) == ["T_HI"]
 
     def test_weight_proportional_choice(self):
+        # each time unit the token returns to A and the conflict is
+        # resolved again: 40,000 choices in one run
         net = PetriNet(
             places=(Place("A", 1), Place("X", 0), Place("Y", 0)),
             transitions=(
@@ -171,15 +199,15 @@ class TestVanish:
                            input_arcs=(Arc("A"),), output_arcs=(Arc("X"),)),
                 Transition("TY", Immediate(weight=3.0),
                            input_arcs=(Arc("A"),), output_arcs=(Arc("Y"),)),
+                Transition("BX", Deterministic(1.0),
+                           input_arcs=(Arc("X"),), output_arcs=(Arc("A"),)),
+                Transition("BY", Deterministic(1.0),
+                           input_arcs=(Arc("Y"),), output_arcs=(Arc("A"),)),
             ))
-        rng = random.Random(42)
-        trials = 100_000
-        hits = 0
-        start = {"A": 1, "X": 0, "Y": 0}
-        for _ in range(trials):
-            if vanish(net, start, rng)["X"] == 1:
-                hits += 1
-        assert abs(hits / trials - 0.25) < 0.01
+        names = firings(net, seed=42, batch_length=20_000.0)
+        hits, misses = names.count("TX"), names.count("TY")
+        assert hits + misses == 40_000
+        assert abs(hits / (hits + misses) - 0.25) < 0.01
 
     def test_livelock_detection(self, monkeypatch):
         monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
@@ -192,7 +220,23 @@ class TestVanish:
                            output_arcs=(Arc("A"),)),
             ))
         with pytest.raises(LivelockError):
-            vanish(net, {"A": 1, "B": 0}, random.Random(0))
+            firings(net)
+
+    def test_livelock_detection_after_a_timed_firing(self, monkeypatch):
+        # the start marking is tangible; the cycle begins once GO fires
+        monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
+        net = PetriNet(
+            places=(Place("S", 1), Place("A", 0), Place("B", 0)),
+            transitions=(
+                Transition("GO", Exponential(0.1), input_arcs=(Arc("S"),),
+                           output_arcs=(Arc("A"),)),
+                Transition("AB", Immediate(), input_arcs=(Arc("A"),),
+                           output_arcs=(Arc("B"),)),
+                Transition("BA", Immediate(), input_arcs=(Arc("B"),),
+                           output_arcs=(Arc("A"),)),
+            ))
+        with pytest.raises(LivelockError):
+            firings(net, batch_length=100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +268,31 @@ def arc_count(net, arc) -> int:
     if isinstance(arc.count, Constant):
         return arc.count.k
     return int(net.parameters[arc.count.name])
+
+
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def eval_predicate(pred, tokens, params) -> bool:
+    """Reference guard interpreter over a dict marking, for comparison with
+    the guard source the compiler generates."""
+    if isinstance(pred, Atom):
+        rhs = pred.rhs
+        if isinstance(rhs, IntRhs):
+            r = rhs.value
+        elif isinstance(rhs, ParamRhs):
+            r = params[rhs.name]
+        else:
+            r = tokens[rhs.place]
+        return _OPS[pred.op](tokens[pred.place], r)
+    if isinstance(pred, And):
+        return eval_predicate(pred.left, tokens, params) and \
+            eval_predicate(pred.right, tokens, params)
+    if isinstance(pred, Or):
+        return eval_predicate(pred.left, tokens, params) or \
+            eval_predicate(pred.right, tokens, params)
+    return not eval_predicate(pred.operand, tokens, params)
 
 
 def naive_degree(net, t, marking):
@@ -267,19 +336,19 @@ def test_enabled_set_matches_naive_reference(net, data):
         d = naive_degree(net, t, marking)
         if d > 0:
             expected[t.name] = d
-    assert enabled_set(net, marking) == expected
+    assert compiled_degrees(net, marking) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(net=small_nets(), data=st.data())
 def test_fire_applies_arc_deltas(net, data):
     marking = {n: data.draw(st.integers(0, 6), label=n) for n in place_names}
-    enabled = enabled_set(net, marking)
+    enabled = compiled_degrees(net, marking)
     if not enabled:
         return
     name = data.draw(st.sampled_from(sorted(enabled)))
     t = net.transition(name)
-    after, kappa = fire(net, marking, name)
+    after, kappa = compiled_fire(net, marking, name)
     assert (after, kappa) == naive_fire(net, t, marking)
     assert all(v >= 0 for v in after.values())
 
@@ -307,10 +376,10 @@ def test_generated_code_matches_naive_reference(name, net):
         marking = dict(zip(names, m))
         for t, ct in zip(net.transitions, cn.trans):
             want = naive_degree(net, t, marking)
-            assert cn.degree(ct, m) == want, (t.name, marking)
+            assert cn.degrees[ct.idx](m) == want, (t.name, marking)
             if want:
                 m2 = list(m)
-                kappa = cn.fire_inplace(ct, m2)
+                kappa = cn.fires[ct.idx](m2)
                 assert (dict(zip(names, m2)), kappa) == \
                     naive_fire(net, t, marking), (t.name, marking)
         enabled = [ct for t, ct in zip(net.transitions, cn.trans)
@@ -541,6 +610,10 @@ class TestStationarySimulation:
             SimConfig(confidence_level=1.0)
         with pytest.raises(ValueError):
             SimConfig(warmup_time=-1.0)
+        with pytest.raises(ValueError, match="batch_length"):
+            SimConfig(batch_length=math.nan)
+        with pytest.raises(ValueError, match="warmup_time"):
+            SimConfig(warmup_time=math.nan)
 
     @pytest.mark.parametrize("query", [
         ExpectedTokens("NOPE"), FiringRate("NOPE"),

@@ -123,7 +123,7 @@ class TestStructure:
         cfg = HlfConfig(eq=7, ep=3, oq=9, op=4, cq=11,
                         cp=5).with_arrival_rate(10.0)
         handle = build_hlf_net(cfg)
-        marking = handle.net.initial_marking()
+        marking = {p.name: p.initial_tokens for p in handle.net.places}
         for p in handle.endorser_queue_caps:
             assert marking[p] == 7
         for p in handle.endorser_proc_caps:

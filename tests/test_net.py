@@ -7,6 +7,7 @@ from hlfspn.spn import (
     Arc,
     Atom,
     Constant,
+    ContractViolationError,
     Deterministic,
     EvaluationError,
     Exponential,
@@ -21,11 +22,12 @@ from hlfspn.spn import (
     PetriNet,
     Place,
     PlaceRhs,
+    ProbabilityOf,
     Transition,
-    eval_predicate,
     predicate_places,
     validate_net,
 )
+from hlfspn.spn.engine import CompiledNet
 
 
 def two_place_net(*transitions, params=None):
@@ -59,8 +61,19 @@ class TestConstruction:
             Immediate(weight=0.0)
 
     def test_initial_marking(self):
-        net = two_place_net()
-        assert net.initial_marking() == {"A": 1, "B": 0}
+        cn = CompiledNet(two_place_net())
+        assert cn.place_names == ["A", "B"]
+        assert cn.initial == [1, 0]
+
+
+def holds(pred, tokens, params=None) -> int:
+    """A predicate's value in a marking, 1 or 0, as the compiled rate reward
+    ProbabilityOf(pred) computes it."""
+    cn = CompiledNet(PetriNet(
+        places=tuple(Place(name, k) for name, k in tokens.items()),
+        transitions=(), parameters=params or {}))
+    (value,) = cn.rewards([ProbabilityOf(pred)])(cn.initial)
+    return value
 
 
 class TestPredicates:
@@ -77,30 +90,28 @@ class TestPredicates:
     ])
     def test_comparison_table(self, op, rhs, expected):
         pred = Atom("A", op, IntRhs(rhs))
-        assert eval_predicate(pred, self.TOKENS, {}) is expected
+        assert holds(pred, self.TOKENS) == int(expected)
 
     def test_param_and_place_operands(self):
-        assert eval_predicate(Atom("A", "=", ParamRhs("N")),
-                              self.TOKENS, self.PARAMS)
-        assert eval_predicate(Atom("A", ">", PlaceRhs("B")),
-                              self.TOKENS, {})
+        assert holds(Atom("A", "=", ParamRhs("N")), self.TOKENS, self.PARAMS)
+        assert holds(Atom("A", ">", PlaceRhs("B")), self.TOKENS)
 
     def test_connectives(self):
         t = Atom("A", ">", IntRhs(0))
         f = Atom("B", ">", IntRhs(0))
-        assert eval_predicate(And(t, t), self.TOKENS, {})
-        assert not eval_predicate(And(t, f), self.TOKENS, {})
-        assert eval_predicate(Or(f, t), self.TOKENS, {})
-        assert not eval_predicate(Or(f, f), self.TOKENS, {})
-        assert eval_predicate(Not(f), self.TOKENS, {})
+        assert holds(And(t, t), self.TOKENS)
+        assert not holds(And(t, f), self.TOKENS)
+        assert holds(Or(f, t), self.TOKENS)
+        assert not holds(Or(f, f), self.TOKENS)
+        assert holds(Not(f), self.TOKENS)
 
     def test_unknown_names_raise(self):
+        with pytest.raises(ContractViolationError):
+            holds(Atom("Z", "=", IntRhs(0)), self.TOKENS)
         with pytest.raises(EvaluationError):
-            eval_predicate(Atom("Z", "=", IntRhs(0)), self.TOKENS, {})
-        with pytest.raises(EvaluationError):
-            eval_predicate(Atom("A", "=", ParamRhs("M")), self.TOKENS, {})
-        with pytest.raises(EvaluationError):
-            eval_predicate(Atom("A", "=", PlaceRhs("Z")), self.TOKENS, {})
+            holds(Atom("A", "=", ParamRhs("M")), self.TOKENS)
+        with pytest.raises(ContractViolationError):
+            holds(Atom("A", "=", PlaceRhs("Z")), self.TOKENS)
 
     def test_predicate_places_includes_rhs(self):
         pred = And(Atom("A", ">", PlaceRhs("B")), Atom("B", "=", IntRhs(0)))
