@@ -97,6 +97,11 @@ def _apply_overrides(spec, args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("jobs", "max_states"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise SpecError(f"--{flag.replace('_', '-')} {value}: "
+                                "must be at least 1")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "case-study":

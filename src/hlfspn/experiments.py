@@ -97,6 +97,12 @@ def _split_list(text: str) -> list[str]:
 # [sim] keys and the types of their values
 _SIM_TYPES = {f.name: int if f.type == "int" else float
               for f in fields(SimConfig)}
+# the sections of a spec and their keys; [base] takes model parameters
+_SECTION_KEYS = {
+    "base": None, "sim": _SIM_TYPES, "doe": ("factors", "response"),
+    "sweep": ("parameter", "values", "parameter2", "values2"),
+    "outputs": ("results", "metrics", "effects", "runs",
+                "interactions_prefix")}
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -105,6 +111,14 @@ def parse_experiment(text: str) -> ExperimentSpec:
         parser.read_string(text)
     except configparser.Error as exc:
         raise SpecError(f"spec parse error: {exc}") from exc
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise SpecError(f"unknown section [{section}]; expected "
+                            + ", ".join(f"[{s}]" for s in _SECTION_KEYS))
+        known = _SECTION_KEYS[section]
+        for key in parser[section] if known is not None else ():
+            if key not in known:
+                raise SpecError(f"[{section}] unknown key {key!r}")
 
     cfg = HlfConfig()
     mode = "effective"
@@ -121,11 +135,8 @@ def parse_experiment(text: str) -> ExperimentSpec:
     sim_kwargs = {}
     sim_items = parser.items("sim") if parser.has_section("sim") else []
     for key, val in sim_items:
-        kind = _SIM_TYPES.get(key)
-        if kind is None:
-            raise SpecError(f"[sim] unknown key {key!r}")
         try:
-            sim_kwargs[key] = kind(val)
+            sim_kwargs[key] = _SIM_TYPES[key](val)
         except ValueError as exc:
             raise SpecError(f"[sim] {key}: {exc}") from exc
     try:

@@ -363,7 +363,7 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     net = PetriNet(
         places=tuple(places),
         transitions=tuple(transitions),
-        parameters={"BLOCK": cfg.block_size, "TIME_OUT": cfg.timeout_s},
+        parameters={"BLOCK": cfg.block_size},
     )
     diags = validate_net(net)
     assert not diags, f"constructed net fails validation: {diags}"

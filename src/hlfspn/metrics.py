@@ -40,9 +40,6 @@ class MissingQueryError(SpnError):
             "result lacks required queries: "
             + ", ".join(str(q) for q in self.missing))
 
-    def __reduce__(self):
-        return type(self), (self.missing,)
-
 
 class UndefinedMetricError(SpnError):
     """A metric is undefined for the given inputs (e.g. the discard

@@ -44,9 +44,6 @@ class SingularGeneratorError(SpnError):
             "stationary solve failed: singular generator (the chain has "
             "more than one closed class)")
 
-    def __reduce__(self):
-        return type(self), ()
-
 
 class ExplosionError(SpnError):
     def __init__(self, count: int, max_states: int):
@@ -55,9 +52,6 @@ class ExplosionError(SpnError):
         super().__init__(
             f"tangible state space exceeds {max_states} states "
             f"(reached {count})")
-
-    def __reduce__(self):
-        return type(self), (self.count, self.max_states)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ of a timed transition drops, its newest pending firings are cancelled;
 whenever it grows, fresh firings are scheduled (a new exponential sample,
 or a full deterministic delay, per degree unit).
 
+Every firing takes one path through the event loop, from t = 0 on: an
+enabled immediate of highest priority, picked by weight, fires before the
+next timed event, so a vanishing start marking resolves like any other, its
+firings count toward the event cap, and LivelockError names a cycle's
+transitions.
+
 Compiling a net does once the work that would otherwise repeat on every
 firing: each transition gets generated enabling-degree and firing code
 specialised to its arcs, with its guard written into that code as a Python
@@ -78,17 +84,11 @@ class LivelockError(SpnError):
             "immediate-transition livelock; cycling transitions: "
             + ", ".join(sorted(set(self.transitions))))
 
-    def __reduce__(self):
-        return type(self), (self.transitions,)
-
 
 class DivergenceError(SpnError):
     def __init__(self, place: str):
         self.place = place
         super().__init__(f"place {place!r} exceeded {_TOKEN_LIMIT} tokens")
-
-    def __reduce__(self):
-        return type(self), (self.place,)
 
 
 class PartialResultError(SpnError):
@@ -96,9 +96,6 @@ class PartialResultError(SpnError):
         self.max_events = max_events
         self.result = result
         super().__init__(f"event cap of {max_events} exceeded")
-
-    def __reduce__(self):
-        return type(self), (self.max_events, self.result)
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +403,22 @@ def compile_net(net: PetriNet) -> CompiledNet:
     return CompiledNet(net)
 
 
-def _vanish_inplace(cn: CompiledNet, m: list[int], rng: random.Random,
-                    steps: list[Callable]) -> int:
-    """Fire immediates at time 0, each through its simulator step, until
-    none is enabled in m; returns the step count."""
-    n = 0
-    recent: list[str] = []
-    while True:
-        candidates = cn.top_immediates(cn.immediates, m)
-        if not candidates:
-            return n
-        ct = _pick_weighted(candidates, rng)
-        steps[ct.idx](m, 0.0)
-        n += 1
-        recent.append(ct.name)
-        if len(recent) > 64:
-            recent.pop(0)
-        if n > _MAX_IMMEDIATE_STEPS:
-            raise LivelockError(recent)
+def _cycle(cn: CompiledNet, m: list[int], rng: random.Random) -> list[str]:
+    """The names of up to 64 immediate firings played from m on a copy of
+    it, with no step, hook or reward: the cycle of a livelock."""
+    m = list(m)
+    names = []
+    for _ in range(64):
+        top = cn.top_immediates(cn.immediates, m)
+        if not top:
+            break
+        ct = _pick_weighted(top, rng)
+        cn.fires[ct.idx](m)
+        names.append(ct.name)
+    return names
 
 
 def _pick_weighted(candidates: list[_CTrans], rng: random.Random) -> _CTrans:
-    if len(candidates) == 1:
-        return candidates[0]
     total = 0.0
     for ct in candidates:
         total += ct.weight
@@ -689,53 +679,44 @@ class _Simulator:
         seq = 0
         now = 0.0
 
-        # initial vanishing, then every timed transition is scheduled
-        event_count = _vanish_inplace(cn, m, rng, steps)
+        # every timed transition is scheduled and every immediate is a
+        # candidate, so a vanishing start marking resolves like any other
         reconcile = cn.timed
-        pending: set[int] = set()
+        pending = set(cn.immediates)
+        event_count = 0
         imm_steps = 0
 
-        try:
-            while True:
-                # reconcile the schedules the last firing may have changed
-                for j in reconcile:
-                    d = degrees[j](m)
-                    if d > 1 and not infinite[j]:
-                        d = 1
-                    lst = sched[j]
-                    n = len(lst)
-                    while n > d:
-                        lst.pop()[3] = False
-                        n -= 1
-                    if n < d:
-                        rate = exp_rate[j]
-                        while n < d:
-                            e = [now + (expovariate(rate) if rate is not None
-                                        else delay[j]), seq, j, True]
-                            seq += 1
-                            push(heap, e)
-                            lst.append(e)
-                            n += 1
+        while True:
+            # reconcile the schedules the last firing may have changed
+            for j in reconcile:
+                d = degrees[j](m)
+                if d > 1 and not infinite[j]:
+                    d = 1
+                lst = sched[j]
+                n = len(lst)
+                while n > d:
+                    lst.pop()[3] = False
+                    n -= 1
+                if n < d:
+                    rate = exp_rate[j]
+                    while n < d:
+                        e = [now + (expovariate(rate) if rate is not None
+                                    else delay[j]), seq, j, True]
+                        seq += 1
+                        push(heap, e)
+                        lst.append(e)
+                        n += 1
 
-                # resolve immediates: the start marking was tangible, so
-                # only those the firings since then affect can be enabled
-                if pending:
-                    top = top_immediates(tuple(pending), m, pending)
-                    if top:
-                        ct = top[0] if len(top) == 1 \
-                            else _pick_weighted(top, rng)
-                        tid = ct.idx
-                        steps[tid](m, now)
-                        event_count += 1
-                        if event_count > max_events:
-                            raise PartialResultError(max_events)
-                        imm_steps += 1
-                        if imm_steps > max_imm:
-                            raise LivelockError([ct.name])
-                        reconcile = affects_timed[tid]
-                        pending |= affects_imm[tid]
-                        continue
-
+            # an enabled immediate fires first; pending holds those that can
+            # be enabled: all at the start, then those the firings affect
+            top = pending and top_immediates(tuple(pending), m, pending)
+            if top:
+                tid = top[0].idx if len(top) == 1 \
+                    else _pick_weighted(top, rng).idx
+                imm_steps += 1
+                if imm_steps > max_imm:
+                    raise LivelockError(_cycle(cn, m, rng))
+            else:
                 # next timed event, closing batches on the way
                 while True:
                     if heap:
@@ -766,16 +747,15 @@ class _Simulator:
                     raise AssertionError(
                         f"scheduled transition {trans[tid].name!r} is "
                         "disabled; schedule reconciliation bug")
-                steps[tid](m, now)
-                event_count += 1
-                if event_count > max_events:
-                    raise PartialResultError(max_events)
-                reconcile = affects_timed[tid]
-                pending.update(affects_imm[tid])
                 imm_steps = 0
-        except PartialResultError as exc:
-            raise PartialResultError(
-                cfg.max_events, result=self._finish(event_count)) from exc
+
+            steps[tid](m, now)
+            event_count += 1
+            if event_count > max_events:
+                raise PartialResultError(
+                    max_events, result=self._finish(event_count))
+            reconcile = affects_timed[tid]
+            pending.update(affects_imm[tid])
 
     def _close_batch(self, t: float, is_warmup: bool, m: list[int]) -> None:
         """Settle every rate reward at boundary time t, record the batch

@@ -11,8 +11,18 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 
+def _rebuild_error(cls, args, state):
+    exc = cls.__new__(cls, *args)  # sets exc.args
+    exc.__dict__.update(state)
+    return exc
+
+
 class SpnError(Exception):
-    """Base class for all net-related errors."""
+    """Base class for all net-related errors. It pickles as (type, args,
+    attributes) and unpickles without `__init__`, whatever that takes."""
+
+    def __reduce__(self):
+        return _rebuild_error, (type(self), self.args, self.__dict__)
 
 
 class EvaluationError(SpnError):

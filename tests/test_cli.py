@@ -17,6 +17,7 @@ from hlfspn.cli import (
 from hlfspn.experiments import CASE_STUDY_IDS, case_study_specs
 from hlfspn.metrics import MissingQueryError, UndefinedMetricError
 from hlfspn.spn import (
+    ContractViolationError,
     DivergenceError,
     EvaluationError,
     ExpectedTokens,
@@ -148,8 +149,16 @@ class TestRun:
      ["run"], "batch_length"),
     ("[base]\narrival_rate_tps = 20\n\n[sim]\nwarmup_time = nan\n",
      ["run"], "warmup_time"),
+    (None, ["case-study", "3", "--jobs", "0"], "--jobs"),
+    (TINY_SPEC, ["run", "--jobs", "-1"], "--jobs"),
+    (SOLVE_SPEC, ["solve", "--max-states", "0"], "--max-states"),
+    ("[base]\narrival_rate_tps = 20\n\n[Sim]\nbatch_count = 2\n",
+     ["run"], "[Sim]"),
+    (TINY_SPEC.replace("parameter =", "paramter2 = cp\nparameter ="),
+     ["run"], "paramter2"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
-        "confidence", "sim-nan-length", "sim-nan-warmup"])
+        "confidence", "sim-nan-length", "sim-nan-warmup", "jobs-0",
+        "jobs-negative", "max-states-0", "unknown-section", "unknown-key"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):
@@ -157,11 +166,14 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
         raise AssertionError("the input should be rejected before a run")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "solve_ctmc", no_run)
     if spec_text is not None:
         spec = tmp_path / "spec.ini"
         spec.write_text(spec_text)
         argv = [*argv, str(spec)]
-    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    if argv[0] != "solve":  # solve writes no file
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
@@ -356,6 +368,8 @@ class TestExitCodes:
     (SingularGeneratorError(), {}),
     (MissingQueryError([ExpectedTokens("Q")]),
      {"missing": [ExpectedTokens("Q")]}),
+    (ContractViolationError("unknown place 'Q'"), {}),
+    (UndefinedMetricError("effective arrival rate is zero"), {}),
 ])
 def test_errors_survive_pickling(error, attrs):
     # a --jobs worker's exception reaches the parent process pickled

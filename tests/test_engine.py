@@ -239,6 +239,69 @@ class TestVanish:
             firings(net, batch_length=100.0)
 
 
+def test_initial_immediates_count_toward_the_event_cap():
+    # four immediate firings at t = 0 and no timed transition
+    net = PetriNet(
+        places=(Place("A", 2), Place("B", 0), Place("C", 0)),
+        transitions=(
+            Transition("T1", Immediate(), input_arcs=(Arc("A"),),
+                       output_arcs=(Arc("B"),)),
+            Transition("T2", Immediate(), input_arcs=(Arc("B"),),
+                       output_arcs=(Arc("C"),)),
+        ))
+    with pytest.raises(PartialResultError) as exc_info:
+        simulate_stationary(net, [ExpectedTokens("C")],
+                            SimConfig(batch_count=2, max_events=1))
+    assert exc_info.value.result.event_count == 2
+
+
+@pytest.mark.parametrize("start", ["S", "A"], ids=["after-go", "at-zero"])
+def test_livelock_names_its_cycle(monkeypatch, start):
+    monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
+    net = PetriNet(
+        places=(Place("S", int(start == "S")), Place("A", int(start == "A")),
+                Place("B", 0)),
+        transitions=(
+            Transition("GO", Exponential(0.1), input_arcs=(Arc("S"),),
+                       output_arcs=(Arc("A"),)),
+            Transition("AB", Immediate(), input_arcs=(Arc("A"),),
+                       output_arcs=(Arc("B"),)),
+            Transition("BA", Immediate(), input_arcs=(Arc("B"),),
+                       output_arcs=(Arc("A"),)),
+        ))
+    with pytest.raises(LivelockError) as exc_info:
+        firings(net, batch_length=100.0)
+    assert set(exc_info.value.transitions) == {"AB", "BA"}
+    assert "cycling transitions: AB, BA" in str(exc_info.value)
+
+
+def test_vanishing_start_marking_matches_the_exact_solution():
+    # S starts marked and is vanishing: the weighted pick between TA and
+    # TB at t = 0 disables LEAK, which the loop has already scheduled
+    net = PetriNet(
+        places=(Place("S", 1), Place("A", 0), Place("B", 0)),
+        transitions=(
+            Transition("TA", Immediate(weight=1.0), input_arcs=(Arc("S"),),
+                       output_arcs=(Arc("A"),)),
+            Transition("TB", Immediate(weight=3.0), input_arcs=(Arc("S"),),
+                       output_arcs=(Arc("B"),)),
+            Transition("LEAK", Exponential(1.0), input_arcs=(Arc("S"),),
+                       output_arcs=(Arc("B"),)),
+            Transition("BACK_A", Exponential(1.0), input_arcs=(Arc("A"),),
+                       output_arcs=(Arc("S"),)),
+            Transition("BACK_B", Exponential(2.0), input_arcs=(Arc("B"),),
+                       output_arcs=(Arc("S"),)),
+        ))
+    queries = [ExpectedTokens("A"), FiringRate("TA"), FiringRate("LEAK")]
+    exact = ctmc.solve_ctmc(net, queries)
+    assert exact.value(queries[0]) == pytest.approx(1 / 7)
+    res = run(net, queries, warmup_time=0.0, batch_length=200.0,
+              confidence_level=0.999)
+    for q in queries:
+        assert abs(res.value(q) - exact.value(q)) <= res.halfwidth(q)
+    assert res.value(FiringRate("LEAK")) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Property tests: enabling and firing against a naive reference
 

@@ -140,7 +140,7 @@ class TestStructure:
     def test_parameters_exposed(self):
         cfg = HlfConfig(block_size=4, timeout_s=2.0).with_arrival_rate(10.0)
         handle = build_hlf_net(cfg)
-        assert handle.net.parameters == {"BLOCK": 4, "TIME_OUT": 2.0}
+        assert handle.net.parameters == {"BLOCK": 4}
 
     def test_in_progress_places_exist(self):
         handle = build_hlf_net(HlfConfig().with_arrival_rate(10.0))
