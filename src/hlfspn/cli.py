@@ -43,10 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "permissioned blockchain transaction flow.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mode = argparse.ArgumentParser(add_help=False)
-    mode.add_argument("--mode", choices=("literal", "effective"),
-                      default=None, help="MRT mode (default effective)")
-    common = argparse.ArgumentParser(add_help=False, parents=[mode])
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override the base random seed")
     common.add_argument("--jobs", type=int, default=1,
@@ -72,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--arrival-rate", type=float, default=None,
                        help="arrival rate in tps if [base] leaves it unset")
 
-    p_solve = sub.add_parser("solve", parents=[mode],
+    p_solve = sub.add_parser("solve",
                              help="exact CTMC rewards for a single-point spec")
     p_solve.add_argument("spec", help="experiment spec (INI), no sweep/doe")
     p_solve.add_argument("--max-states", type=int, default=50_000)
@@ -88,10 +85,7 @@ def _apply_overrides(spec, args):
             sim = replace(sim, confidence_level=args.confidence)
         except ValueError as exc:
             raise SpecError(f"--confidence {args.confidence}: {exc}") from exc
-    spec = replace(spec, sim=sim)
-    if args.mode is not None:
-        spec = replace(spec, mrt_mode=args.mode)
-    return spec
+    return replace(spec, sim=sim)
 
 
 def main(argv=None) -> int:
@@ -165,7 +159,7 @@ def _cmd_solve(args) -> int:
     handle = build_hlf_net(spec.base)
     result = solve_ctmc(handle.net, standard_queries(handle),
                         max_states=args.max_states)
-    report = metric_report(result, handle, mode=args.mode or spec.mrt_mode)
+    report = metric_report(result, handle)
     print(f"tangible states: {result.n_states}")
     for name in METRIC_NAMES:
         print(f"{name} = {getattr(report, name).value:.10g}")

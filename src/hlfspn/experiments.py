@@ -58,12 +58,17 @@ class SpecError(SpnError):
     """Malformed experiment spec."""
 
 
-def apply_param(cfg: HlfConfig, name: str, value) -> HlfConfig:
-    """Set one model parameter by (possibly aliased) name."""
+def _coerce(name: str, value) -> tuple[str, object]:
+    """coerce_field, raising SpecError."""
     try:
-        field, v = coerce_field(name, value)
+        return coerce_field(name, value)
     except ConfigError as exc:
         raise SpecError(str(exc)) from exc
+
+
+def apply_param(cfg: HlfConfig, name: str, value) -> HlfConfig:
+    """Set one model parameter by (possibly aliased) name."""
+    field, v = _coerce(name, value)
     return replace(cfg, **{field: v})
 
 
@@ -76,13 +81,19 @@ class ExperimentSpec:
     doe_response: str = "mrt_s"
     metrics: tuple[str, ...] = METRIC_NAMES
     outputs: dict = dc_field(default_factory=dict)
-    mrt_mode: str = "effective"
 
     def __post_init__(self):
         if self.sweep and self.doe_factors:
             raise SpecError("a spec may contain a sweep or a doe, not both")
-        if self.mrt_mode not in ("literal", "effective"):
-            raise SpecError(f"unknown MRT mode {self.mrt_mode!r}")
+        # two axes that set one field would run only the last one's values
+        names = [n for n, _ in self.sweep] + [f.name for f in self.doe_factors]
+        axes = {}
+        for name in names:
+            field = _coerce(name, 1)[0]  # 1 is valid for every parameter
+            if field in axes:
+                raise SpecError(f"{axes[field]!r} and {name!r} both set the "
+                                f"model parameter {field}")
+            axes[field] = name
         if self.doe_response not in METRIC_NAMES:
             raise SpecError(f"unknown response metric {self.doe_response!r}")
         for m in self.metrics:
@@ -121,12 +132,8 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 raise SpecError(f"[{section}] unknown key {key!r}")
 
     cfg = HlfConfig()
-    mode = "effective"
     if parser.has_section("base"):
         for key, val in parser.items("base"):
-            if key == "mrt_mode":
-                mode = val.strip()
-                continue
             try:
                 cfg = apply_param(cfg, key, val)
             except (SpecError, ConfigError) as exc:  # exc names the key
@@ -196,7 +203,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
     return ExperimentSpec(base=cfg, sim=sim, sweep=tuple(sweep),
                           doe_factors=tuple(doe_factors),
                           doe_response=doe_response,
-                          metrics=metrics, outputs=outputs, mrt_mode=mode)
+                          metrics=metrics, outputs=outputs)
 
 
 def load_experiment(path) -> ExperimentSpec:
@@ -206,19 +213,17 @@ def load_experiment(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # Point evaluation
 
-def evaluate_config(cfg: HlfConfig, sim: SimConfig,
-                    mode: str = "effective"
+def evaluate_config(cfg: HlfConfig, sim: SimConfig
                     ) -> tuple[MetricReport, SimulationResult, HlfNetHandle]:
     """Build, simulate, and score one configuration."""
     handle = build_hlf_net(cfg)
     result = simulate_stationary(handle.net, standard_queries(handle), sim)
-    report = metric_report(result, handle, mode=mode)
+    report = metric_report(result, handle)
     return report, result, handle
 
 
 def _point_worker(args):
-    cfg, sim, mode = args
-    report, result, _ = evaluate_config(cfg, sim, mode)
+    report, result, _ = evaluate_config(*args)
     return report, result.total_time, result.event_count
 
 
@@ -244,7 +249,7 @@ def run_points(spec: ExperimentSpec, points: Sequence[dict],
         for name, value in point.items():
             cfg = apply_param(cfg, name, value)
         sim = replace(spec.sim, seed=spec.sim.seed + i)
-        tasks.append((cfg, sim, spec.mrt_mode))
+        tasks.append((cfg, sim))
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -254,7 +259,7 @@ def run_points(spec: ExperimentSpec, points: Sequence[dict],
 
     return [ResultRow(point=point, report=report, seed=sim.seed,
                       simulated_time=ttime, event_count=events)
-            for point, (_, sim, _), (report, ttime, events)
+            for point, (_, sim), (report, ttime, events)
             in zip(points, tasks, outcomes)]
 
 
@@ -273,18 +278,25 @@ def write_rows_csv(path, rows: Sequence[ResultRow],
     for m in metrics:
         header += [m, m + "_ci"]
     header += ["seed", "simulated_time_s", "events"]
+    lines = []
+    for row in rows:
+        out = [_fmt(row.point[c]) for c in param_cols]
+        for m in metrics:
+            metric = getattr(row.report, m)
+            out += [_fmt(metric.value), _fmt(metric.ci)]
+        out += [row.seed, _fmt(row.simulated_time), row.event_count]
+        lines.append(out)
+    _write_csv(path, header, lines)
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header row and then rows, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            out = [_fmt(row.point[c]) for c in param_cols]
-            for m in metrics:
-                metric = getattr(row.report, m)
-                out += [_fmt(metric.value), _fmt(metric.ci)]
-            out += [row.seed, _fmt(row.simulated_time), row.event_count]
-            writer.writerow(out)
+        writer.writerows(rows)
 
 
 def _fmt(v) -> str:
@@ -311,28 +323,19 @@ def write_effects_csv(path, design, responses) -> None:
     table = effects(design, responses)
     ranking = {tuple(sorted(t)): r + 1
                for r, (t, _) in enumerate(table.ranking())}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "effect", "abs_rank"])
-        for term, eff in zip(table.terms, table.effects):
-            writer.writerow(["*".join(term), _fmt(eff),
-                             ranking[tuple(sorted(term))]])
+    _write_csv(path, ["term", "effect", "abs_rank"],
+               [["*".join(term), _fmt(eff), ranking[tuple(sorted(term))]]
+                for term, eff in zip(table.terms, table.effects)])
 
 
 def write_interaction_csv(path, design, responses, factor_a: str,
                           factor_b: str) -> None:
     cells = interaction_table(design, responses, factor_a, factor_b)
     names = {f.name: f for f in design.factors}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a_level", "b_level", "mean_response"])
-        for (sa, sb), mean in sorted(cells.items()):
-            writer.writerow([_fmt(names[factor_a].level(sa)),
-                             _fmt(names[factor_b].level(sb)), _fmt(mean)])
+    _write_csv(path, ["a_level", "b_level", "mean_response"],
+               [[_fmt(names[factor_a].level(sa)),
+                 _fmt(names[factor_b].level(sb)), _fmt(mean)]
+                for (sa, sb), mean in sorted(cells.items())])
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, jobs: int = 1) -> list[Path]:

@@ -8,6 +8,7 @@ timeout, and a broadcast commit to every committer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -77,12 +78,14 @@ class HlfConfig:
         for f in ("eq", "oq", "cq", "ep", "op", "cp"):
             if getattr(self, f) < 1:
                 raise ConfigError(f"capacity {f} must be >= 1")
-        for f in ("timeout_s", "te1", "te2", "te3", "te4", "te5", "te6",
-                  "te7", "te8"):
-            if not getattr(self, f) > 0:  # NaN fails too
-                raise ConfigError(f"{f} must be positive")
-        if self.arrival_delay_s is not None and not self.arrival_delay_s > 0:
-            raise ConfigError("arrival_delay_s must be positive")
+        if not self.timeout_s > 0:  # NaN fails too
+            raise ConfigError("timeout_s must be positive")
+        for f in ("te1", "te2", "te3", "te4", "te5", "te6", "te7", "te8"):
+            if not 0 < getattr(self, f) < math.inf:  # NaN fails too
+                raise ConfigError(f"{f} must be finite and positive")
+        if self.arrival_delay_s is not None and \
+                not 0 < self.arrival_delay_s < math.inf:
+            raise ConfigError("arrival_delay_s must be finite and positive")
         for f in ("arrival_dist", "timeout_dist"):
             if getattr(self, f) not in ("deterministic", "exponential"):
                 raise ConfigError(f"bad {f} {getattr(self, f)!r}")

@@ -7,18 +7,21 @@ each batch of the result's batch series, which gives the CI: the t-interval
 half-width of the per-batch values. An exact result has no batch series, so
 its CIs are 0.
 
-`dp_prob` is the fraction of arrivals discarded. The effective MRT still
-divides by lambda (1 - p_full), where p_full is the time-average
-probability that every endorser queue is full (T_DROP's guard holds). The
-two agree under Poisson arrivals (PASTA: Wolff, Oper. Res. 1982), but not
-under deterministic ones (ROADMAP item 1).
+The formulas are listed once, in CSV column order, in `_FORMULAS`, from
+which `METRIC_NAMES` is derived.
+
+`dp_prob` is the fraction of arrivals discarded. `mrt_s` divides the
+in-flight count by lambda (1 - p_full), where p_full is the time-average
+probability that every endorser queue is full (T_DROP's guard holds).
+p_full and `dp_prob` agree under Poisson arrivals (PASTA: Wolff, Oper. Res.
+1982), but not under deterministic ones (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .hlf import HlfNetHandle
 from .spn.engine import t_halfwidth
@@ -66,10 +69,6 @@ class MetricReport:
     timeout_call_rate: Metric
 
 
-METRIC_NAMES = ("mrt_s", "tip", "dp_prob", "u_end", "u_ord", "u_com",
-                "tp_tps", "block_call_rate", "timeout_call_rate")
-
-
 def all_queues_full(handle: HlfNetHandle) -> ProbabilityOf:
     """Time-average probability that every endorser queue is full, which
     is when T_DROP's guard holds."""
@@ -103,33 +102,18 @@ def discard_probability(v: Lookup, handle: HlfNetHandle) -> float:
     return v(FiringRate(handle.entry_drop)) / v(FiringRate(handle.arrival))
 
 
-_MRT_MODES = ("literal", "effective")
-
-
-def mrt(v: Lookup, handle: HlfNetHandle, mode: str = "effective") -> float:
-    """Little's-law mean response time.
-
-    "literal" divides the in-flight count by the offered rate; "effective"
-    (default) divides it by the offered rate times (1 - the time-average
-    probability that every endorser queue is full).
-    """
-    rate = handle.cfg.arrival_rate_tps
-    if mode == "effective":
-        rate = rate * (1.0 - v(all_queues_full(handle)))
+def mrt(v: Lookup, handle: HlfNetHandle) -> float:
+    """Little's-law mean response time: the in-flight count over the offered
+    rate times (1 - the time-average probability that every endorser queue
+    is full)."""
+    rate = handle.cfg.arrival_rate_tps * (1.0 - v(all_queues_full(handle)))
     return transactions_in_progress(v, handle) / rate
 
 
-def stage_utilization(v: Lookup, handle: HlfNetHandle, stage: str) -> float:
+def stage_utilization(v: Lookup, caps: Sequence[str], size: int) -> float:
     """Busy fraction of a stage's processing capacity, averaged over the
-    stage's nodes."""
-    cfg = handle.cfg
-    stages = {"endorse": (handle.endorser_proc_caps, cfg.ep),
-              "order": ((handle.orderer_proc_cap,), cfg.op),
-              "commit": (handle.committer_proc_caps, cfg.cp)}
-    if stage not in stages:
-        raise ValueError(f"unknown stage {stage!r}; expected one of "
-                         f"{tuple(stages)}")
-    caps, size = stages[stage]
+    stage's nodes: `caps` holds each node's free-slot place, and `size` is
+    the slots per node."""
     return sum((size - v(ExpectedTokens(p))) / size for p in caps) / len(caps)
 
 
@@ -151,36 +135,40 @@ def timeout_call_rate(v: Lookup, handle: HlfNetHandle) -> float:
     return v(ExpectedTokens(handle.partial_block)) / handle.cfg.te5
 
 
-def metric_report(result, handle: HlfNetHandle,
-                  mode: str = "effective") -> MetricReport:
+# every metric's formula over (v, handle), in CSV column order
+_FORMULAS: dict[str, Callable[[Lookup, HlfNetHandle], float]] = {
+    "mrt_s": mrt,
+    "tip": transactions_in_progress,
+    "dp_prob": discard_probability,
+    "u_end": lambda v, h: stage_utilization(v, h.endorser_proc_caps,
+                                            h.cfg.ep),
+    "u_ord": lambda v, h: stage_utilization(v, (h.orderer_proc_cap,),
+                                            h.cfg.op),
+    "u_com": lambda v, h: stage_utilization(v, h.committer_proc_caps,
+                                            h.cfg.cp),
+    "tp_tps": throughput,
+    "block_call_rate": block_call_rate,
+    "timeout_call_rate": timeout_call_rate,
+}
+METRIC_NAMES = tuple(_FORMULAS)
+
+
+def metric_report(result, handle: HlfNetHandle) -> MetricReport:
     """Every metric's value and CI half-width (see the module docstring).
 
     A formula that is undefined on some batch (dp_prob on a batch without
-    arrivals, or the effective MRT on one whose endorser queues are full
-    throughout) gets CI inf; one undefined on the point estimates raises
+    arrivals, or mrt_s on one whose endorser queues are full throughout)
+    gets CI inf; one undefined on the point estimates raises
     UndefinedMetricError.
     """
-    if mode not in _MRT_MODES:
-        raise ValueError(f"bad MRT mode {mode!r}")
     queries = standard_queries(handle)
     missing = [q for q in queries if not result.has(q)]
     if missing:
         raise MissingQueryError(missing)
     batches = [dict(zip(queries, values)) for values
                in zip(*(result.batch_values(q) for q in queries))]
-    formulas = {
-        "mrt_s": lambda v, h: mrt(v, h, mode),
-        "tip": transactions_in_progress,
-        "dp_prob": discard_probability,
-        "u_end": lambda v, h: stage_utilization(v, h, "endorse"),
-        "u_ord": lambda v, h: stage_utilization(v, h, "order"),
-        "u_com": lambda v, h: stage_utilization(v, h, "commit"),
-        "tp_tps": throughput,
-        "block_call_rate": block_call_rate,
-        "timeout_call_rate": timeout_call_rate,
-    }
     metrics = {}
-    for name, formula in formulas.items():
+    for name, formula in _FORMULAS.items():
         try:
             value = formula(result.value, handle)
         except ZeroDivisionError:

@@ -443,12 +443,12 @@ class SimConfig:
     max_events: int = 200_000_000
 
     def __post_init__(self):
-        if not self.warmup_time >= 0:  # NaN fails too
-            raise ValueError("warmup_time must be >= 0")
+        if not 0 <= self.warmup_time < math.inf:  # NaN fails too
+            raise ValueError("warmup_time must be finite and >= 0")
         if self.batch_count < 2:
             raise ValueError("batch_count must be >= 2")
-        if not self.batch_length > 0:  # NaN fails too
-            raise ValueError("batch_length must be positive")
+        if not 0 < self.batch_length < math.inf:  # NaN fails too
+            raise ValueError("batch_length must be finite and positive")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError("confidence_level must be in (0, 1)")
         if self.max_events < 1:

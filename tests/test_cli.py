@@ -2,7 +2,9 @@
 
 import csv
 import pickle
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -156,9 +158,26 @@ class TestRun:
      ["run"], "[Sim]"),
     (TINY_SPEC.replace("parameter =", "paramter2 = cp\nparameter ="),
      ["run"], "paramter2"),
+    ("[base]\narrival_rate_tps = 20\nmrt_mode = literal\n", ["run"],
+     "mrt_mode"),
+    (TINY_SPEC.replace("parameter = arrival_rate_tps", "parameter = cp")
+     .replace("values = 10, 20", "values = 2, 4\nparameter2 = CP\n"
+              "values2 = 4, 5"), ["run"], "'cp' and 'CP'"),
+    (TINY_SPEC.replace("values = 10, 20", "values = 10, 20\n"
+                       "parameter2 = arrival_rate_tps\nvalues2 = 4, 5"),
+     ["run"], "'arrival_rate_tps' and 'arrival_rate_tps'"),
+    ("[doe]\nfactors = arrival_rate_tps:10:20, ad:0.5:1\n", ["run"],
+     "'arrival_rate_tps' and 'ad'"),
+    ("[base]\narrival_rate_tps = 20\n\n[sim]\nwarmup_time = inf\n",
+     ["run"], "warmup_time"),
+    ("[base]\narrival_rate_tps = 20\n\n[sim]\nbatch_length = inf\n",
+     ["run"], "batch_length"),
+    ("[base]\narrival_rate_tps = 20\nte7 = inf\n", ["run"], "te7"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
         "confidence", "sim-nan-length", "sim-nan-warmup", "jobs-0",
-        "jobs-negative", "max-states-0", "unknown-section", "unknown-key"])
+        "jobs-negative", "max-states-0", "unknown-section", "unknown-key",
+        "mrt-mode", "sweep-alias", "sweep-same-name", "doe-alias",
+        "sim-inf-warmup", "sim-inf-length", "te7-inf"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):
@@ -185,14 +204,17 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
 def test_nan_model_parameter_is_a_parse_error(tmp_path, capsys, key):
     rate = "" if key == "arrival_delay_s" else "arrival_rate_tps = 20\n"
     spec = tmp_path / "spec.ini"
-    spec.write_text(f"[base]\n{rate}block_size = 6\n{key} = nan\n\n"
-                    "[sim]\nwarmup_time = 0\nbatch_count = 2\n"
-                    "batch_length = 2\n\n[outputs]\nresults = out.csv\n")
-    assert main(["run", str(spec), "--out-dir", str(tmp_path)]) == EXIT_PARSE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: ") and key in err[0]
-    assert not (tmp_path / "out.csv").exists()
+    # timeout_s = inf is accepted
+    for value in ("nan",) if key == "timeout_s" else ("nan", "inf"):
+        spec.write_text(f"[base]\n{rate}block_size = 6\n{key} = {value}\n\n"
+                        "[sim]\nwarmup_time = 0\nbatch_count = 2\n"
+                        "batch_length = 2\n\n[outputs]\nresults = out.csv\n")
+        assert main(["run", str(spec), "--out-dir", str(tmp_path)]) == \
+            EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and key in err[0]
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestExportDot:
@@ -257,32 +279,22 @@ class TestSolve:
         spec.write_text(TINY_SPEC)
         assert main(["solve", str(spec)]) == EXIT_PARSE
 
-    def test_mode_overrides_the_spec(self, tmp_path, monkeypatch):
-        modes = []
-        real = cli.metric_report
-
-        def spy(result, handle, mode):
-            modes.append(mode)
-            return real(result, handle, mode=mode)
-
-        monkeypatch.setattr(cli, "metric_report", spy)
-        spec = tmp_path / "spec.ini"
-        spec.write_text(SOLVE_SPEC)
-        assert main(["solve", str(spec)]) == EXIT_OK
-        assert main(["solve", str(spec), "--mode", "literal"]) == EXIT_OK
-        assert modes == ["effective", "literal"]
-
     @pytest.mark.parametrize("flags", [
         ["--jobs", "2"], ["--seed", "3"], ["--out-dir", "out"],
-        ["--confidence", "0.9"],
+        ["--confidence", "0.9"], ["--mode", "literal"],
     ])
     def test_simulation_flags_rejected_by_argparse(self, tmp_path, flags):
-        # an exact solve draws no samples and writes no CSV
+        # an exact solve draws no samples and writes no CSV; no subcommand
+        # takes an MRT mode
         spec = tmp_path / "spec.ini"
         spec.write_text(SOLVE_SPEC)
-        with pytest.raises(SystemExit) as info:
-            main(["solve", str(spec), *flags])
-        assert info.value.code == 2
+        commands = [["solve", str(spec)]]
+        if flags[0] == "--mode":
+            commands += [["run", str(spec)], ["case-study", "1"]]
+        for argv in commands:
+            with pytest.raises(SystemExit) as info:
+                main([*argv, *flags])
+            assert info.value.code == 2
 
 
 class TestCaseStudy:
@@ -297,10 +309,9 @@ class TestCaseStudy:
 
         monkeypatch.setattr(cli, "run_experiment", capture)
         assert main(["case-study", str(case_id), "--out-dir", str(tmp_path),
-                     "--mode", "literal", "--confidence", "0.9"]) == EXIT_OK
+                     "--confidence", "0.9"]) == EXIT_OK
         assert len(specs) == len(case_study_specs(case_id))
         for spec in specs:
-            assert spec.mrt_mode == "literal"
             assert spec.sim.confidence_level == 0.9
 
     def test_seed_overrides_the_catalog_seed(self, tmp_path, monkeypatch):
@@ -388,3 +399,12 @@ class TestParser:
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        commands = [shlex.split(line)[1:]
+                    for line in readme.read_text().splitlines()
+                    if line.startswith("hlfspn ")]
+        assert len(commands) >= 4
+        for argv in commands:
+            cli.build_parser().parse_args(argv)

@@ -677,6 +677,10 @@ class TestStationarySimulation:
             SimConfig(batch_length=math.nan)
         with pytest.raises(ValueError, match="warmup_time"):
             SimConfig(warmup_time=math.nan)
+        with pytest.raises(ValueError, match="batch_length"):
+            SimConfig(batch_length=math.inf)
+        with pytest.raises(ValueError, match="warmup_time"):
+            SimConfig(warmup_time=math.inf)
 
     @pytest.mark.parametrize("query", [
         ExpectedTokens("NOPE"), FiringRate("NOPE"),

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from hlfspn.doe import Factor
+from hlfspn.doe import Factor, factorial_design
 from hlfspn.experiments import (
     CASE_STUDY_IDS,
     ExperimentSpec,
@@ -15,6 +15,8 @@ from hlfspn.experiments import (
     run_doe,
     run_experiment,
     run_sweep,
+    write_effects_csv,
+    write_interaction_csv,
     write_rows_csv,
 )
 from hlfspn.hlf import HlfConfig
@@ -67,14 +69,10 @@ class TestParsing:
 
     def test_base_accepts_aliases_and_mrt_mode(self):
         spec = parse_experiment(
-            "[base]\nBLOCK = 5\nTIME_OUT = 2\nAD = 0.05\n"
-            "mrt_mode = literal\n")
+            "[base]\nBLOCK = 5\nTIME_OUT = 2\nAD = 0.05\n")
         assert spec.base.block_size == 5
         assert spec.base.timeout_s == 2.0
         assert spec.base.arrival_delay_s == 0.05
-        assert spec.mrt_mode == "literal"
-        with pytest.raises(SpecError):
-            parse_experiment("[base]\nmrt_mode = bogus\n")
 
     def test_inline_comments_are_not_part_of_values(self):
         # the form the module docstring's example uses
@@ -251,6 +249,29 @@ def test_fixed_seed_sweep_csv_is_pinned(tmp_path):
     # to it (or to the model) shows up here as changed bytes
     written = run_experiment(parse_experiment(GOLDEN_SPEC), tmp_path)
     assert written[0].read_bytes().decode() == GOLDEN_CSV
+
+
+def test_effects_and_interaction_csvs_are_pinned(tmp_path):
+    # a fixed design and synthetic responses: no simulation runs
+    design = factorial_design([Factor("block_size", 1, 10),
+                               Factor("timeout_s", 0.1, 100.0),
+                               Factor("cp", 2, 6)])
+    responses = [0.5, 2.0, 1.0, 8.0, 0.25, 4.0, 3.0, 10.0 / 3.0]
+    write_effects_csv(tmp_path / "effects.csv", design, responses)
+    write_interaction_csv(tmp_path / "interaction.csv", design, responses,
+                          "block_size", "cp")
+    assert (tmp_path / "effects.csv").read_bytes() == (
+        b"term,effect,abs_rank\r\n"
+        b"block_size,-0.2291666667,7\r\n"
+        b"timeout_s,2.145833333,3\r\n"
+        b"cp,3.145833333,1\r\n"
+        b"block_size*timeout_s,-1.104166667,4\r\n"
+        b"block_size*cp,-1.104166667,5\r\n"
+        b"timeout_s*cp,0.5208333333,6\r\n"
+        b"block_size*timeout_s*cp,-2.229166667,2\r\n")
+    assert (tmp_path / "interaction.csv").read_bytes() == (
+        b"a_level,b_level,mean_response\r\n"
+        b"1,2,0.75\r\n1,6,5\r\n10,2,1.625\r\n10,6,3.666666667\r\n")
 
 
 class TestCaseStudyCatalog:

@@ -69,6 +69,9 @@ class TestConfig:
     def test_nan_values_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             HlfConfig(**{field: math.nan})
+        if field != "timeout_s":  # an infinite timeout is accepted
+            with pytest.raises(ConfigError, match=field):
+                HlfConfig(**{field: math.inf})
 
     def test_nan_arrival_rate_rejected(self):
         with pytest.raises(ConfigError):

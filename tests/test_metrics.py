@@ -77,10 +77,9 @@ class TestFormulas:
         v = lookup(handle, {ExpectedTokens(handle.entry_place): 10.0,
                             all_queues_full(handle): 0.5,
                             FiringRate(handle.entry_drop): 10.0})
-        assert mrt(v, handle, mode="literal") == pytest.approx(0.2)
-        # effective: divided by 50 * (1 - P(all queues full)), not by
+        # divided by 50 * (1 - P(all queues full)), not by
         # 50 * (1 - dp_prob)
-        assert mrt(v, handle, mode="effective") == pytest.approx(0.4)
+        assert mrt(v, handle) == pytest.approx(0.4)
 
     def test_stage_utilization_is_busy_fraction(self, handle):
         # 2 of 6 commit slots free on node 1, 6 of 6 free on node 2
@@ -88,10 +87,8 @@ class TestFormulas:
             ExpectedTokens(handle.committer_proc_caps[0]): 2.0,
             ExpectedTokens(handle.committer_proc_caps[1]): 6.0,
         })
-        assert stage_utilization(v, handle, "commit") == \
-            pytest.approx(2.0 / 6.0)
-        with pytest.raises(ValueError):
-            stage_utilization(v, handle, "bogus")
+        assert stage_utilization(v, handle.committer_proc_caps,
+                                 handle.cfg.cp) == pytest.approx(2.0 / 6.0)
 
     def test_throughput_mean_over_committers(self, handle):
         v = lookup(handle, {
@@ -165,10 +162,6 @@ class TestReport:
         assert report.dp_prob.ci == pytest.approx(t_ci(dps))
         mrts = [t / 50.0 for t in tips]
         assert report.mrt_s.ci == pytest.approx(t_ci(mrts))
-
-    def test_bad_mode_raises(self, handle):
-        with pytest.raises(ValueError):
-            metric_report(ExactResult({}, n_states=1), handle, mode="bogus")
 
     def test_batch_without_arrival_gives_infinite_ci(self, handle):
         batches = {q: [0.0, 0.0, 0.0] for q in standard_queries(handle)}
