@@ -320,11 +320,14 @@ def run_doe(spec: ExperimentSpec, jobs: int = 1):
 
 
 def write_effects_csv(path, design, responses) -> None:
+    """One row per term: its effect and its rank by absolute effect, 1 for
+    the largest. Equal effects share a rank, and the ranks after them skip
+    as many places (standard competition ranking: 1, 2, 2, 4)."""
     table = effects(design, responses)
-    ranking = {tuple(sorted(t)): r + 1
-               for r, (t, _) in enumerate(table.ranking())}
+    sizes = [abs(e) for e in table.effects]
     _write_csv(path, ["term", "effect", "abs_rank"],
-               [["*".join(term), _fmt(eff), ranking[tuple(sorted(term))]]
+               [["*".join(term), _fmt(eff),
+                 1 + sum(s > abs(eff) for s in sizes)]
                 for term, eff in zip(table.terms, table.effects)])
 
 

@@ -6,9 +6,10 @@ solves pi Q = 0, sum(pi) = 1. Vanishing markings are eliminated on the fly
 firing, a depth-first search over the vanishing markings it leads to
 resolves each of them once, by priority and weight, into a distribution
 over tangible markings and the expected number of firings of each
-immediate transition on the way. The first step tests only the immediates
-the timed firing can have enabled. A vanishing loop raises LivelockError,
-even one that is left with probability 1.
+immediate transition on the way. Each conflict set comes from a scan the
+compiled net generates: the timed transition's own scan for the first
+step, the scan over all immediates after that. A vanishing loop raises
+LivelockError, even one that is left with probability 1.
 
 The normalised system is solved by GMRES with an incomplete-LU
 preconditioner; the complete LU takes its place when the incomplete
@@ -77,13 +78,14 @@ class ExactResult:
 _MAX_VANISHING = 100_000
 
 
-def _resolve_vanishing(cn: CompiledNet, m0: list[int], candidates=None):
+def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
     """Resolve the vanishing markings reached from m0, each one once.
 
     Returns (dist, counts): dist maps each tangible marking reached to its
     probability, counts each immediate transition index to its expected
-    number of firings on the way. `candidates` are the immediates that can
-    be enabled in m0 (all of them when None).
+    number of firings on the way. `scan` gives m0's conflict set: the
+    `CompiledNet.top_after` entry of the timed transition that led to m0,
+    or `top_all` when None; every later marking is scanned by `top_all`.
 
     An iterative depth-first search stores each vanishing marking's
     resolution once it has resolved all its successors, so a marking that
@@ -91,19 +93,18 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], candidates=None):
     the transitions on the loop, when the search reaches a marking it is
     still expanding, and when it visits more than _MAX_VANISHING distinct
     vanishing markings."""
-    top_immediates = cn.top_immediates
-    if candidates is None:
-        candidates = cn.immediates
+    top_all = cn.top_all
     key = tuple(m0)
-    cands = top_immediates(candidates, m0)
+    cands = (top_all if scan is None else scan)(m0)
     if not cands:
         return {key: 1.0}, {}
     fires = cn.fires
+    weights = cn.weights
     tangible: set[tuple] = set()
     memo: dict[tuple, tuple[dict, dict]] = {}
     # the markings being expanded: [marking, conflict set, total weight,
     # branches taken, dist, counts], and each one's depth in `path`
-    path = [[key, cands, sum(ct.weight for ct in cands), 0, {}, {}]]
+    path = [[key, cands, sum(weights[t] for t in cands), 0, {}, {}]]
     depth = {key: 0}
     while True:
         frame = path[-1]
@@ -115,15 +116,15 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], candidates=None):
             if not path:
                 return dist, counts
             parent = path[-1]
-            ct = parent[1][parent[3] - 1]
-            _add(parent[4], parent[5], ct.weight / parent[2], dist, counts)
+            tid = parent[1][parent[3] - 1]
+            _add(parent[4], parent[5], weights[tid] / parent[2], dist, counts)
             continue
-        ct = cands[i]
+        tid = cands[i]
         frame[3] = i + 1
-        p = ct.weight / total
-        counts[ct.idx] = counts.get(ct.idx, 0.0) + p
+        p = weights[tid] / total
+        counts[tid] = counts.get(tid, 0.0) + p
         m = list(key)
-        fires[ct.idx](m)
+        fires[tid](m)
         key = tuple(m)
         if key in tangible:
             dist[key] = dist.get(key, 0.0) + p
@@ -133,17 +134,18 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], candidates=None):
             _add(dist, counts, p, *done)
             continue
         if key in depth:
-            raise LivelockError([f[1][f[3] - 1].name
+            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
                                  for f in path[depth[key]:]])
-        cands = top_immediates(cn.immediates, m)
+        cands = top_all(m)
         if not cands:
             tangible.add(key)
             dist[key] = dist.get(key, 0.0) + p
             continue
         if len(memo) + len(path) >= _MAX_VANISHING:
-            raise LivelockError([f[1][f[3] - 1].name for f in path])
+            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
+                                 for f in path])
         depth[key] = len(path)
-        path.append([key, cands, sum(ct.weight for ct in cands), 0, {}, {}])
+        path.append([key, cands, sum(weights[t] for t in cands), 0, {}, {}])
 
 
 def _add(dist: dict, counts: dict, p: float, sub_dist: dict,
@@ -174,7 +176,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     reward = cn.rewards(rate_rewards)
 
     timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
-              ct.mean, cn.affects_imm[ct.idx])
+              ct.mean, cn.top_after[ct.idx])
              for ct in cn.trans if not ct.immediate]
 
     index: dict[tuple, int] = {}
@@ -204,7 +206,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     i = 0
     while i < len(states):
         m = states[i]
-        for tid, degree, fire, infinite, mean, affected in timed:
+        for tid, degree, fire, infinite, mean, scan in timed:
             d = degree(m)
             if not d:
                 continue
@@ -216,7 +218,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
             f_rates.append(rate)
             m2 = list(m)
             fire(m2)
-            dist, counts = _resolve_vanishing(cn, m2, affected)
+            dist, counts = _resolve_vanishing(cn, m2, scan)
             for mt, p in dist.items():
                 rows.append(i)
                 cols.append(intern(mt))

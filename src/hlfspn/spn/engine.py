@@ -18,6 +18,12 @@ specialised to its arcs, with its guard written into that code as a Python
 expression over the marking, and a precomputed list of the transitions
 whose enabling its firing may change. That list is the dependency graph of
 the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000).
+Each transition also gets the generated scan that gives the conflict set,
+the enabled immediates of highest priority, after it fires: over the
+immediates its firing can enable when it is timed, since it fires only
+where no immediate is enabled, and over all immediates when it is
+immediate. The simulator and the CTMC generator both take their conflict
+sets from these scans.
 
 Queries are Markov rewards of two kinds (Ciardo, Blakemore, Chimento,
 Muppala & Trivedi, 1993). A rate reward, ExpectedTokens or ProbabilityOf, is
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from heapq import heappop, heappush
-from operator import attrgetter
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
@@ -103,7 +108,7 @@ class PartialResultError(SpnError):
 
 class _CTrans:
     __slots__ = ("idx", "name", "const_in", "flush_in", "const_out",
-                 "flushed_out", "guard", "immediate", "priority", "weight",
+                 "flushed_out", "guard", "immediate", "priority",
                  "exponential", "mean", "det_delay", "infinite", "touched")
 
     def __init__(self):
@@ -111,21 +116,50 @@ class _CTrans:
         self.det_delay = None
 
 
-_by_index = attrgetter("idx")
+def _enabled_source(ct: _CTrans) -> str:
+    """Whether ct is enabled in marking m, as a Python expression: its arc
+    thresholds, then its guard, which is pure, so the order does not change
+    the result."""
+    conds = [f"m[{p:d}]" for p in ct.flush_in]
+    conds += [f"m[{p:d}]" if k == 1 else f"m[{p:d}] >= {k:d}"
+              for p, k in ct.const_in]
+    if ct.guard:
+        conds.append(ct.guard)
+    return " and ".join(conds) or "True"
+
+
+def _scan_source(name: str, cands: list[_CTrans]) -> list[str]:
+    """`def <name>(m)`: the enabled immediates of highest priority among
+    cands (in index order), the conflict set that weight resolves, as a
+    tuple of transition indices in index order; () when none is enabled.
+    The priority levels are tested in descending order, and the first level
+    with an enabled member is returned."""
+    levels: dict[int, list[_CTrans]] = {}
+    for ct in cands:
+        levels.setdefault(ct.priority, []).append(ct)
+    lines = [f"def {name}(m):"]
+    for prio in sorted(levels, reverse=True):
+        first, *rest = levels[prio]
+        if not rest:
+            lines.append(f"    if {_enabled_source(first)}: "
+                         f"return ({first.idx:d},)")
+            continue
+        lines.append(f"    t = ({first.idx:d},) if {_enabled_source(first)} "
+                     "else ()")
+        for ct in rest:
+            lines.append(f"    if {_enabled_source(ct)}: t += ({ct.idx:d},)")
+        lines.append("    if t: return t")
+    lines.append("    return ()")
+    return lines
 
 
 def _degree_source(ct: _CTrans) -> list[str]:
     """`def _D<i>(m)`: the enabling degree of ct in marking m (0 =
-    disabled). Arc thresholds are tested before the guard, which is pure,
-    so the order does not change the result."""
+    disabled): 1 or 0 for a transition with FlushAll inputs or no input,
+    and otherwise the number of times its constant inputs are covered."""
     lines = [f"def _D{ct.idx:d}(m):"]
     if ct.flush_in or not ct.const_in:
-        for p in ct.flush_in:
-            lines.append(f"    if not m[{p:d}]: return 0")
-        for p, k in ct.const_in:
-            lines.append(f"    if m[{p:d}] < {k:d}: return 0")
-        lines.append(f"    return 1 if {ct.guard} else 0" if ct.guard
-                     else "    return 1")
+        lines.append(f"    return 1 if {_enabled_source(ct)} else 0")
         return lines
     for n, (p, k) in enumerate(ct.const_in):
         q = f"m[{p:d}]" if k == 1 else f"m[{p:d}] // {k:d}"
@@ -165,8 +199,8 @@ def _fire_source(ct: _CTrans) -> list[str]:
 
 class CompiledNet:
     """Index-based form of a PetriNet with parameters resolved, its
-    enabling and firing code generated per transition, and its dependency
-    graph precomputed."""
+    enabling and firing code and its conflict scans generated per
+    transition, and its dependency graph precomputed."""
 
     def __init__(self, net: PetriNet):
         diags = validate_net(net)
@@ -207,12 +241,10 @@ class CompiledNet:
             ct.immediate = t.is_immediate
             if isinstance(t.kind, Immediate):
                 ct.priority = t.kind.priority
-                ct.weight = t.kind.weight
                 ct.exponential = False
                 ct.infinite = False
             else:
                 ct.priority = 0
-                ct.weight = 0.0
                 ct.exponential = isinstance(t.kind, Exponential)
                 ct.mean = t.kind.mean_delay if ct.exponential else 0.0
                 if isinstance(t.kind, Deterministic):
@@ -258,11 +290,32 @@ class CompiledNet:
         lines = []
         for ct in self.trans:
             lines += _degree_source(ct) + _fire_source(ct)
+        # one conflict scan per distinct candidate set: after a timed
+        # firing, which happens only in a marking where no immediate is
+        # enabled, the immediates it affects; after an immediate firing,
+        # all of them, since lower-priority immediates may have been
+        # enabled before it
+        every = frozenset(self.immediates)
+        after = [every if ct.immediate else self.affects_imm[ct.idx]
+                 for ct in self.trans]
+        scan_names: dict[frozenset[int], str] = {}
+        for key in (every, *after):
+            if key not in scan_names:
+                scan_names[key] = name = f"_T{len(scan_names):d}"
+                lines += _scan_source(name, [self.trans[j]
+                                             for j in sorted(key)])
         exec(compile("\n".join(lines) + "\n", "<hlfspn generated>",
                      "exec"), ns)
         n = len(self.trans)
         self.degrees: list[Callable] = [ns[f"_D{i}"] for i in range(n)]
         self.fires: list[Callable] = [ns[f"_F{i}"] for i in range(n)]
+        # the conflict set in marking m: top_all(m) among every immediate,
+        # top_after[i](m) among those that can be enabled after i fired
+        self.top_all: Callable = ns[scan_names[every]]
+        self.top_after: list[Callable] = [ns[scan_names[key]]
+                                          for key in after]
+        self.weights = [t.kind.weight if t.is_immediate else 0.0
+                        for t in net.transitions]
 
     def _negative(self, i: int, p: int) -> ContractViolationError:
         return ContractViolationError(
@@ -372,31 +425,6 @@ class CompiledNet:
                 rates.append(q)
         return rates, slots
 
-    def top_immediates(self, candidates, m: list[int],
-                       prune: Optional[set] = None) -> list[_CTrans]:
-        """The enabled immediates of highest priority among `candidates`
-        (transition indices, in any order), in index order: the conflict
-        set that priority and weight resolve. Disabled candidates are
-        removed from `prune` when it is given; it must not be
-        `candidates` itself."""
-        degrees = self.degrees
-        trans = self.trans
-        best_prio = 0
-        top: list[_CTrans] = []
-        for tid in candidates:
-            if degrees[tid](m):
-                ct = trans[tid]
-                if not top or ct.priority > best_prio:
-                    best_prio = ct.priority
-                    top = [ct]
-                elif ct.priority == best_prio:
-                    top.append(ct)
-            elif prune is not None:
-                prune.discard(tid)
-        if len(top) > 1:
-            top.sort(key=_by_index)
-        return top
-
 
 def compile_net(net: PetriNet) -> CompiledNet:
     """The compiled form of a net; each call compiles it afresh."""
@@ -409,25 +437,31 @@ def _cycle(cn: CompiledNet, m: list[int], rng: random.Random) -> list[str]:
     m = list(m)
     names = []
     for _ in range(64):
-        top = cn.top_immediates(cn.immediates, m)
+        top = cn.top_all(m)
         if not top:
             break
-        ct = _pick_weighted(top, rng)
-        cn.fires[ct.idx](m)
-        names.append(ct.name)
+        tid = _pick(top, cn.weights, rng)
+        cn.fires[tid](m)
+        names.append(cn.trans[tid].name)
     return names
 
 
-def _pick_weighted(candidates: list[_CTrans], rng: random.Random) -> _CTrans:
+def _pick(top: tuple[int, ...], weights: list[float],
+          rng: random.Random) -> int:
+    """One transition of the conflict set top, with probability
+    proportional to its weight; one rng.random() draw, made only when
+    there is a choice."""
+    if len(top) == 1:
+        return top[0]
     total = 0.0
-    for ct in candidates:
-        total += ct.weight
+    for tid in top:
+        total += weights[tid]
     x = rng.random() * total
-    for ct in candidates:
-        x -= ct.weight
+    for tid in top:
+        x -= weights[tid]
         if x < 0.0:
-            return ct
-    return candidates[-1]
+            return tid
+    return top[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +693,8 @@ class _Simulator:
         degrees = cn.degrees
         steps = self.steps
         affects_timed = cn.affects_timed
-        affects_imm = cn.affects_imm
-        top_immediates = cn.top_immediates
+        top_after = cn.top_after
+        weights = cn.weights
         infinite = [ct.infinite for ct in trans]
         exp_rate = [1.0 / ct.mean if ct.exponential else None
                     for ct in trans]
@@ -679,10 +713,10 @@ class _Simulator:
         seq = 0
         now = 0.0
 
-        # every timed transition is scheduled and every immediate is a
-        # candidate, so a vanishing start marking resolves like any other
+        # every timed transition is scheduled and every immediate is
+        # scanned, so a vanishing start marking resolves like any other
         reconcile = cn.timed
-        pending = set(cn.immediates)
+        top = cn.top_all(m)
         event_count = 0
         imm_steps = 0
 
@@ -707,12 +741,9 @@ class _Simulator:
                         lst.append(e)
                         n += 1
 
-            # an enabled immediate fires first; pending holds those that can
-            # be enabled: all at the start, then those the firings affect
-            top = pending and top_immediates(tuple(pending), m, pending)
+            # an enabled immediate of the conflict set fires first
             if top:
-                tid = top[0].idx if len(top) == 1 \
-                    else _pick_weighted(top, rng).idx
+                tid = top[0] if len(top) == 1 else _pick(top, weights, rng)
                 imm_steps += 1
                 if imm_steps > max_imm:
                     raise LivelockError(_cycle(cn, m, rng))
@@ -755,7 +786,7 @@ class _Simulator:
                 raise PartialResultError(
                     max_events, result=self._finish(event_count))
             reconcile = affects_timed[tid]
-            pending.update(affects_imm[tid])
+            top = top_after[tid](m)
 
     def _close_batch(self, t: float, is_warmup: bool, m: list[int]) -> None:
         """Settle every rate reward at boundary time t, record the batch

@@ -121,3 +121,40 @@ def flush_net() -> PetriNet:
         ),
         parameters={"BATCH": 3},
     )
+
+
+def priority_net() -> PetriNet:
+    """A job routed by immediates at three priority levels: TAKE_Z (3)
+    while FLAG is marked, else TO_X or TO_Y (2, weights 1 and 2) while
+    X or Y is empty, else SPILL (1)."""
+    return PetriNet(
+        places=(Place("IDLE", 4), Place("J", 0), Place("FLAG", 1),
+                Place("X", 0), Place("Y", 0), Place("Z", 0)),
+        transitions=(
+            Transition("ARRIVE", Exponential(1.0),
+                       input_arcs=(Arc("IDLE"),),
+                       output_arcs=(Arc("J"),)),
+            Transition("TAKE_Z", Immediate(priority=3),
+                       input_arcs=(Arc("J"), Arc("FLAG")),
+                       output_arcs=(Arc("Z"),)),
+            Transition("TO_X", Immediate(priority=2, weight=1.0),
+                       input_arcs=(Arc("J"),),
+                       output_arcs=(Arc("X"),),
+                       guard=Atom("X", "<", IntRhs(1))),
+            Transition("TO_Y", Immediate(priority=2, weight=2.0),
+                       input_arcs=(Arc("J"),),
+                       output_arcs=(Arc("Y"),),
+                       guard=Atom("Y", "<", IntRhs(1))),
+            Transition("SPILL", Immediate(priority=1),
+                       input_arcs=(Arc("J"),),
+                       output_arcs=(Arc("IDLE"),)),
+            Transition("BACK_X", Exponential(2.0),
+                       input_arcs=(Arc("X"),),
+                       output_arcs=(Arc("IDLE"),)),
+            Transition("BACK_Y", Exponential(1.5),
+                       input_arcs=(Arc("Y"),),
+                       output_arcs=(Arc("IDLE"),)),
+            Transition("BACK_Z", Exponential(3.0),
+                       input_arcs=(Arc("Z"),),
+                       output_arcs=(Arc("IDLE"), Arc("FLAG"))),
+        ))

@@ -37,7 +37,8 @@ from hlfspn.spn.ctmc import _resolve_vanishing
 from hlfspn.spn.engine import compile_net
 
 from queueing import mm1k, mmck
-from refnets import branch_net, flush_net, mm1k_net, mmck_net, tandem_net
+from refnets import (branch_net, flush_net, mm1k_net, mmck_net, priority_net,
+                     tandem_net)
 from test_cli import SOLVE_SPEC
 from test_hlf import littles_law_pairs
 
@@ -264,20 +265,20 @@ def naive_resolve(cn, m0: list[int], max_steps: int = 10 ** 6):
     steps = 0
     while stack:
         m, pr, counts = stack.pop()
-        cands = cn.top_immediates(cn.immediates, m)
+        cands = cn.top_all(m)
         if not cands:
             outcomes.append((tuple(m), pr, counts))
             continue
-        total_w = sum(ct.weight for ct in cands)
-        for ct in cands:
+        total_w = sum(cn.weights[tid] for tid in cands)
+        for tid in cands:
             m2 = list(m)
-            cn.fires[ct.idx](m2)
+            cn.fires[tid](m2)
             c2 = dict(counts)
-            c2[ct.idx] = c2.get(ct.idx, 0.0) + 1.0
-            stack.append((m2, pr * ct.weight / total_w, c2))
+            c2[tid] = c2.get(tid, 0.0) + 1.0
+            stack.append((m2, pr * cn.weights[tid] / total_w, c2))
         steps += len(cands)
         if steps > max_steps:
-            raise LivelockError([ct.name for ct in cands])
+            raise LivelockError([cn.trans[tid].name for tid in cands])
     return outcomes
 
 
@@ -311,10 +312,11 @@ def assert_close(got: dict, want: dict) -> None:
     tandem_net,
     branch_net,
     flush_net,
+    priority_net,
     lambda: small_hlf_net(2),
     lambda: small_hlf_net(3),
-], ids=["mm1k", "mmck", "tandem", "branch", "flush", "hlf-block2",
-        "hlf-block3"])
+], ids=["mm1k", "mmck", "tandem", "branch", "flush", "priority",
+        "hlf-block2", "hlf-block3"])
 def test_resolution_matches_path_enumeration(make):
     """From every tangible state, after every timed firing, the resolver
     gives the merged distribution and expected immediate counts of the
@@ -335,7 +337,7 @@ def test_resolution_matches_path_enumeration(make):
             m2 = list(m)
             cn.fires[tid](m2)
             dist, counts = _resolve_vanishing(cn, list(m2),
-                                              cn.affects_imm[tid])
+                                              cn.top_after[tid])
             want_dist, want_counts = naive_merged(cn, m2)
             assert_close(dist, want_dist)
             assert_close(counts, want_counts)

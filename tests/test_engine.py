@@ -52,7 +52,8 @@ from hlfspn.spn import ctmc, engine
 from hlfspn.spn.engine import CompiledNet, compile_net
 
 from queueing import mm1k, mmck
-from refnets import branch_net, flush_net, mm1k_net, mmck_net, tandem_net
+from refnets import (branch_net, flush_net, mm1k_net, mmck_net, priority_net,
+                     tandem_net)
 from test_acceptance import degenerate_endorse_config
 
 
@@ -188,6 +189,24 @@ class TestVanish:
             ))
         for seed in range(20):
             assert firings(net, seed) == ["T_HI"]
+
+    def test_lower_priority_immediate_fires_after_a_higher_one(self):
+        # HI and LO share no place: HI's firing cannot enable LO, which was
+        # enabled before it and must still fire at t = 0
+        net = PetriNet(
+            places=(Place("A", 1), Place("B", 1), Place("X", 0),
+                    Place("Y", 0)),
+            transitions=(
+                Transition("LO", Immediate(priority=1),
+                           input_arcs=(Arc("B"),), output_arcs=(Arc("Y"),)),
+                Transition("HI", Immediate(priority=2),
+                           input_arcs=(Arc("A"),), output_arcs=(Arc("X"),)),
+            ))
+        seen = []
+        simulate_stationary(
+            net, [], SimConfig(batch_count=2),
+            on_fire=lambda name, m, now: seen.append((name, m, now)))
+        assert seen == [("HI", (0, 1, 1, 0), 0.0), ("LO", (0, 0, 1, 1), 0.0)]
 
     def test_weight_proportional_choice(self):
         # each time unit the token returns to A and the conflict is
@@ -425,7 +444,7 @@ def hlf_nets():
 
 NETS = [("mm1k", mm1k_net(8.0, 10.0, 5)), ("mmck", mmck_net(6.0, 2.0, 3, 7)),
         ("tandem", tandem_net()), ("branch", branch_net()),
-        ("flush", flush_net()), *hlf_nets()]
+        ("flush", flush_net()), ("priority", priority_net()), *hlf_nets()]
 
 
 @pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
@@ -447,9 +466,19 @@ def test_generated_code_matches_naive_reference(name, net):
                     naive_fire(net, t, marking), (t.name, marking)
         enabled = [ct for t, ct in zip(net.transitions, cn.trans)
                    if ct.immediate and naive_degree(net, t, marking)]
-        best = max((ct.priority for ct in enabled), default=None)
-        want_top = [ct for ct in enabled if ct.priority == best]
-        assert cn.top_immediates(reversed(cn.immediates), m) == want_top
+        assert cn.top_all(m) == naive_top(enabled), marking
+        for ct in cn.trans:
+            # after a timed firing, only the immediates it affects
+            cands = cn.immediates if ct.immediate else cn.affects_imm[ct.idx]
+            assert cn.top_after[ct.idx](m) == naive_top(
+                [e for e in enabled if e.idx in cands]), (ct.name, marking)
+
+
+def naive_top(enabled) -> tuple[int, ...]:
+    """The indices of the enabled immediates of highest priority, in
+    index order."""
+    best = max((ct.priority for ct in enabled), default=None)
+    return tuple(sorted(ct.idx for ct in enabled if ct.priority == best))
 
 
 def test_hlf_nets_cover_every_arc_kind():

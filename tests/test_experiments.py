@@ -266,7 +266,7 @@ def test_effects_and_interaction_csvs_are_pinned(tmp_path):
         b"timeout_s,2.145833333,3\r\n"
         b"cp,3.145833333,1\r\n"
         b"block_size*timeout_s,-1.104166667,4\r\n"
-        b"block_size*cp,-1.104166667,5\r\n"
+        b"block_size*cp,-1.104166667,4\r\n"
         b"timeout_s*cp,0.5208333333,6\r\n"
         b"block_size*timeout_s*cp,-2.229166667,2\r\n")
     assert (tmp_path / "interaction.csv").read_bytes() == (
