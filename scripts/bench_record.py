@@ -9,11 +9,12 @@ The workloads, the run length and the end-to-end metrics are those the
 change side's BENCHMARK.json declares. For every workload, pair k (of
 PAIRS) runs the parent and the change untraced for the declared
 run_seconds with seed SEED + k, alternating which side runs first. Then
-each side makes one traced run (--trace 1) with TRACE_SEED. The file
-records the machine, the Python version, every run's end-to-end metrics,
-the median and quartiles per side, how many pairs the change won (by
-each metric's declared `better` direction), and the traced per-layer
-metrics of both sides.
+TRACE_PAIRS traced pairs (--trace 1) run with TRACE_SEED, again alternating
+which side runs first, so that one run's host noise does not decide a
+per-layer comparison. The file records the machine, the Python version,
+every run's end-to-end metrics, the median and quartiles per side, how
+many pairs the change won (by each metric's declared `better` direction),
+and each side's per-layer metrics as the median over its traced runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+TRACE_PAIRS = 5
 TRACE_SEED = 101
 
 
@@ -48,9 +50,20 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float,
     return out
 
 
+def first_side(k: int) -> tuple[str, str]:
+    """The order in which pair k runs the two sides."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
 def spread(values: list) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def medians(runs: list) -> dict:
+    """Each metric's median over runs that report the same metrics."""
+    return {name: statistics.median(run[name] for run in runs)
+            for name in runs[0]}
 
 
 def main(argv=None) -> int:
@@ -76,10 +89,8 @@ def main(argv=None) -> int:
         pairs = []
         for k in range(PAIRS):
             seed = args.seed + k
-            order = ("parent", "change") if k % 2 == 0 else \
-                ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
+            pair = {"seed": seed, "first": first_side(k)[0]}
+            for side in first_side(k):
                 res = run_bench(sides[side], workload, seed, seconds, 0)
                 pair[side] = {"correct": res["correct"],
                               "attempted": res["attempted"],
@@ -97,12 +108,17 @@ def main(argv=None) -> int:
                 sign * (p["change"][name] - p["parent"][name]) > 0
                 for p in pairs)
             summary[name]["pairs"] = len(pairs)
-        traced = {side: run_bench(sides[side], workload, TRACE_SEED,
-                                  seconds, 1)["metrics"]
-                  for side in sides}
+        traced = {side: [] for side in sides}
+        for k in range(TRACE_PAIRS):
+            for side in first_side(k):
+                traced[side].append(run_bench(sides[side], workload,
+                                              TRACE_SEED, seconds, 1)
+                                    ["metrics"])
         record["workloads"][workload] = {
             "summary": summary, "pairs": pairs,
-            "traced": {"seed": TRACE_SEED, **traced}}
+            "traced": {"seed": TRACE_SEED, "pairs": TRACE_PAIRS,
+                       **{side: medians(runs)
+                          for side, runs in traced.items()}}}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -21,6 +21,7 @@ from .experiments import (
     CASE_STUDY_IDS,
     SpecError,
     case_study_specs,
+    configure,
     load_experiment,
     run_experiment,
 )
@@ -78,13 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(spec, args):
     sim = spec.sim
-    if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
-    if args.confidence is not None:
-        try:
-            sim = replace(sim, confidence_level=args.confidence)
-        except ValueError as exc:
-            raise SpecError(f"--confidence {args.confidence}: {exc}") from exc
+    for flag, key in (("seed", "seed"), ("confidence", "confidence_level")):
+        value = getattr(args, flag)
+        if value is not None:
+            sim = configure(sim, [(key, value)], f"--{flag} {value}: ")
     return replace(spec, sim=sim)
 
 
@@ -148,7 +146,8 @@ def _cmd_export_dot(args) -> int:
     cfg = _load_point(args).base
     if cfg.arrival_delay_s is None:
         rate = args.arrival_rate if args.arrival_rate is not None else 100.0
-        cfg = cfg.with_arrival_rate(rate)
+        cfg = configure(cfg, [("arrival_rate_tps", rate)],
+                        f"--arrival-rate {rate}: ")
     handle = build_hlf_net(cfg)
     sys.stdout.write(to_dot(handle.net))
     return EXIT_OK

@@ -28,11 +28,13 @@ Specs are INI documents::
     results = results.csv
     metrics = mrt_s, tp_tps  # optional; default: all
 
-A sweep's points (the cartesian product of its axes) and a DoE's 2^k
-corners (standard order) are evaluated by one runner, `run_points`. Points
-run independently (optionally in parallel); rows always come back in point
-order with a per-point seed of base seed + index, so a spec plus seed
-reproduces byte-identical CSVs.
+Every key and value, in a section, a sweep, a DoE level or a command-line
+flag, is read by one function, `configure`, and every point is checked when
+the spec is built. A sweep's points (the cartesian product of its axes) and
+a DoE's 2^k corners (standard order), `ExperimentSpec.points`, are
+evaluated by one runner, `run_points`. Points run independently (optionally
+in parallel); rows always come back in point order with a per-point seed of
+base seed + index, so a spec plus seed reproduces byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields, replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
 from .doe import (DesignError, Factor, effects, factorial_design,
                   interaction_table)
-from .hlf import (ConfigError, HlfConfig, HlfNetHandle, build_hlf_net,
-                  coerce_field)
+from .hlf import ConfigError, HlfConfig, HlfNetHandle, build_hlf_net
 from .metrics import METRIC_NAMES, MetricReport, metric_report, standard_queries
 from .spn.engine import SimConfig, SimulationResult, simulate_stationary
 from .spn.net import SpnError
@@ -58,18 +60,57 @@ class SpecError(SpnError):
     """Malformed experiment spec."""
 
 
-def _coerce(name: str, value) -> tuple[str, object]:
-    """coerce_field, raising SpecError."""
+# case-insensitive aliases of model parameters: the paper's names and the
+# per-node forms
+_ALIASES = {"block": "block_size", "time_out": "timeout_s",
+            "ad": "arrival_delay_s",
+            **{f"{f}_1": f for f in ("eq", "oq", "cq", "ep", "op", "cp")}}
+
+
+def configure(cfg, items, where: str = ""):
+    """A copy of cfg (an HlfConfig or a SimConfig) with each (key, value) of
+    items set; the copy is made, and validated, once.
+
+    Keys are case-insensitive and may be aliases; ``arrival_rate_tps`` sets
+    ``arrival_delay_s`` to its reciprocal. Values may be strings or numbers,
+    read as floats; an integer field takes a value only if it is integral
+    (``6``, ``6.0`` and ``6e0`` alike). Two keys that set one field are an
+    error. Every error is a SpecError whose message starts with `where`.
+    """
+    kinds = {f.name: f.type for f in fields(cfg)}
+    changes: dict[str, object] = {}
+    keys: dict[str, str] = {}
+    for key, value in items:
+        key = key.strip()
+        name = _ALIASES.get(key.lower(), key.lower())
+        field = "arrival_delay_s" if name == "arrival_rate_tps" else name
+        if field not in kinds:
+            raise SpecError(f"{where}unknown model parameter {key!r}")
+        if field in keys:
+            raise SpecError(f"{where}{keys[field]!r} and {key!r} both set "
+                            f"{field}")
+        keys[field] = key
+        if kinds[field] == "str":
+            changes[field] = str(value).strip()
+            continue
+        try:
+            v = float(value)
+        except ValueError as exc:
+            raise SpecError(f"{where}{name}: {exc}") from None
+        if kinds[field] == "int":
+            if not v.is_integer():
+                raise SpecError(f"{where}{name} must be an integer, "
+                                f"got {value}")
+            v = int(Decimal(str(value).strip()))  # exact past 2**53
+        elif name == "arrival_rate_tps":
+            if not v > 0:  # NaN fails too
+                raise SpecError(f"{where}arrival_rate_tps must be positive")
+            v = 1.0 / v
+        changes[field] = v
     try:
-        return coerce_field(name, value)
-    except ConfigError as exc:
-        raise SpecError(str(exc)) from exc
-
-
-def apply_param(cfg: HlfConfig, name: str, value) -> HlfConfig:
-    """Set one model parameter by (possibly aliased) name."""
-    field, v = _coerce(name, value)
-    return replace(cfg, **{field: v})
+        return replace(cfg, **changes)
+    except (ConfigError, ValueError) as exc:  # HlfConfig's, SimConfig's
+        raise SpecError(f"{where}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -85,32 +126,39 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep and self.doe_factors:
             raise SpecError("a spec may contain a sweep or a doe, not both")
-        # two axes that set one field would run only the last one's values
-        names = [n for n, _ in self.sweep] + [f.name for f in self.doe_factors]
-        axes = {}
-        for name in names:
-            field = _coerce(name, 1)[0]  # 1 is valid for every parameter
-            if field in axes:
-                raise SpecError(f"{axes[field]!r} and {name!r} both set the "
-                                f"model parameter {field}")
-            axes[field] = name
+        # every point is checked here, before any of them runs
+        where = "[doe] " if self.doe_factors else "[sweep] "
+        for point in self.points():
+            configure(self.base, point, where)
         if self.doe_response not in METRIC_NAMES:
             raise SpecError(f"unknown response metric {self.doe_response!r}")
         for m in self.metrics:
             if m not in METRIC_NAMES:
                 raise SpecError(f"unknown metric {m!r}")
 
+    def points(self) -> list[tuple[tuple[str, float], ...]]:
+        """Each point as (parameter, value) pairs: the DoE's 2^k corners in
+        standard order, or else the sweep's cartesian product in spec order
+        (one empty point without a sweep)."""
+        if self.doe_factors:
+            try:
+                design = factorial_design(list(self.doe_factors))
+            except DesignError as exc:
+                raise SpecError(f"[doe] factors: {exc}") from exc
+            return [tuple(design.settings(i).items())
+                    for i in range(design.n_runs)]
+        return list(itertools.product(
+            *([(name, v) for v in values] for name, values in self.sweep)))
+
 
 def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# [sim] keys and the types of their values
-_SIM_TYPES = {f.name: int if f.type == "int" else float
-              for f in fields(SimConfig)}
 # the sections of a spec and their keys; [base] takes model parameters
 _SECTION_KEYS = {
-    "base": None, "sim": _SIM_TYPES, "doe": ("factors", "response"),
+    "base": None, "sim": tuple(f.name for f in fields(SimConfig)),
+    "doe": ("factors", "response"),
     "sweep": ("parameter", "values", "parameter2", "values2"),
     "outputs": ("results", "metrics", "effects", "runs",
                 "interactions_prefix")}
@@ -131,25 +179,9 @@ def parse_experiment(text: str) -> ExperimentSpec:
             if key not in known:
                 raise SpecError(f"[{section}] unknown key {key!r}")
 
-    cfg = HlfConfig()
-    if parser.has_section("base"):
-        for key, val in parser.items("base"):
-            try:
-                cfg = apply_param(cfg, key, val)
-            except (SpecError, ConfigError) as exc:  # exc names the key
-                raise SpecError(f"[base] {exc}") from exc
-
-    sim_kwargs = {}
-    sim_items = parser.items("sim") if parser.has_section("sim") else []
-    for key, val in sim_items:
-        try:
-            sim_kwargs[key] = _SIM_TYPES[key](val)
-        except ValueError as exc:
-            raise SpecError(f"[sim] {key}: {exc}") from exc
-    try:
-        sim = SimConfig(**sim_kwargs)
-    except ValueError as exc:
-        raise SpecError(f"[sim]: {exc}") from exc
+    items = {section: parser.items(section) for section in parser.sections()}
+    cfg = configure(HlfConfig(), items.get("base", ()), "[base] ")
+    sim = configure(SimConfig(), items.get("sim", ()), "[sim] ")
 
     sweep: list[tuple[str, tuple[float, ...]]] = []
     if parser.has_section("sweep"):
@@ -186,10 +218,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 raise SpecError(f"[doe] factor {item!r}: {exc}") from exc
         if not doe_factors:
             raise SpecError("[doe] section without factors")
-        try:
-            factorial_design(doe_factors)
-        except DesignError as exc:
-            raise SpecError(f"[doe] factors: {exc}") from exc
         doe_response = sec.get("response", "mrt_s").strip()
 
     outputs = {}
@@ -236,20 +264,17 @@ class ResultRow:
     event_count: int
 
 
-def run_points(spec: ExperimentSpec, points: Sequence[dict],
+def run_points(spec: ExperimentSpec, points: Sequence[Sequence[tuple]],
                jobs: int = 1) -> list[ResultRow]:
-    """Evaluate spec.base with each point's parameters applied, in order.
+    """Evaluate spec.base with each point's (parameter, value) pairs
+    applied, in order.
 
     Point i runs with seed spec.sim.seed + i, so results do not depend on
     `jobs`; with jobs > 1 the points run in a process pool.
     """
-    tasks = []
-    for i, point in enumerate(points):
-        cfg = spec.base
-        for name, value in point.items():
-            cfg = apply_param(cfg, name, value)
-        sim = replace(spec.sim, seed=spec.sim.seed + i)
-        tasks.append((cfg, sim))
+    tasks = [(configure(spec.base, point),
+              replace(spec.sim, seed=spec.sim.seed + i))
+             for i, point in enumerate(points)]
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -257,7 +282,7 @@ def run_points(spec: ExperimentSpec, points: Sequence[dict],
     else:
         outcomes = [_point_worker(t) for t in tasks]
 
-    return [ResultRow(point=point, report=report, seed=sim.seed,
+    return [ResultRow(point=dict(point), report=report, seed=sim.seed,
                       simulated_time=ttime, event_count=events)
             for point, (_, sim), (report, ttime, events)
             in zip(points, tasks, outcomes)]
@@ -265,9 +290,7 @@ def run_points(spec: ExperimentSpec, points: Sequence[dict],
 
 def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Evaluate every sweep point (cartesian product, spec order)."""
-    grids = [[(name, v) for v in values] for name, values in spec.sweep]
-    points = [dict(combo) for combo in itertools.product(*grids)]
-    return run_points(spec, points, jobs)
+    return run_points(spec, spec.points(), jobs)
 
 
 def write_rows_csv(path, rows: Sequence[ResultRow],
@@ -312,8 +335,7 @@ def run_doe(spec: ExperimentSpec, jobs: int = 1):
     """Simulate all 2^k corners (standard order) and return
     (design, responses, rows)."""
     design = factorial_design(list(spec.doe_factors))
-    rows = run_points(spec, [design.settings(i)
-                             for i in range(design.n_runs)], jobs)
+    rows = run_points(spec, spec.points(), jobs)
     responses = [getattr(row.report, spec.doe_response).value
                  for row in rows]
     return design, responses, rows
@@ -396,11 +418,9 @@ def case_study_specs(case_id: int, seed: int = 1,
                       4: (60.0, 30.0)}[case_id]
     if case_id == 4:
         batch_count = max(batch_count, 5)
-    try:
-        sim = SimConfig(warmup_time=warmup, batch_count=batch_count,
-                        batch_length=length, seed=seed)
-    except ValueError as exc:
-        raise SpecError(f"--batches {batch_count}: {exc}") from exc
+    sim = configure(
+        SimConfig(warmup_time=warmup, batch_length=length, seed=seed),
+        [("batch_count", batch_count)], f"--batches {batch_count}: ")
     arrivals = tuple(_frange(2.5, 200.0, 15.0))
     if case_id == 1:
         specs = {}
@@ -420,7 +440,7 @@ def case_study_specs(case_id: int, seed: int = 1,
         # timeout grid is not enumerated by the scenario; log-spaced 1-100 s
         timeouts = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
         timeout_sweep = ExperimentSpec(
-            base=apply_param(base, "block_size", 10), sim=sim,
+            base=replace(base, block_size=10), sim=sim,
             sweep=(("timeout_s", timeouts),),
             outputs={"results": "cs2_timeout.csv"})
         return {"cs2_block": block_sweep, "cs2_timeout": timeout_sweep}

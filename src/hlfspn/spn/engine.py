@@ -326,9 +326,7 @@ class CompiledNet:
         if isinstance(expr, Constant):
             return expr.k
         if isinstance(expr, Param):
-            if expr.name not in params:
-                raise EvaluationError(f"undeclared parameter {expr.name!r}")
-            v = params[expr.name]
+            v = params[expr.name]  # validate_net rejects undeclared names
             if int(v) != v or v < 1:
                 raise EvaluationError(
                     f"parameter {expr.name!r} = {v!r} is not a positive integer "

@@ -7,6 +7,7 @@ lives in :mod:`hlfspn.spn.engine` and :mod:`hlfspn.spn.ctmc`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -167,8 +168,9 @@ class Exponential:
     mean_delay: float
 
     def __post_init__(self):
-        if self.mean_delay <= 0:
-            raise ValueError("exponential mean delay must be positive")
+        if not 0 < self.mean_delay < math.inf:  # NaN fails too
+            raise ValueError("exponential mean delay must be finite and "
+                             "positive")
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class Deterministic:
     delay: float
 
     def __post_init__(self):
-        if self.delay <= 0:
+        if not self.delay > 0:  # NaN fails too
             raise ValueError("deterministic delay must be positive")
 
 

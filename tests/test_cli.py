@@ -173,11 +173,25 @@ class TestRun:
     ("[base]\narrival_rate_tps = 20\n\n[sim]\nbatch_length = inf\n",
      ["run"], "batch_length"),
     ("[base]\narrival_rate_tps = 20\nte7 = inf\n", ["run"], "te7"),
+    ("[base]\narrival_rate_tps = 20\nblock = 2\nblock_size = 6\n", ["run"],
+     "[base] 'block' and 'block_size'"),
+    ("[base]\narrival_rate_tps = 10\nad = 0.5\n", ["run"],
+     "[base] 'arrival_rate_tps' and 'ad'"),
+    (TINY_SPEC.replace("parameter = arrival_rate_tps",
+                       "parameter = block_size")
+     .replace("values = 10, 20", "values = 2, 2.5"), ["run"],
+     "[sweep] block_size must be an integer"),
+    ("[base]\narrival_rate_tps = 20\n\n[doe]\nfactors = cp:0:6\n", ["run"],
+     "[doe] capacity cp"),
+    ("[base]\narrival_rate_tps = 20\ntimeout_s = inf\n"
+     "timeout_dist = exponential\n", ["run"], "[base] timeout_s"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
         "confidence", "sim-nan-length", "sim-nan-warmup", "jobs-0",
         "jobs-negative", "max-states-0", "unknown-section", "unknown-key",
         "mrt-mode", "sweep-alias", "sweep-same-name", "doe-alias",
-        "sim-inf-warmup", "sim-inf-length", "te7-inf"])
+        "sim-inf-warmup", "sim-inf-length", "te7-inf", "base-block-alias",
+        "base-rate-and-delay", "sweep-non-integer", "doe-zero-capacity",
+        "exponential-inf-timeout"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):

@@ -9,8 +9,8 @@ from hlfspn.experiments import (
     CASE_STUDY_IDS,
     ExperimentSpec,
     SpecError,
-    apply_param,
     case_study_specs,
+    configure,
     parse_experiment,
     run_doe,
     run_experiment,
@@ -62,10 +62,10 @@ class TestParsing:
 
     def test_aliases_accepted(self):
         cfg = HlfConfig()
-        assert apply_param(cfg, "BLOCK", 5).block_size == 5
-        assert apply_param(cfg, "TIME_OUT", 2.0).timeout_s == 2.0
-        assert apply_param(cfg, "AD", 0.05).arrival_delay_s == 0.05
-        assert apply_param(cfg, "cp_1", 4).cp == 4
+        assert configure(cfg, [("BLOCK", 5)]).block_size == 5
+        assert configure(cfg, [("TIME_OUT", 2.0)]).timeout_s == 2.0
+        assert configure(cfg, [("AD", 0.05)]).arrival_delay_s == 0.05
+        assert configure(cfg, [("cp_1", 4)]).cp == 4
 
     def test_base_accepts_aliases_and_mrt_mode(self):
         spec = parse_experiment(
@@ -110,9 +110,21 @@ metrics = mrt_s, tp_tps  # optional; default: all
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(SpecError):
-            apply_param(HlfConfig(), "bogus", 1.0)
+            configure(HlfConfig(), [("bogus", 1.0)])
         with pytest.raises(SpecError):
-            apply_param(HlfConfig(), "block_size", 1.5)
+            configure(HlfConfig(), [("block_size", 1.5)])
+
+    def test_integral_floats_read_as_integers_in_every_section(self):
+        spec = parse_experiment("[base]\neq = 1e2\n\n"
+                                "[sim]\nbatch_count = 10.0\n"
+                                "max_events = 1e6\n"
+                                "seed = 12345678901234567891\n")
+        assert spec.base.eq == 100 and type(spec.base.eq) is int
+        assert spec.sim.batch_count == 10
+        assert type(spec.sim.batch_count) is int
+        assert spec.sim.max_events == 1_000_000
+        assert type(spec.sim.max_events) is int
+        assert spec.sim.seed == 12345678901234567891  # not rounded to a float
 
     def test_sweep_and_doe_are_exclusive(self):
         text = SPEC_TEXT + "\n[doe]\nfactors = block_size:1:10\n"

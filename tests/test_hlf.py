@@ -56,6 +56,7 @@ class TestConfig:
         {"block_size": 0},
         {"eq": 0},
         {"timeout_s": 0.0},
+        {"timeout_s": math.inf, "timeout_dist": "exponential"},
         {"te1": -1.0},
         {"arrival_delay_s": 0.0},
         {"arrival_dist": "uniform"},

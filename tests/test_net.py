@@ -1,5 +1,7 @@
 """Net data model: predicates, validation, basic invariants."""
 
+import math
+
 import pytest
 
 from hlfspn.spn import (
@@ -59,6 +61,12 @@ class TestConstruction:
             Deterministic(-1.0)
         with pytest.raises(ValueError):
             Immediate(weight=0.0)
+        for delay in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Exponential(delay)
+        with pytest.raises(ValueError):
+            Deterministic(math.nan)
+        assert Deterministic(math.inf).delay == math.inf  # never fires
 
     def test_initial_marking(self):
         cn = CompiledNet(two_place_net())
