@@ -101,8 +101,8 @@ def main(argv=None) -> int:
         if args.command == "export-dot":
             return _cmd_export_dot(args)
         return _cmd_solve(args)
-    except (SpecError, ConfigError, EvaluationError, UnsupportedModelError,
-            FileNotFoundError) as exc:
+    except (SpecError, ConfigError, EvaluationError,
+            UnsupportedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnsupportedModelError):
             print("hint: set arrival_dist = exponential and timeout_dist = "

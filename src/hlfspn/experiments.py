@@ -132,9 +132,13 @@ class ExperimentSpec:
             configure(self.base, point, where)
         if self.doe_response not in METRIC_NAMES:
             raise SpecError(f"unknown response metric {self.doe_response!r}")
-        for m in self.metrics:
+        if not self.metrics:
+            raise SpecError("[outputs] metrics is empty")
+        for i, m in enumerate(self.metrics):
             if m not in METRIC_NAMES:
                 raise SpecError(f"unknown metric {m!r}")
+            if m in self.metrics[:i]:
+                raise SpecError(f"[outputs] metrics lists {m!r} twice")
 
     def points(self) -> list[tuple[tuple[str, float], ...]]:
         """Each point as (parameter, value) pairs: the DoE's 2^k corners in
@@ -165,7 +169,10 @@ _SECTION_KEYS = {
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no section is a default one: [DEFAULT] is an unknown section, and its
+    # keys reach no other (a header cannot name the empty string)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -235,7 +242,14 @@ def parse_experiment(text: str) -> ExperimentSpec:
 
 
 def load_experiment(path) -> ExperimentSpec:
-    return parse_experiment(Path(path).read_text())
+    """Parse the UTF-8 spec file at `path`; a file that cannot be read or
+    decoded is a SpecError naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpecError(f"cannot read spec {path}: {reason}") from None
+    return parse_experiment(text)
 
 
 # ---------------------------------------------------------------------------

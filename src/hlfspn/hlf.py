@@ -120,11 +120,9 @@ class HlfNetHandle:
     cfg: HlfConfig
     net: PetriNet
     entry_place: str
-    endorser_queue_caps: tuple[str, ...]   # EQ_i
     endorser_queue_fills: tuple[str, ...]  # EQF_i
     endorser_proc_caps: tuple[str, ...]    # EP_i
     endorser_proc_fills: tuple[str, ...]   # EPF_i
-    orderer_queue_cap: str                 # OQ_1
     orderer_queue_fill: str                # OQF1_1
     orderer_proc_cap: str                  # OP_1
     orderer_preproc_fill: str              # OPF2_1
@@ -133,20 +131,12 @@ class HlfNetHandle:
     partial_block: str                     # PARTBLK_1
     transfer_buffer: str                   # OPF5_1
     block_tx_buffer: str                   # BLKTX_1
-    clock_run: str                         # CLK_RUN
-    clock_expired: str                     # CLK_EXP
-    committer_queue_caps: tuple[str, ...]  # CQ_i
     committer_queue_fills: tuple[str, ...]
     committer_proc_caps: tuple[str, ...]   # CP_i
     committer_proc_fills: tuple[str, ...]  # CPF_i
     arrival: str
     entry_drop: str
     full_block_cut: str                    # TI6
-    timeout_cut: str                       # TI7
-    full_block_service: str                # TE4
-    partial_block_service: str             # TE5
-    endorse_services: tuple[str, ...]      # TE1, TE2, ...
-    commit_services: tuple[str, ...]       # TE7, TE8, ...
 
     @property
     def in_progress_places(self) -> tuple[str, ...]:
@@ -194,7 +184,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     transitions.append(Transition(
         "T_DROP", Immediate(), input_arcs=(Arc("P_GT"),), guard=all_full))
 
-    endorse_services = []
     for i in range(1, ne + 1):
         eq, eqf, ep, epf = (eq_names[i - 1], eqf_names[i - 1],
                             ep_names[i - 1], epf_names[i - 1])
@@ -210,7 +199,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
             input_arcs=(Arc(eqf), Arc(ep)),
             output_arcs=(Arc(epf), Arc(eq))))
         te = f"TE{i}" if i <= 2 else f"TE2_{i}"
-        endorse_services.append(te)
         # the guard blocks completion while the orderer queue is full, so
         # congestion backs up to the entry queues; no transaction is lost
         # inside the pipeline
@@ -305,7 +293,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
             guard=room_for_block))
 
     # --- commit
-    commit_services = []
     for i in range(1, nc + 1):
         cin, cq, cqf, cp, cpf = (cin_names[i - 1], cq_names[i - 1],
                                  cqf_names[i - 1], cp_names[i - 1],
@@ -321,7 +308,6 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
             input_arcs=(Arc(cqf), Arc(cp)),
             output_arcs=(Arc(cpf), Arc(cq))))
         te = f"TE{6 + i}" if i <= 2 else f"TE8_{i}"
-        commit_services.append(te)
         transitions.append(Transition(
             te, Exponential(cfg.commit_mean(i)),
             input_arcs=(Arc(cpf),),
@@ -337,11 +323,9 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     return HlfNetHandle(
         cfg=cfg, net=net,
         entry_place="P_GT",
-        endorser_queue_caps=eq_names,
         endorser_queue_fills=eqf_names,
         endorser_proc_caps=ep_names,
         endorser_proc_fills=epf_names,
-        orderer_queue_cap="OQ_1",
         orderer_queue_fill="OQF1_1",
         orderer_proc_cap="OP_1",
         orderer_preproc_fill="OPF2_1",
@@ -350,18 +334,10 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         partial_block="PARTBLK_1",
         transfer_buffer="OPF5_1",
         block_tx_buffer="BLKTX_1",
-        clock_run="CLK_RUN",
-        clock_expired="CLK_EXP",
-        committer_queue_caps=cq_names,
         committer_queue_fills=cqf_names,
         committer_proc_caps=cp_names,
         committer_proc_fills=cpf_names,
         arrival="T_ARRIVAL",
         entry_drop="T_DROP",
         full_block_cut="TI6",
-        timeout_cut="TI7",
-        full_block_service="TE4",
-        partial_block_service="TE5",
-        endorse_services=tuple(endorse_services),
-        commit_services=tuple(commit_services),
     )

@@ -8,7 +8,9 @@ half-width of the per-batch values. An exact result has no batch series, so
 its CIs are 0.
 
 The formulas are listed once, in CSV column order, in `_FORMULAS`, from
-which `METRIC_NAMES` is derived.
+which `METRIC_NAMES` is derived, and so is `standard_queries`, the rewards a
+run collects: every query some formula reads, plus the full-block cut rate,
+which only the benchmark's ctmc check reads.
 
 `dp_prob` is the fraction of arrivals discarded. `mrt_s` divides the
 in-flight count by lambda (1 - p_full), where p_full is the time-average
@@ -75,22 +77,6 @@ def all_queues_full(handle: HlfNetHandle) -> ProbabilityOf:
     return ProbabilityOf(handle.net.transition(handle.entry_drop).guard)
 
 
-def standard_queries(handle: HlfNetHandle) -> list[RewardQuery]:
-    """Every reward the full metric report needs."""
-    queries: list[RewardQuery] = []
-    for p in handle.in_progress_places:
-        queries.append(ExpectedTokens(p))
-    queries.append(all_queues_full(handle))
-    for p in (*handle.endorser_proc_caps, handle.orderer_proc_cap,
-              *handle.committer_proc_caps):
-        queries.append(ExpectedTokens(p))
-    for t in (handle.full_block_service, handle.partial_block_service,
-              handle.arrival, handle.entry_drop, *handle.commit_services,
-              handle.full_block_cut, handle.timeout_cut):
-        queries.append(FiringRate(t))
-    return list(dict.fromkeys(queries))  # dedupe, preserving order
-
-
 def transactions_in_progress(v: Lookup, handle: HlfNetHandle) -> float:
     """Sum of expected token counts over every in-flight place."""
     return sum(v(ExpectedTokens(p)) for p in handle.in_progress_places)
@@ -151,6 +137,27 @@ _FORMULAS: dict[str, Callable[[Lookup, HlfNetHandle], float]] = {
     "timeout_call_rate": timeout_call_rate,
 }
 METRIC_NAMES = tuple(_FORMULAS)
+
+
+def standard_queries(handle: HlfNetHandle) -> list[RewardQuery]:
+    """Every reward query a metric formula reads, in first-read order, plus
+    the full-block cut rate.
+
+    Each formula is evaluated once on a lookup that records the queries it
+    asks for and answers 0.5, a value at which every formula is defined.
+    """
+    read: dict[RewardQuery, None] = {}
+
+    def record(query: RewardQuery) -> float:
+        read[query] = None
+        return 0.5
+
+    for formula in _FORMULAS.values():
+        formula(record, handle)
+    # no metric reads rate(TI6); the ctmc check of perfbench/workloads.py
+    # reads it from a standard_queries result
+    read[FiringRate(handle.full_block_cut)] = None
+    return list(read)
 
 
 def metric_report(result, handle: HlfNetHandle) -> MetricReport:

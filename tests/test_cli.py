@@ -185,13 +185,24 @@ class TestRun:
      "[doe] capacity cp"),
     ("[base]\narrival_rate_tps = 20\ntimeout_s = inf\n"
      "timeout_dist = exponential\n", ["run"], "[base] timeout_s"),
+    ("[DEFAULT]\nblock_size = 3\n", ["run"], "unknown section [DEFAULT]"),
+    ("[DEFAULT]\nblock_size = 3\n\n[base]\narrival_rate_tps = 20\n\n"
+     "[sim]\nbatch_count = 2\n", ["run"], "unknown section [DEFAULT]"),
+    ("[DEFAULT]\n[base]\narrival_rate_tps = 20\n", ["run"],
+     "unknown section [DEFAULT]"),
+    (TINY_SPEC.replace("metrics = tp_tps, dp_prob", "metrics ="), ["run"],
+     "[outputs] metrics is empty"),
+    (TINY_SPEC.replace("metrics = tp_tps, dp_prob", "metrics = mrt_s, mrt_s"),
+     ["run"], "[outputs] metrics lists 'mrt_s' twice"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
         "confidence", "sim-nan-length", "sim-nan-warmup", "jobs-0",
         "jobs-negative", "max-states-0", "unknown-section", "unknown-key",
         "mrt-mode", "sweep-alias", "sweep-same-name", "doe-alias",
         "sim-inf-warmup", "sim-inf-length", "te7-inf", "base-block-alias",
         "base-rate-and-delay", "sweep-non-integer", "doe-zero-capacity",
-        "exponential-inf-timeout"])
+        "exponential-inf-timeout", "default-section",
+        "default-section-with-sim", "empty-default-section", "no-metrics",
+        "repeated-metric"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):
@@ -229,6 +240,19 @@ def test_nan_model_parameter_is_a_parse_error(tmp_path, capsys, key):
         assert len(err) == 1
         assert err[0].startswith("error: ") and key in err[0]
         assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "solve", "export-dot"])
+def test_unreadable_spec_is_a_parse_error(tmp_path, capsys, command):
+    # a spec that is not UTF-8, and a directory in place of a spec
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("[base]\n# d\xe9lai\narrival_rate_tps = 20\n"
+                       .encode("latin-1"))
+    for path in (latin1, tmp_path):
+        assert main([command, str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read spec {path}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestExportDot:
@@ -422,3 +446,9 @@ class TestParser:
         assert len(commands) >= 4
         for argv in commands:
             cli.build_parser().parse_args(argv)
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        code = readme.read_text().split("## Library\n\n```python\n")[1]
+        exec(compile(code.split("```")[0], "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("MetricReport(mrt_s=")

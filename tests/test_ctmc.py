@@ -372,7 +372,8 @@ def test_discard_fraction_is_all_full_probability_under_poisson_arrivals(
     # that every entry queue is full (its capacity place empty)
     handle = hlf.build_hlf_net(cfg)
     all_full = ProbabilityOf(reduce(And, (
-        Atom(p, "=", IntRhs(0)) for p in handle.endorser_queue_caps)))
+        Atom(f"EQ_{i}", "=", IntRhs(0))
+        for i in range(1, cfg.n_endorsers + 1))))
     res = solve_ctmc(handle.net, [*standard_queries(handle), all_full])
     assert res.n_states == states
     dp = metric_report(res, handle).dp_prob

@@ -47,7 +47,6 @@ from hlfspn.spn import (
 )
 
 from hlfspn.hlf import HlfConfig, build_hlf_net
-from hlfspn.metrics import standard_queries
 from hlfspn.spn import ctmc, engine
 from hlfspn.spn.engine import CompiledNet, compile_net
 
@@ -776,9 +775,19 @@ class TestQuerySets:
 
 # simulate_stationary on the exponential-arrival criterion-1 configuration,
 # seed 13, recorded before the event loop was compiled: the event count and
-# every (point estimate, CI half-width) in standard_queries order. The
-# T_ARRIVAL rate entry was added later, when standard_queries gained that
-# rate; every other entry is as recorded.
+# every (point estimate, CI half-width) of PINNED_QUERIES, the rewards the
+# metrics layer collected then, in its order of that time. The T_ARRIVAL
+# rate entry was added later; every other entry is as recorded. Four of the
+# rates (TE4, TE5, TE7, TI7) are read by no metric.
+PINNED_QUERIES = [
+    *(ExpectedTokens(p) for p in (
+        "P_GT", "EQF_1", "EPF_1", "OQF1_1", "OPF2_1", "OPF3_1", "FULLBLK_1",
+        "PARTBLK_1", "OPF5_1", "BLKTX_1", "CQF_1", "CPF_1")),
+    ProbabilityOf(Atom("EQ_1", "=", IntRhs(0))),
+    *(ExpectedTokens(p) for p in ("EP_1", "OP_1", "CP_1")),
+    *(FiringRate(t) for t in (
+        "TE4", "TE5", "T_ARRIVAL", "T_DROP", "TE7", "TI6", "TI7")),
+]
 PINNED_EVENTS = 44327
 PINNED_ESTIMATES = [
     (0.0, 0.0),
@@ -811,11 +820,10 @@ def test_fixed_seed_result_is_pinned():
     # the exponential draws, heap order and immediate picks all feed these
     # numbers, so any change to the random draw order shows up here
     handle = build_hlf_net(degenerate_endorse_config(35.0))
-    queries = standard_queries(handle)
-    res = simulate_stationary(handle.net, queries, SimConfig(
+    res = simulate_stationary(handle.net, PINNED_QUERIES, SimConfig(
         warmup_time=10.0, batch_count=5, batch_length=20.0, seed=13))
     assert res.event_count == PINNED_EVENTS
-    got = [(res.value(q), res.halfwidth(q)) for q in queries]
+    got = [(res.value(q), res.halfwidth(q)) for q in PINNED_QUERIES]
     assert got == PINNED_ESTIMATES
 
 

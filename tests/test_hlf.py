@@ -119,27 +119,29 @@ class TestStructure:
         cfg = HlfConfig(n_endorsers=3, n_committers=4).with_arrival_rate(10.0)
         handle = build_hlf_net(cfg)
         assert validate_net(handle.net) == []
-        assert handle.endorser_queue_caps == ("EQ_1", "EQ_2", "EQ_3")
-        assert handle.endorse_services == ("TE1", "TE2", "TE2_3")
-        assert handle.commit_services == ("TE7", "TE8", "TE8_3", "TE8_4")
+        places = {p.name for p in handle.net.places}
+        transitions = {t.name for t in handle.net.transitions}
+        assert {"EQ_1", "EQ_2", "EQ_3", "CQ_4"} <= places
+        assert "EQ_4" not in places and "CQ_5" not in places
+        assert {"TE1", "TE2", "TE2_3", "TE7", "TE8", "TE8_3",
+                "TE8_4"} <= transitions
 
     def test_capacity_places_start_full(self):
         cfg = HlfConfig(eq=7, ep=3, oq=9, op=4, cq=11,
                         cp=5).with_arrival_rate(10.0)
         handle = build_hlf_net(cfg)
         marking = {p.name: p.initial_tokens for p in handle.net.places}
-        for p in handle.endorser_queue_caps:
-            assert marking[p] == 7
+        for i in (1, 2):
+            assert marking[f"EQ_{i}"] == 7
+            assert marking[f"CQ_{i}"] == 11
         for p in handle.endorser_proc_caps:
             assert marking[p] == 3
-        assert marking[handle.orderer_queue_cap] == 9
+        assert marking["OQ_1"] == 9
         assert marking[handle.orderer_proc_cap] == 4
-        for p in handle.committer_queue_caps:
-            assert marking[p] == 11
         for p in handle.committer_proc_caps:
             assert marking[p] == 5
-        assert marking[handle.clock_run] == 1
-        assert marking[handle.clock_expired] == 0
+        assert marking["CLK_RUN"] == 1
+        assert marking["CLK_EXP"] == 0
 
     def test_parameters_exposed(self):
         cfg = HlfConfig(block_size=4, timeout_s=2.0).with_arrival_rate(10.0)
@@ -161,11 +163,19 @@ class TestStructure:
         assert isinstance(exp.net.transition(exp.arrival).kind, Exponential)
 
 
-def quick_report(cfg, seed=5, warmup=20.0, batches=8, length=10.0):
+# the timeout cut's firing rate, which no metric reads
+TIMEOUT_CUT_RATE = FiringRate("TI7")
+
+
+def quick_report(cfg, seed=5, warmup=20.0, batches=8, length=10.0,
+                 extra=()):
+    """The metric report, the result and the handle of one simulation that
+    also collects the `extra` queries."""
     handle = build_hlf_net(cfg)
     sim = SimConfig(warmup_time=warmup, batch_count=batches,
                     batch_length=length, seed=seed)
-    result = simulate_stationary(handle.net, standard_queries(handle), sim)
+    result = simulate_stationary(
+        handle.net, [*standard_queries(handle), *extra], sim)
     return metric_report(result, handle), result, handle
 
 
@@ -190,18 +200,18 @@ class TestBehavior:
     def test_timeout_path_idle_under_high_timeout(self):
         # blocks are cut long before a 10 s timer can expire, and every
         # cut resets the timer, so the timeout route stays unused
-        _, result, handle = quick_report(
+        _, result, _ = quick_report(
             HlfConfig().with_arrival_rate(20.0),
-            warmup=10.0, batches=6, length=20.0)
-        assert result.value(FiringRate(handle.timeout_cut)) == 0.0
+            warmup=10.0, batches=6, length=20.0, extra=[TIMEOUT_CUT_RATE])
+        assert result.value(TIMEOUT_CUT_RATE) == 0.0
 
     def test_timeout_fires_at_timer_rate_when_blocks_never_fill(self):
         # block size above the arrival volume per timeout window: the
         # accumulator drains via the timer only, once per TIME_OUT
         cfg = HlfConfig(block_size=50, timeout_s=1.0).with_arrival_rate(5.0)
-        report, result, handle = quick_report(cfg, warmup=10.0, batches=10,
-                                              length=20.0)
-        rate = result.value(FiringRate(handle.timeout_cut))
+        report, result, _ = quick_report(cfg, warmup=10.0, batches=10,
+                                         length=20.0, extra=[TIMEOUT_CUT_RATE])
+        rate = result.value(TIMEOUT_CUT_RATE)
         assert rate == pytest.approx(1.0, rel=0.1)
         assert report.block_call_rate.value == 0.0
 
@@ -210,9 +220,10 @@ class TestBehavior:
         # is unreachable and only the timeout path emits blocks
         cfg = HlfConfig(block_size=7, op=6, timeout_s=5.0)
         report, result, handle = quick_report(
-            cfg.with_arrival_rate(50.0), warmup=30.0, batches=8, length=20.0)
+            cfg.with_arrival_rate(50.0), warmup=30.0, batches=8, length=20.0,
+            extra=[TIMEOUT_CUT_RATE])
         assert result.value(FiringRate(handle.full_block_cut)) == 0.0
-        assert result.value(FiringRate(handle.timeout_cut)) > 0.0
+        assert result.value(TIMEOUT_CUT_RATE) > 0.0
 
     def test_commit_capacity_bounds_throughput(self):
         # commit stage caps delivery at cp / te7 transactions per second
@@ -273,9 +284,9 @@ def littles_law_pairs(handle) -> list:
     into FULLBLK_1 that TE4 takes out."""
     cfg = handle.cfg
     full = ExpectedTokens(handle.full_block)
-    return [(FiringRate(handle.commit_services[0]),
+    return [(FiringRate("TE7"),
              ExpectedTokens(handle.committer_proc_fills[0]), cfg.te7),
-            (FiringRate(handle.full_block_service), full, cfg.te4),
+            (FiringRate("TE4"), full, cfg.te4),
             (FiringRate(handle.full_block_cut), full, cfg.te4)]
 
 
@@ -287,9 +298,10 @@ def littles_law_pairs(handle) -> list:
 def test_rate_and_impulse_rewards_agree_by_littles_law(cfg):
     # a firing count and a token-time integral are settled by different
     # code; each pair must agree within the CI of the per-batch difference
-    _, result, handle = quick_report(cfg, seed=3, warmup=20.0, batches=10,
-                                     length=20.0)
-    for rate, tokens, mean in littles_law_pairs(handle):
+    pairs = littles_law_pairs(build_hlf_net(cfg))
+    _, result, _ = quick_report(cfg, seed=3, warmup=20.0, batches=10,
+                                length=20.0, extra=[q for q, _, _ in pairs])
+    for rate, tokens, mean in pairs:
         diffs = [a - b / mean for a, b in zip(result.batch_values(rate),
                                               result.batch_values(tokens))]
         gap = result.value(rate) - result.value(tokens) / mean

@@ -134,6 +134,21 @@ class TestFormulas:
     def test_standard_queries_have_no_duplicates(self, handle):
         queries = standard_queries(handle)
         assert len(queries) == len(set(queries))
+        assert queries[-1] == FiringRate(handle.full_block_cut)
+
+    def test_every_collected_query_is_read(self, handle):
+        # moving any collected reward moves some metric, except rate(TI6),
+        # which the benchmark's ctmc check reads
+        queries = standard_queries(handle)
+
+        def values(estimates):
+            report = metric_report(ExactResult(estimates, n_states=1), handle)
+            return [getattr(report, name).value for name in METRIC_NAMES]
+
+        base = {q: 0.5 for q in queries}
+        unread = [q for q in queries
+                  if values({**base, q: 0.25}) == values(base)]
+        assert unread == [FiringRate(handle.full_block_cut)]
 
 
 class TestReport:
