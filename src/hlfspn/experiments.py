@@ -60,7 +60,7 @@ class SpecError(SpnError):
     """Malformed experiment spec."""
 
 
-# case-insensitive aliases of model parameters: the paper's names and the
+# case-insensitive aliases of HlfConfig fields: the paper's names and the
 # per-node forms
 _ALIASES = {"block": "block_size", "time_out": "timeout_s",
             "ad": "arrival_delay_s",
@@ -139,6 +139,9 @@ class ExperimentSpec:
                 raise SpecError(f"unknown metric {m!r}")
             if m in self.metrics[:i]:
                 raise SpecError(f"[outputs] metrics lists {m!r} twice")
+        for key, name in self.outputs.items():
+            if not name:  # it would name the output directory itself
+                raise SpecError(f"[outputs] {key} is empty")
 
     def points(self) -> list[tuple[tuple[str, float], ...]]:
         """Each point as (parameter, value) pairs: the DoE's 2^k corners in
@@ -159,7 +162,7 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# the sections of a spec and their keys; [base] takes model parameters
+# the sections of a spec and their keys; [base] takes HlfConfig fields
 _SECTION_KEYS = {
     "base": None, "sim": tuple(f.name for f in fields(SimConfig)),
     "doe": ("factors", "response"),

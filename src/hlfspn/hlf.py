@@ -2,28 +2,27 @@
 
 Builds the endorse -> order -> commit pipeline as a stochastic Petri net:
 per-node queue/processing "triangles" with capacity places, a block
-accumulator cut either at BLOCK transactions or at a deterministic
+accumulator cut either at block_size transactions or at a deterministic
 timeout, and a broadcast commit to every committer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .spn.net import (
     And,
     Arc,
     Atom,
+    Constant,
     Deterministic,
     Exponential,
     FlushAll,
     Flushed,
     Immediate,
     IntRhs,
-    Param,
-    ParamRhs,
     PetriNet,
     PlaceRhs,
     Place,
@@ -39,7 +38,7 @@ class ConfigError(SpnError):
 
 @dataclass(frozen=True)
 class HlfConfig:
-    """Model parameters; defaults follow the reference two-endorser,
+    """Model configuration; defaults follow the reference two-endorser,
     one-orderer, two-committer deployment."""
 
     n_endorsers: int = 2
@@ -70,13 +69,14 @@ class HlfConfig:
     timeout_dist: str = "deterministic"
 
     def __post_init__(self):
-        if self.n_endorsers < 1 or self.n_committers < 1:
-            raise ConfigError("n_endorsers and n_committers must be >= 1")
-        if self.block_size < 1:
-            raise ConfigError("block_size must be >= 1")
-        for f in ("eq", "oq", "cq", "ep", "op", "cp"):
-            if getattr(self, f) < 1:
-                raise ConfigError(f"capacity {f} must be >= 1")
+        for f in fields(self):
+            if f.type == "int":  # node counts, block size and capacities
+                v = getattr(self, f.name)
+                if not v >= 1:  # NaN fails too
+                    raise ConfigError(f"{f.name} must be >= 1")
+                if v % 1:  # inf fails too
+                    raise ConfigError(f"{f.name} must be an integer, "
+                                      f"got {v!r}")
         if not self.timeout_s > 0:  # NaN fails too
             raise ConfigError("timeout_s must be positive")
         if self.timeout_dist == "exponential" and self.timeout_s == math.inf:
@@ -123,30 +123,16 @@ class HlfNetHandle:
     endorser_queue_fills: tuple[str, ...]  # EQF_i
     endorser_proc_caps: tuple[str, ...]    # EP_i
     endorser_proc_fills: tuple[str, ...]   # EPF_i
-    orderer_queue_fill: str                # OQF1_1
     orderer_proc_cap: str                  # OP_1
-    orderer_preproc_fill: str              # OPF2_1
-    accumulator: str                       # OPF3_1
     full_block: str                        # FULLBLK_1
     partial_block: str                     # PARTBLK_1
-    transfer_buffer: str                   # OPF5_1
-    block_tx_buffer: str                   # BLKTX_1
-    committer_queue_fills: tuple[str, ...]
     committer_proc_caps: tuple[str, ...]   # CP_i
     committer_proc_fills: tuple[str, ...]  # CPF_i
     arrival: str
     entry_drop: str
     full_block_cut: str                    # TI6
-
-    @property
-    def in_progress_places(self) -> tuple[str, ...]:
-        """Places whose token counts are transactions (or blocks) in flight."""
-        return (self.entry_place,
-                *self.endorser_queue_fills, *self.endorser_proc_fills,
-                self.orderer_queue_fill, self.orderer_preproc_fill,
-                self.accumulator, self.full_block, self.partial_block,
-                self.transfer_buffer, self.block_tx_buffer,
-                *self.committer_queue_fills, *self.committer_proc_fills)
+    # places whose token counts are transactions (or blocks) in flight
+    in_progress_places: tuple[str, ...]
 
 
 def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
@@ -228,19 +214,20 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         output_arcs=(Arc("OPF3_1"),),
         server_semantics=ServerSemantics.INFINITE))
 
-    # --- block formation: cut at BLOCK, or flush the accumulator on timeout.
-    # Cutting is serialized: no new block until the in-flight one has fully
-    # transferred, so BLKTX_1 only ever holds the in-flight block's
-    # transactions and the transfer flush is exact.
+    # --- block formation: cut at block_size, or flush the accumulator on
+    # timeout. Cutting is serialized: no new block until the in-flight one
+    # has fully transferred, so BLKTX_1 only ever holds the in-flight
+    # block's transactions and the transfer flush is exact.
     no_block_in_flight = And(
         And(Atom("FULLBLK_1", "=", IntRhs(0)),
             Atom("PARTBLK_1", "=", IntRhs(0))),
         Atom("OPF5_1", "=", IntRhs(0)))
     transitions.append(Transition(
         "TI6", Immediate(),
-        input_arcs=(Arc("OPF3_1", Param("BLOCK")),),
-        output_arcs=(Arc("FULLBLK_1"), Arc("BLKTX_1", Param("BLOCK"))),
-        guard=And(Atom("OPF3_1", ">=", ParamRhs("BLOCK")),
+        input_arcs=(Arc("OPF3_1", Constant(cfg.block_size)),),
+        output_arcs=(Arc("FULLBLK_1"),
+                     Arc("BLKTX_1", Constant(cfg.block_size))),
+        guard=And(Atom("OPF3_1", ">=", IntRhs(cfg.block_size)),
                   no_block_in_flight)))
     transitions.append(Transition(
         "TI7", Immediate(),
@@ -314,11 +301,7 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
             output_arcs=(Arc(cp),),
             server_semantics=ServerSemantics.INFINITE))
 
-    net = PetriNet(
-        places=tuple(places),
-        transitions=tuple(transitions),
-        parameters={"BLOCK": cfg.block_size},
-    )
+    net = PetriNet(places=tuple(places), transitions=tuple(transitions))
 
     return HlfNetHandle(
         cfg=cfg, net=net,
@@ -326,18 +309,15 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         endorser_queue_fills=eqf_names,
         endorser_proc_caps=ep_names,
         endorser_proc_fills=epf_names,
-        orderer_queue_fill="OQF1_1",
         orderer_proc_cap="OP_1",
-        orderer_preproc_fill="OPF2_1",
-        accumulator="OPF3_1",
         full_block="FULLBLK_1",
         partial_block="PARTBLK_1",
-        transfer_buffer="OPF5_1",
-        block_tx_buffer="BLKTX_1",
-        committer_queue_fills=cqf_names,
         committer_proc_caps=cp_names,
         committer_proc_fills=cpf_names,
         arrival="T_ARRIVAL",
         entry_drop="T_DROP",
         full_block_cut="TI6",
+        in_progress_places=("P_GT", *eqf_names, *epf_names, "OQF1_1",
+                            "OPF2_1", "OPF3_1", "FULLBLK_1", "PARTBLK_1",
+                            "OPF5_1", "BLKTX_1", *cqf_names, *cpf_names),
     )

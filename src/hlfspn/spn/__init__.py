@@ -17,8 +17,6 @@ from .net import (
     IntRhs,
     Not,
     Or,
-    Param,
-    ParamRhs,
     PetriNet,
     Place,
     PlaceRhs,
@@ -50,8 +48,8 @@ __all__ = [
     "Deterministic", "Diagnostic", "DivergenceError", "Estimate",
     "EvaluationError", "ExactResult", "ExplosionError", "Exponential",
     "ExpectedTokens", "FiringRate", "FlushAll", "Flushed",
-    "Immediate", "IntRhs", "LivelockError", "Not", "Or", "Param",
-    "ParamRhs", "PartialResultError", "PetriNet", "Place", "PlaceRhs",
+    "Immediate", "IntRhs", "LivelockError", "Not", "Or",
+    "PartialResultError", "PetriNet", "Place", "PlaceRhs",
     "Predicate", "ProbabilityOf", "RewardQuery", "ServerSemantics",
     "SimConfig", "SimulationResult", "SingularGeneratorError", "SpnError",
     "Transition",

@@ -58,8 +58,6 @@ from .net import (
     Immediate,
     Not,
     Or,
-    Param,
-    ParamRhs,
     PetriNet,
     PlaceRhs,
     Predicate,
@@ -198,9 +196,9 @@ def _fire_source(ct: _CTrans) -> list[str]:
 
 
 class CompiledNet:
-    """Index-based form of a PetriNet with parameters resolved, its
-    enabling and firing code and its conflict scans generated per
-    transition, and its dependency graph precomputed."""
+    """Index-based form of a PetriNet, its enabling and firing code and its
+    conflict scans generated per transition, and its dependency graph
+    precomputed."""
 
     def __init__(self, net: PetriNet):
         diags = validate_net(net)
@@ -214,7 +212,6 @@ class CompiledNet:
         self.trans_index = {t.name: i for i, t in enumerate(net.transitions)}
         self.trans: list[_CTrans] = []
 
-        self.params = params = dict(net.parameters)
         ns = {"_negative": self._negative}
         for i, t in enumerate(net.transitions):
             ct = _CTrans()
@@ -229,13 +226,13 @@ class CompiledNet:
                 if isinstance(arc.count, FlushAll):
                     ct.flush_in.append(p)
                 else:
-                    ct.const_in.append((p, self._resolve_count(arc.count, params)))
+                    ct.const_in.append((p, self._resolve_count(arc.count)))
             for arc in t.output_arcs:
                 p = self.place_index[arc.place]
                 if isinstance(arc.count, Flushed):
                     ct.flushed_out.append(p)
                 else:
-                    ct.const_out.append((p, self._resolve_count(arc.count, params)))
+                    ct.const_out.append((p, self._resolve_count(arc.count)))
             if t.guard is not None:
                 ct.guard = self._predicate_source(t.guard, ns)
             ct.immediate = t.is_immediate
@@ -322,16 +319,9 @@ class CompiledNet:
             f"firing {self.trans[i].name!r} drove place "
             f"{self.place_names[p]!r} negative")
 
-    def _resolve_count(self, expr, params) -> int:
+    def _resolve_count(self, expr) -> int:
         if isinstance(expr, Constant):
-            return expr.k
-        if isinstance(expr, Param):
-            v = params[expr.name]  # validate_net rejects undeclared names
-            if int(v) != v or v < 1:
-                raise EvaluationError(
-                    f"parameter {expr.name!r} = {v!r} is not a positive integer "
-                    "arc count")
-            return int(v)
+            return int(expr.k)  # the generated code formats it with :d
         raise EvaluationError(f"bad count expression {expr!r}")
 
     def place_id(self, name: str) -> int:
@@ -359,15 +349,8 @@ class CompiledNet:
             if isinstance(rhs, PlaceRhs):
                 r = f"m[{self.place_id(rhs.place):d}]"
             else:
-                if isinstance(rhs, ParamRhs):
-                    if rhs.name not in self.params:
-                        raise EvaluationError(
-                            f"undeclared parameter {rhs.name!r}")
-                    value = self.params[rhs.name]
-                else:
-                    value = rhs.value
                 r = f"_R{len(ns):d}"
-                ns[r] = value
+                ns[r] = rhs.value
             op = "==" if pred.op == "=" else pred.op
             return f"m[{self.place_id(pred.place):d}] {op} {r}"
         if isinstance(pred, (And, Or)):

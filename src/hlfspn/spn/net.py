@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 
 def _rebuild_error(cls, args, state):
@@ -38,13 +38,9 @@ class Constant:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"arc constant must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
+        if not (self.k >= 1 and self.k % 1 == 0):  # NaN and inf fail too
+            raise ValueError(f"arc constant must be an integer >= 1, "
+                             f"got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ class Flushed:
     """Output arcs only: produce as many tokens as FlushAll consumed."""
 
 
-CountExpr = Union[Constant, Param, FlushAll, Flushed]
+CountExpr = Union[Constant, FlushAll, Flushed]
 
 
 @dataclass(frozen=True)
@@ -71,15 +67,10 @@ class Arc:
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
-# rhs of an atom: integer literal, parameter name, or another place count
+# rhs of an atom: integer literal or another place count
 @dataclass(frozen=True)
 class IntRhs:
     value: int
-
-
-@dataclass(frozen=True)
-class ParamRhs:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ class PlaceRhs:
     place: str
 
 
-Rhs = Union[IntRhs, ParamRhs, PlaceRhs]
+Rhs = Union[IntRhs, PlaceRhs]
 
 
 @dataclass(frozen=True)
@@ -132,16 +123,6 @@ def predicate_places(pred: Predicate) -> set[str]:
         return predicate_places(pred.left) | predicate_places(pred.right)
     if isinstance(pred, Not):
         return predicate_places(pred.operand)
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def predicate_params(pred: Predicate) -> set[str]:
-    if isinstance(pred, Atom):
-        return {pred.rhs.name} if isinstance(pred.rhs, ParamRhs) else set()
-    if isinstance(pred, (And, Or)):
-        return predicate_params(pred.left) | predicate_params(pred.right)
-    if isinstance(pred, Not):
-        return predicate_params(pred.operand)
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -213,7 +194,6 @@ class Place:
 class PetriNet:
     places: tuple[Place, ...]
     transitions: tuple[Transition, ...]
-    parameters: Mapping[str, float] = field(default_factory=dict)
 
     def transition(self, name: str) -> Transition:
         for t in self.transitions:
@@ -288,8 +268,6 @@ def validate_net(net: PetriNet) -> list[Diagnostic]:
                 diags.append(Diagnostic(t.name, "Flushed expression on an input arc"))
             if isinstance(arc.count, FlushAll):
                 has_flush_all = True
-            if isinstance(arc.count, Param):
-                _check_param(net, t.name, arc.count.name, diags)
 
         out_places: set[str] = set()
         for arc in t.output_arcs:
@@ -305,21 +283,11 @@ def validate_net(net: PetriNet) -> list[Diagnostic]:
             if isinstance(arc.count, Flushed) and not has_flush_all:
                 diags.append(Diagnostic(t.name,
                                         "Flushed output without a FlushAll input"))
-            if isinstance(arc.count, Param):
-                _check_param(net, t.name, arc.count.name, diags)
 
         if t.guard is not None:
             for pl in predicate_places(t.guard):
                 if pl not in places:
                     diags.append(Diagnostic(t.name,
                                             f"guard references unknown place {pl!r}"))
-            for pa in predicate_params(t.guard):
-                _check_param(net, t.name, pa, diags)
 
     return diags
-
-
-def _check_param(net: PetriNet, element: str, name: str,
-                 diags: list[Diagnostic]) -> None:
-    if name not in net.parameters:
-        diags.append(Diagnostic(element, f"undeclared parameter {name!r}"))

@@ -1,8 +1,8 @@
 """Text renderings of a net: guard expressions and DOT export.
 
-Guards read like ``(#OPF3_1 >= BLOCK and #CLK_EXP = 1)``. Arc labels are an
-integer, a parameter name, ``all`` (flush the place) or ``flushed`` (emit
-as many tokens as were flushed).
+Guards read like ``(#OPF3_1 >= 6 and #CLK_EXP = 1)``. Arc labels are an
+integer, ``all`` (flush the place) or ``flushed`` (emit as many tokens as
+were flushed).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from .net import (
     And,
     Atom,
-    Constant,
     Exponential,
     FlushAll,
     Flushed,
@@ -18,7 +17,6 @@ from .net import (
     IntRhs,
     Not,
     Or,
-    ParamRhs,
     PetriNet,
     Predicate,
 )
@@ -27,12 +25,7 @@ from .net import (
 def guard_to_text(pred: Predicate) -> str:
     if isinstance(pred, Atom):
         rhs = pred.rhs
-        if isinstance(rhs, IntRhs):
-            r = str(rhs.value)
-        elif isinstance(rhs, ParamRhs):
-            r = rhs.name
-        else:
-            r = f"#{rhs.place}"
+        r = str(rhs.value) if isinstance(rhs, IntRhs) else f"#{rhs.place}"
         return f"#{pred.place} {pred.op} {r}"
     if isinstance(pred, And):
         return f"({guard_to_text(pred.left)} and {guard_to_text(pred.right)})"
@@ -48,9 +41,7 @@ def _count_to_text(count) -> str:
         return "all"
     if isinstance(count, Flushed):
         return "flushed"
-    if isinstance(count, Constant):
-        return str(count.k)
-    return count.name
+    return str(count.k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ from hlfspn.spn import (
     Flushed,
     Immediate,
     IntRhs,
-    Param,
-    ParamRhs,
     PetriNet,
     Place,
     ServerSemantics,
@@ -101,8 +99,8 @@ def branch_net() -> PetriNet:
 
 
 def flush_net() -> PetriNet:
-    """Accumulate-and-flush pipeline: a guarded batch cut with a parameter
-    threshold, FlushAll/Flushed arcs, and a downstream drain."""
+    """Accumulate-and-flush pipeline: a guarded batch cut at a threshold of
+    3, FlushAll/Flushed arcs, and a downstream drain."""
     return PetriNet(
         places=(Place("ACC", 0), Place("ROOM", 8), Place("OUT", 0)),
         transitions=(
@@ -113,13 +111,12 @@ def flush_net() -> PetriNet:
                        input_arcs=(Arc("ACC", FlushAll()),),
                        output_arcs=(Arc("OUT", Flushed()),
                                     Arc("ROOM", Flushed())),
-                       guard=And(Atom("ACC", ">=", ParamRhs("BATCH")),
+                       guard=And(Atom("ACC", ">=", IntRhs(3)),
                                  Atom("OUT", "<=", IntRhs(4)))),
             Transition("DRAIN", Exponential(0.3),
                        input_arcs=(Arc("OUT", Constant(1)),),
                        server_semantics=ServerSemantics.INFINITE),
         ),
-        parameters={"BATCH": 3},
     )
 
 

@@ -182,7 +182,7 @@ class TestRun:
      .replace("values = 10, 20", "values = 2, 2.5"), ["run"],
      "[sweep] block_size must be an integer"),
     ("[base]\narrival_rate_tps = 20\n\n[doe]\nfactors = cp:0:6\n", ["run"],
-     "[doe] capacity cp"),
+     "[doe] cp must be >= 1"),
     ("[base]\narrival_rate_tps = 20\ntimeout_s = inf\n"
      "timeout_dist = exponential\n", ["run"], "[base] timeout_s"),
     ("[DEFAULT]\nblock_size = 3\n", ["run"], "unknown section [DEFAULT]"),
@@ -194,6 +194,8 @@ class TestRun:
      "[outputs] metrics is empty"),
     (TINY_SPEC.replace("metrics = tp_tps, dp_prob", "metrics = mrt_s, mrt_s"),
      ["run"], "[outputs] metrics lists 'mrt_s' twice"),
+    (TINY_SPEC.replace("results = tiny.csv", "results ="), ["run"],
+     "[outputs] results is empty"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
         "confidence", "sim-nan-length", "sim-nan-warmup", "jobs-0",
         "jobs-negative", "max-states-0", "unknown-section", "unknown-key",
@@ -202,7 +204,7 @@ class TestRun:
         "base-rate-and-delay", "sweep-non-integer", "doe-zero-capacity",
         "exponential-inf-timeout", "default-section",
         "default-section-with-sim", "empty-default-section", "no-metrics",
-        "repeated-metric"])
+        "repeated-metric", "empty-results"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):
@@ -268,6 +270,10 @@ class TestExportDot:
         for name in ("P_GT", "EQ_1", "OPF3_1", "CLK_RUN", "TI6", "TI7",
                      "TE6", "CPF_2"):
             assert f'"{name}"' in first
+        # the spec's block size of 2 on TI6's arcs and guard
+        assert '"OPF3_1" -> "TI6" [label="2"]' in first
+        assert '"TI6" -> "BLKTX_1" [label="2"]' in first
+        assert "#OPF3_1 >= 2" in first
 
     def test_bad_config_is_a_parse_error(self, tmp_path):
         cfg = tmp_path / "spec.ini"
@@ -395,7 +401,7 @@ class TestExitCodes:
         (UndefinedMetricError("effective arrival rate is zero"),
          EXIT_DIVERGED),
         (SingularGeneratorError(), EXIT_DIVERGED),
-        (EvaluationError("undeclared parameter 'BLOCK'"), EXIT_PARSE),
+        (EvaluationError("bad count expression 2"), EXIT_PARSE),
     ])
     def test_model_errors_map_to_documented_exits(self, tmp_path, capsys,
                                                   monkeypatch, error, code):

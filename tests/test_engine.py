@@ -33,8 +33,6 @@ from hlfspn.spn import (
     LivelockError,
     Not,
     Or,
-    Param,
-    ParamRhs,
     PartialResultError,
     PetriNet,
     Place,
@@ -106,12 +104,11 @@ class TestEnabledSet:
                                     output_arcs=(Arc("A"),)),))
         assert compiled_degrees(net, {"A": 0}) == {"SRC": 1}
 
-    def test_param_arc_threshold(self):
+    def test_arc_threshold(self):
         net = PetriNet(
             places=(Place("A", 5),),
             transitions=(Transition("T", Immediate(),
-                                    input_arcs=(Arc("A", Param("N")),)),),
-            parameters={"N": 3})
+                                    input_arcs=(Arc("A", Constant(3)),)),))
         assert compiled_degrees(net, {"A": 5}) == {"T": 1}
         assert compiled_degrees(net, {"A": 2}) == {}
 
@@ -345,43 +342,31 @@ def small_nets(draw):
     return PetriNet(places=places, transitions=tuple(transitions))
 
 
-def arc_count(net, arc) -> int:
-    if isinstance(arc.count, Constant):
-        return arc.count.k
-    return int(net.parameters[arc.count.name])
-
-
 _OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def eval_predicate(pred, tokens, params) -> bool:
+def eval_predicate(pred, tokens) -> bool:
     """Reference guard interpreter over a dict marking, for comparison with
     the guard source the compiler generates."""
     if isinstance(pred, Atom):
         rhs = pred.rhs
-        if isinstance(rhs, IntRhs):
-            r = rhs.value
-        elif isinstance(rhs, ParamRhs):
-            r = params[rhs.name]
-        else:
-            r = tokens[rhs.place]
+        r = rhs.value if isinstance(rhs, IntRhs) else tokens[rhs.place]
         return _OPS[pred.op](tokens[pred.place], r)
     if isinstance(pred, And):
-        return eval_predicate(pred.left, tokens, params) and \
-            eval_predicate(pred.right, tokens, params)
+        return eval_predicate(pred.left, tokens) and \
+            eval_predicate(pred.right, tokens)
     if isinstance(pred, Or):
-        return eval_predicate(pred.left, tokens, params) or \
-            eval_predicate(pred.right, tokens, params)
-    return not eval_predicate(pred.operand, tokens, params)
+        return eval_predicate(pred.left, tokens) or \
+            eval_predicate(pred.right, tokens)
+    return not eval_predicate(pred.operand, tokens)
 
 
-def naive_degree(net, t, marking):
-    if t.guard is not None and not eval_predicate(t.guard, marking,
-                                                 dict(net.parameters)):
+def naive_degree(t, marking):
+    if t.guard is not None and not eval_predicate(t.guard, marking):
         return 0
     flush = [a for a in t.input_arcs if isinstance(a.count, FlushAll)]
-    degrees = [marking[a.place] // arc_count(net, a)
+    degrees = [marking[a.place] // a.count.k
                for a in t.input_arcs if a not in flush]
     if 0 in degrees or any(marking[a.place] == 0 for a in flush):
         return 0
@@ -390,7 +375,7 @@ def naive_degree(net, t, marking):
     return min(degrees)
 
 
-def naive_fire(net, t, marking):
+def naive_fire(t, marking):
     out = dict(marking)
     kappa = 0
     for arc in t.input_arcs:
@@ -399,12 +384,12 @@ def naive_fire(net, t, marking):
             out[arc.place] = 0
     for arc in t.input_arcs:
         if not isinstance(arc.count, FlushAll):
-            out[arc.place] -= arc_count(net, arc)
+            out[arc.place] -= arc.count.k
     for arc in t.output_arcs:
         if isinstance(arc.count, Flushed):
             out[arc.place] += kappa
         else:
-            out[arc.place] += arc_count(net, arc)
+            out[arc.place] += arc.count.k
     return out, kappa
 
 
@@ -414,7 +399,7 @@ def test_enabled_set_matches_naive_reference(net, data):
     marking = {n: data.draw(st.integers(0, 6), label=n) for n in place_names}
     expected = {}
     for t in net.transitions:
-        d = naive_degree(net, t, marking)
+        d = naive_degree(t, marking)
         if d > 0:
             expected[t.name] = d
     assert compiled_degrees(net, marking) == expected
@@ -430,7 +415,7 @@ def test_fire_applies_arc_deltas(net, data):
     name = data.draw(st.sampled_from(sorted(enabled)))
     t = net.transition(name)
     after, kappa = compiled_fire(net, marking, name)
-    assert (after, kappa) == naive_fire(net, t, marking)
+    assert (after, kappa) == naive_fire(t, marking)
     assert all(v >= 0 for v in after.values())
 
 
@@ -456,15 +441,15 @@ def test_generated_code_matches_naive_reference(name, net):
         m = [rng.choice((0, 0, 1, 2, 3, 4, 7)) for _ in names]
         marking = dict(zip(names, m))
         for t, ct in zip(net.transitions, cn.trans):
-            want = naive_degree(net, t, marking)
+            want = naive_degree(t, marking)
             assert cn.degrees[ct.idx](m) == want, (t.name, marking)
             if want:
                 m2 = list(m)
                 kappa = cn.fires[ct.idx](m2)
                 assert (dict(zip(names, m2)), kappa) == \
-                    naive_fire(net, t, marking), (t.name, marking)
+                    naive_fire(t, marking), (t.name, marking)
         enabled = [ct for t, ct in zip(net.transitions, cn.trans)
-                   if ct.immediate and naive_degree(net, t, marking)]
+                   if ct.immediate and naive_degree(t, marking)]
         assert cn.top_all(m) == naive_top(enabled), marking
         for ct in cn.trans:
             # after a timed firing, only the immediates it affects
@@ -489,15 +474,15 @@ def test_hlf_nets_cover_every_arc_kind():
         assert any(k > 1 for ct in trans for _, k in ct.const_in)
 
 
-# every rhs kind: int literals, another place, and int, float and numpy
-# parameters (a numpy scalar's repr is not valid source)
-PRED_PARAMS = {"K": 2, "X": 1.5, "Z": np.float64(2.5)}
+# every rhs kind: another place, and int, float and numpy values (a numpy
+# scalar's repr is not valid source)
 atoms = st.builds(
     Atom, st.sampled_from(place_names),
     st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
-    st.one_of(st.builds(IntRhs, st.integers(0, 4)),
-              st.builds(PlaceRhs, st.sampled_from(place_names)),
-              st.builds(ParamRhs, st.sampled_from(sorted(PRED_PARAMS)))))
+    st.one_of(st.builds(IntRhs, st.one_of(
+                  st.integers(0, 4),
+                  st.sampled_from((1.5, np.float64(2.5), np.int64(2))))),
+              st.builds(PlaceRhs, st.sampled_from(place_names))))
 predicates = st.recursive(atoms, lambda sub: st.one_of(
     st.builds(And, sub, sub), st.builds(Or, sub, sub), st.builds(Not, sub)),
     max_leaves=6)
@@ -513,11 +498,10 @@ def test_compiled_predicate_matches_eval_predicate(pred, tokens):
         places=tuple(Place(n) for n in place_names) + (Place("ON", 1),),
         transitions=(Transition("T0", Immediate(), guard=pred),
                      Transition("T1", Immediate(), input_arcs=(Arc("ON"),),
-                                guard=pred)),
-        parameters=PRED_PARAMS)
+                                guard=pred)))
     cn = compile_net(net)
     m = tokens + [1]
-    want = eval_predicate(pred, dict(zip(place_names, tokens)), PRED_PARAMS)
+    want = eval_predicate(pred, dict(zip(place_names, tokens)))
     assert cn.rewards([ProbabilityOf(pred)])(m) == (int(want),)
     assert [d(m) for d in cn.degrees] == [int(want)] * 2
 

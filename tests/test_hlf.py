@@ -14,6 +14,7 @@ from hlfspn.metrics import (
 )
 from hlfspn.spn import (
     Atom,
+    Constant,
     ExpectedTokens,
     FiringRate,
     IntRhs,
@@ -73,6 +74,14 @@ class TestConfig:
         if field != "timeout_s":  # an infinite timeout is accepted
             with pytest.raises(ConfigError, match=field):
                 HlfConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("field", [
+        "n_endorsers", "n_committers", "block_size",
+        "eq", "oq", "cq", "ep", "op", "cp"])
+    def test_integer_fields_reject_non_integral_values(self, field):
+        for value in (2.5, math.nan, math.inf):
+            with pytest.raises(ConfigError, match=field):
+                HlfConfig(**{field: value})
 
     def test_nan_arrival_rate_rejected(self):
         with pytest.raises(ConfigError):
@@ -143,10 +152,12 @@ class TestStructure:
         assert marking["CLK_RUN"] == 1
         assert marking["CLK_EXP"] == 0
 
-    def test_parameters_exposed(self):
+    def test_block_size_is_an_arc_constant(self):
         cfg = HlfConfig(block_size=4, timeout_s=2.0).with_arrival_rate(10.0)
-        handle = build_hlf_net(cfg)
-        assert handle.net.parameters == {"BLOCK": 4}
+        cut = build_hlf_net(cfg).net.transition("TI6")
+        assert cut.input_arcs[0].count == Constant(4)
+        assert cut.output_arcs[1].count == Constant(4)
+        assert cut.guard.left == Atom("OPF3_1", ">=", IntRhs(4))
 
     def test_in_progress_places_exist(self):
         handle = build_hlf_net(HlfConfig().with_arrival_rate(10.0))

@@ -19,8 +19,6 @@ from hlfspn.spn import (
     IntRhs,
     Not,
     Or,
-    Param,
-    ParamRhs,
     PetriNet,
     Place,
     PlaceRhs,
@@ -32,10 +30,9 @@ from hlfspn.spn import (
 from hlfspn.spn.engine import CompiledNet
 
 
-def two_place_net(*transitions, params=None):
+def two_place_net(*transitions):
     return PetriNet(places=(Place("A", 1), Place("B", 0)),
-                    transitions=transitions,
-                    parameters=params or {})
+                    transitions=transitions)
 
 
 class TestConstruction:
@@ -45,6 +42,18 @@ class TestConstruction:
     def test_zero_arc_constant_rejected(self):
         with pytest.raises(ValueError):
             Constant(0)
+
+    def test_non_integral_arc_constant_rejected(self):
+        for k in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="integer"):
+                Constant(k)
+        # an integral float compiles as an int; a bare int is no count
+        cn = CompiledNet(two_place_net(Transition(
+            "T", Immediate(), input_arcs=(Arc("A", Constant(2.0)),))))
+        assert cn.trans[0].const_in == [(0, 2)]
+        with pytest.raises(EvaluationError, match="bad count expression"):
+            CompiledNet(two_place_net(Transition(
+                "T", Immediate(), input_arcs=(Arc("A", 2),))))
 
     def test_negative_initial_tokens_rejected(self):
         with pytest.raises(ValueError):
@@ -74,19 +83,18 @@ class TestConstruction:
         assert cn.initial == [1, 0]
 
 
-def holds(pred, tokens, params=None) -> int:
+def holds(pred, tokens) -> int:
     """A predicate's value in a marking, 1 or 0, as the compiled rate reward
     ProbabilityOf(pred) computes it."""
     cn = CompiledNet(PetriNet(
         places=tuple(Place(name, k) for name, k in tokens.items()),
-        transitions=(), parameters=params or {}))
+        transitions=()))
     (value,) = cn.rewards([ProbabilityOf(pred)])(cn.initial)
     return value
 
 
 class TestPredicates:
     TOKENS = {"A": 3, "B": 0}
-    PARAMS = {"N": 3}
 
     @pytest.mark.parametrize("op,rhs,expected", [
         ("=", 3, True), ("=", 2, False),
@@ -100,9 +108,9 @@ class TestPredicates:
         pred = Atom("A", op, IntRhs(rhs))
         assert holds(pred, self.TOKENS) == int(expected)
 
-    def test_param_and_place_operands(self):
-        assert holds(Atom("A", "=", ParamRhs("N")), self.TOKENS, self.PARAMS)
+    def test_place_operand(self):
         assert holds(Atom("A", ">", PlaceRhs("B")), self.TOKENS)
+        assert not holds(Atom("B", ">", PlaceRhs("A")), self.TOKENS)
 
     def test_connectives(self):
         t = Atom("A", ">", IntRhs(0))
@@ -116,8 +124,6 @@ class TestPredicates:
     def test_unknown_names_raise(self):
         with pytest.raises(ContractViolationError):
             holds(Atom("Z", "=", IntRhs(0)), self.TOKENS)
-        with pytest.raises(EvaluationError):
-            holds(Atom("A", "=", ParamRhs("M")), self.TOKENS)
         with pytest.raises(ContractViolationError):
             holds(Atom("A", "=", PlaceRhs("Z")), self.TOKENS)
 
@@ -181,19 +187,3 @@ class TestValidation:
                    for m in messages)
         assert any("FlushAll expression on an output arc" in m
                    for m in messages)
-
-    def test_undeclared_parameter(self):
-        net = two_place_net(
-            Transition("T", Immediate(),
-                       input_arcs=(Arc("A", Param("BLOCK")),),
-                       guard=Atom("A", ">=", ParamRhs("LIMIT"))))
-        messages = [d.message for d in validate_net(net)]
-        assert any("'BLOCK'" in m for m in messages)
-        assert any("'LIMIT'" in m for m in messages)
-
-    def test_declared_parameter_is_clean(self):
-        net = two_place_net(
-            Transition("T", Immediate(),
-                       input_arcs=(Arc("A", Param("BLOCK")),)),
-            params={"BLOCK": 2})
-        assert validate_net(net) == []

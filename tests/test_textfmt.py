@@ -16,7 +16,6 @@ from hlfspn.spn import (
     IntRhs,
     Not,
     Or,
-    ParamRhs,
     PetriNet,
     Place,
     PlaceRhs,
@@ -33,21 +32,19 @@ EXAMPLE_NET = PetriNet(
         Transition("CUT", Immediate(priority=2, weight=2.0),
                    input_arcs=(Arc("ACC", FlushAll()),),
                    output_arcs=(Arc("OUT", Flushed()),),
-                   guard=Atom("ACC", ">=", ParamRhs("BLOCK"))),
+                   guard=Atom("ACC", ">=", IntRhs(3))),
         Transition("FEED", Exponential(0.25),
                    output_arcs=(Arc("ACC", Constant(1)),),
                    server_semantics=ServerSemantics.INFINITE),
         Transition("TICK", Deterministic(10.0),
                    input_arcs=(Arc("CLOCK", Constant(1)),),
                    output_arcs=(Arc("CLOCK", Constant(1)),)),
-    ),
-    parameters={"BLOCK": 3})
+    ))
 
 
 class TestGuardText:
     @pytest.mark.parametrize("atom,text", [
         (Atom("A", ">=", IntRhs(3)), "#A >= 3"),
-        (Atom("A", "=", ParamRhs("BLOCK")), "#A = BLOCK"),
         (Atom("A", "<", PlaceRhs("B")), "#A < #B"),
     ])
     def test_atom_for_each_rhs_kind(self, atom, text):
@@ -86,7 +83,7 @@ class TestDot:
         assert '"T" -> "B";' in dot
 
     def test_guard_shown_on_transition(self):
-        assert "#ACC >= BLOCK" in to_dot(EXAMPLE_NET)
+        assert "#ACC >= 3" in to_dot(EXAMPLE_NET)
 
 
 def test_every_exported_name_resolves():
