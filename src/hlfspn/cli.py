@@ -136,7 +136,7 @@ def _cmd_case_study(args) -> int:
 def _load_point(args):
     """The spec named on the command line, which must be a single point."""
     spec = load_experiment(args.spec)
-    if spec.sweep or spec.doe_factors:
+    if spec.sweep:
         raise SpecError(f"{args.command} expects a single-point spec "
                         "(no sweep/doe)")
     return spec

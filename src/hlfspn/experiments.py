@@ -30,11 +30,14 @@ Specs are INI documents::
 
 Every key and value, in a section, a sweep, a DoE level or a command-line
 flag, is read by one function, `configure`, and every point is checked when
-the spec is built. A sweep's points (the cartesian product of its axes) and
-a DoE's 2^k corners (standard order), `ExperimentSpec.points`, are
-evaluated by one runner, `run_points`. Points run independently (optionally
-in parallel); rows always come back in point order with a per-point seed of
-base seed + index, so a spec plus seed reproduces byte-identical CSVs.
+the spec is built. A DoE is a sweep in which each axis holds a factor's two
+levels: `ExperimentSpec.points`, the cartesian product of the axes, lists
+its 2^k corners in standard order. One runner, `run_sweep`, evaluates the
+points of either kind; for a DoE, `run_experiment` then estimates the
+effects (`doe.effects`) from the responses. Points run independently
+(optionally in parallel); rows always come back in point order with a
+per-point seed of base seed + index, so a spec plus seed reproduces
+byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -46,10 +49,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .doe import (DesignError, Factor, effects, factorial_design,
-                  interaction_table)
+import numpy as np
+
+from .doe import effects
 from .hlf import ConfigError, HlfConfig, HlfNetHandle, build_hlf_net
 from .metrics import METRIC_NAMES, MetricReport, metric_report, standard_queries
 from .spn.engine import SimConfig, SimulationResult, simulate_stationary
@@ -115,23 +119,35 @@ def configure(cfg, items, where: str = ""):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A base configuration and the axes of a sweep; with `doe_response`
+    set, a DoE whose axes are its factors' (low, high) levels."""
+
     base: HlfConfig
     sim: SimConfig
     sweep: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    doe_factors: tuple[Factor, ...] = ()
-    doe_response: str = "mrt_s"
+    doe_response: Optional[str] = None
     metrics: tuple[str, ...] = METRIC_NAMES
     outputs: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.sweep and self.doe_factors:
-            raise SpecError("a spec may contain a sweep or a doe, not both")
+        where = "[sweep] "
+        if self.doe_response is not None:
+            where = "[doe] "
+            if self.doe_response not in METRIC_NAMES:
+                raise SpecError(
+                    f"unknown response metric {self.doe_response!r}")
+            # checked before points() lists 2^k corners
+            if not 1 <= len(self.sweep) <= 12:
+                raise SpecError(f"[doe] factors: factor count "
+                                f"{len(self.sweep)} outside supported "
+                                "range 1..12")
+            for name, levels in self.sweep:
+                if len(levels) != 2 or levels[0] == levels[1]:
+                    raise SpecError(f"[doe] factor {name!r}: needs two "
+                                    f"distinct levels, got {levels}")
         # every point is checked here, before any of them runs
-        where = "[doe] " if self.doe_factors else "[sweep] "
         for point in self.points():
             configure(self.base, point, where)
-        if self.doe_response not in METRIC_NAMES:
-            raise SpecError(f"unknown response metric {self.doe_response!r}")
         if not self.metrics:
             raise SpecError("[outputs] metrics is empty")
         for i, m in enumerate(self.metrics):
@@ -144,16 +160,9 @@ class ExperimentSpec:
                 raise SpecError(f"[outputs] {key} is empty")
 
     def points(self) -> list[tuple[tuple[str, float], ...]]:
-        """Each point as (parameter, value) pairs: the DoE's 2^k corners in
-        standard order, or else the sweep's cartesian product in spec order
-        (one empty point without a sweep)."""
-        if self.doe_factors:
-            try:
-                design = factorial_design(list(self.doe_factors))
-            except DesignError as exc:
-                raise SpecError(f"[doe] factors: {exc}") from exc
-            return [tuple(design.settings(i).items())
-                    for i in range(design.n_runs)]
+        """Each point as (parameter, value) pairs: the cartesian product of
+        the axes in spec order, the last axis varying fastest (one empty
+        point without a sweep). For a DoE that is standard order."""
         return list(itertools.product(
             *([(name, v) for v in values] for name, values in self.sweep)))
 
@@ -213,21 +222,23 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 raise SpecError(f"[sweep] values{suffix} is empty")
             sweep.append((pname.strip(), values))
 
-    doe_factors: list[Factor] = []
-    doe_response = "mrt_s"
+    doe_response = None
     if parser.has_section("doe"):
         sec = parser["doe"]
+        factors = []
         for item in _split_list(sec.get("factors", "")):
             parts = item.split(":")
             if len(parts) != 3:
                 raise SpecError(f"[doe] factor {item!r}: expected name:low:high")
             try:
-                doe_factors.append(Factor(parts[0], float(parts[1]),
-                                          float(parts[2])))
+                factors.append((parts[0], (float(parts[1]), float(parts[2]))))
             except ValueError as exc:
                 raise SpecError(f"[doe] factor {item!r}: {exc}") from exc
-        if not doe_factors:
+        if not factors:
             raise SpecError("[doe] section without factors")
+        if sweep:
+            raise SpecError("a spec may contain a sweep or a doe, not both")
+        sweep = factors
         doe_response = sec.get("response", "mrt_s").strip()
 
     outputs = {}
@@ -239,7 +250,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
             metrics = tuple(_split_list(parser.get("outputs", "metrics")))
 
     return ExperimentSpec(base=cfg, sim=sim, sweep=tuple(sweep),
-                          doe_factors=tuple(doe_factors),
                           doe_response=doe_response,
                           metrics=metrics, outputs=outputs)
 
@@ -281,14 +291,13 @@ class ResultRow:
     event_count: int
 
 
-def run_points(spec: ExperimentSpec, points: Sequence[Sequence[tuple]],
-               jobs: int = 1) -> list[ResultRow]:
-    """Evaluate spec.base with each point's (parameter, value) pairs
-    applied, in order.
+def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
+    """Evaluate spec.base at each point of spec.points(), in order.
 
     Point i runs with seed spec.sim.seed + i, so results do not depend on
     `jobs`; with jobs > 1 the points run in a process pool.
     """
+    points = spec.points()
     tasks = [(configure(spec.base, point),
               replace(spec.sim, seed=spec.sim.seed + i))
              for i, point in enumerate(points)]
@@ -303,11 +312,6 @@ def run_points(spec: ExperimentSpec, points: Sequence[Sequence[tuple]],
                       simulated_time=ttime, event_count=events)
             for point, (_, sim), (report, ttime, events)
             in zip(points, tasks, outcomes)]
-
-
-def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
-    """Evaluate every sweep point (cartesian product, spec order)."""
-    return run_points(spec, spec.points(), jobs)
 
 
 def write_rows_csv(path, rows: Sequence[ResultRow],
@@ -346,63 +350,58 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# DoE over the model
+# DoE outputs
 
-def run_doe(spec: ExperimentSpec, jobs: int = 1):
-    """Simulate all 2^k corners (standard order) and return
-    (design, responses, rows)."""
-    design = factorial_design(list(spec.doe_factors))
-    rows = run_points(spec, spec.points(), jobs)
-    responses = [getattr(row.report, spec.doe_response).value
-                 for row in rows]
-    return design, responses, rows
-
-
-def write_effects_csv(path, design, responses) -> None:
-    """One row per term: its effect and its rank by absolute effect, 1 for
-    the largest. Equal effects share a rank, and the ranks after them skip
-    as many places (standard competition ranking: 1, 2, 2, 4)."""
-    table = effects(design, responses)
-    sizes = [abs(e) for e in table.effects]
+def write_effects_csv(path, names: Sequence[str], responses) -> None:
+    """One row per term of the factors `names`: its effect and its rank by
+    absolute effect, 1 for the largest. Equal effects share a rank, and the
+    ranks after them skip as many places (standard competition ranking: 1,
+    2, 2, 4)."""
+    table = effects(names, responses)
+    sizes = [abs(e) for _, e in table]
     _write_csv(path, ["term", "effect", "abs_rank"],
                [["*".join(term), _fmt(eff),
                  1 + sum(s > abs(eff) for s in sizes)]
-                for term, eff in zip(table.terms, table.effects)])
+                for term, eff in table])
 
 
-def write_interaction_csv(path, design, responses, factor_a: str,
-                          factor_b: str) -> None:
-    cells = interaction_table(design, responses, factor_a, factor_b)
-    names = {f.name: f for f in design.factors}
+def write_interaction_csv(path, points, responses, a: str, b: str) -> None:
+    """The mean response at each pair of levels of factors a and b, in the
+    order each pair first appears among the points (dicts or (parameter,
+    value) pairs); for a DoE, the order of their signs."""
+    cells: dict[tuple, list[float]] = {}
+    for point, response in zip(points, responses):
+        levels = dict(point)
+        cells.setdefault((levels[a], levels[b]), []).append(response)
+    # np.mean sums pairwise: Python's sum() rounds differently from 8
+    # values on, which would change the CSV's bytes
     _write_csv(path, ["a_level", "b_level", "mean_response"],
-               [[_fmt(names[factor_a].level(sa)),
-                 _fmt(names[factor_b].level(sb)), _fmt(mean)]
-                for (sa, sb), mean in sorted(cells.items())])
+               [[_fmt(la), _fmt(lb), _fmt(float(np.mean(ys)))]
+                for (la, lb), ys in cells.items()])
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, jobs: int = 1) -> list[Path]:
     """Execute a parsed spec, writing its CSV artifacts; returns the paths."""
     out_dir = Path(out_dir)
-    written: list[Path] = []
-    if spec.doe_factors:
-        design, responses, rows = run_doe(spec, jobs=jobs)
-        eff_path = out_dir / spec.outputs.get("effects", "effects.csv")
-        write_effects_csv(eff_path, design, responses)
-        written.append(eff_path)
-        runs_path = out_dir / spec.outputs.get("runs", "doe_runs.csv")
-        write_rows_csv(runs_path, rows, spec.metrics)
-        written.append(runs_path)
-        prefix = spec.outputs.get("interactions_prefix", "interaction")
-        names = [f.name for f in design.factors]
-        for a, b in itertools.combinations(names, 2):
-            p = out_dir / f"{prefix}_{a}_{b}.csv"
-            write_interaction_csv(p, design, responses, a, b)
-            written.append(p)
-    else:
-        rows = run_sweep(spec, jobs=jobs)
+    rows = run_sweep(spec, jobs=jobs)
+    if spec.doe_response is None:
         path = out_dir / spec.outputs.get("results", "results.csv")
         write_rows_csv(path, rows, spec.metrics)
-        written.append(path)
+        return [path]
+    names = [name for name, _ in spec.sweep]
+    points = [row.point for row in rows]
+    responses = [getattr(row.report, spec.doe_response).value
+                 for row in rows]
+    eff_path = out_dir / spec.outputs.get("effects", "effects.csv")
+    write_effects_csv(eff_path, names, responses)
+    runs_path = out_dir / spec.outputs.get("runs", "doe_runs.csv")
+    write_rows_csv(runs_path, rows, spec.metrics)
+    written = [eff_path, runs_path]
+    prefix = spec.outputs.get("interactions_prefix", "interaction")
+    for a, b in itertools.combinations(names, 2):
+        p = out_dir / f"{prefix}_{a}_{b}.csv"
+        write_interaction_csv(p, points, responses, a, b)
+        written.append(p)
     return written
 
 
@@ -470,14 +469,9 @@ def case_study_specs(case_id: int, seed: int = 1,
             base=base, sim=sim, sweep=(("timeout_s", timeouts),),
             outputs={"results": "cs3.csv"})}
     base = HlfConfig().with_arrival_rate(100.0)
-    factors = (
-        Factor("block_size", 1, 10),
-        Factor("timeout_s", 0.1, 100.0),
-        Factor("ep", 2, 6),
-        Factor("op", 2, 6),
-        Factor("cp", 2, 6),
-    )
-    return {"cs4": ExperimentSpec(base=base, sim=sim, doe_factors=factors,
+    factors = (("block_size", (1, 10)), ("timeout_s", (0.1, 100.0)),
+               ("ep", (2, 6)), ("op", (2, 6)), ("cp", (2, 6)))
+    return {"cs4": ExperimentSpec(base=base, sim=sim, sweep=factors,
                                   doe_response="mrt_s",
                                   outputs={"effects": "cs4_effects.csv",
                                            "runs": "cs4_runs.csv",

@@ -77,6 +77,7 @@ class HlfConfig:
                 if v % 1:  # inf fails too
                     raise ConfigError(f"{f.name} must be an integer, "
                                       f"got {v!r}")
+                object.__setattr__(self, f.name, int(v))
         if not self.timeout_s > 0:  # NaN fails too
             raise ConfigError("timeout_s must be positive")
         if self.timeout_dist == "exponential" and self.timeout_s == math.inf:

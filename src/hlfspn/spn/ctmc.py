@@ -246,30 +246,6 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     return ExactResult(estimates=estimates, n_states=n)
 
 
-# scipy names the stationary solve uses: bound in the module namespace by
-# _load_sparse on first use (or read through __getattr__), so that a name
-# replaced from outside, as the tests do, stays replaced
-_SPARSE_NAMES = ("sparse", "LinearOperator", "gmres", "spilu", "splu")
-
-
-def _load_sparse() -> None:
-    """Import scipy.sparse and bind every name of _SPARSE_NAMES that is not
-    bound yet."""
-    from scipy import sparse
-    from scipy.sparse import linalg
-    g = globals()
-    for name in _SPARSE_NAMES:
-        g.setdefault(name, sparse if name == "sparse"
-                     else getattr(linalg, name))
-
-
-def __getattr__(name: str):
-    if name in _SPARSE_NAMES:
-        _load_sparse()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # GMRES settings of the stationary solve: incomplete-LU drop tolerance,
 # Krylov vectors per restart, residual tolerance (|b| = 1), restarts
 _DROP_TOL = 1e-2
@@ -290,7 +266,7 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     sum."""
     if n == 1:
         return np.ones(1)
-    _load_sparse()
+    from scipy import sparse
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     rates = np.asarray(rates, dtype=float)
@@ -315,6 +291,7 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
 
 
 def _incomplete_lu(A):
+    from scipy.sparse.linalg import spilu
     return spilu(A, drop_tol=_DROP_TOL).solve
 
 
@@ -322,6 +299,7 @@ def _complete_lu(A):
     # factor the transpose (the CSR arrays of A read as CSC) and solve with
     # trans="T": on a 5,768-state HLF generator that took 0.65 s against
     # 1.2 s for factoring A itself (2 vCPU)
+    from scipy.sparse.linalg import splu
     lu = splu(A.tocsr().T)
     return lambda r: lu.solve(r, trans="T")
 
@@ -335,6 +313,7 @@ def _gmres(A, b, precondition):
     1), which also passes a generator whose rates are so large that
     rounding alone keeps |b - A x| above _RTOL. NaN or infinite entries
     fail the test."""
+    from scipy.sparse.linalg import LinearOperator, gmres
     try:
         solve = precondition(A)
     except RuntimeError:  # an exactly singular factor

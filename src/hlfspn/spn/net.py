@@ -186,8 +186,10 @@ class Place:
     initial_tokens: int = 0
 
     def __post_init__(self):
-        if self.initial_tokens < 0:
-            raise ValueError(f"place {self.name!r}: initial tokens < 0")
+        tokens = self.initial_tokens
+        if not (tokens >= 0 and tokens % 1 == 0):  # NaN and inf fail too
+            raise ValueError(f"place {self.name!r}: initial tokens must be "
+                             f"an integer >= 0, got {tokens}")
 
 
 @dataclass(frozen=True)

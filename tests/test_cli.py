@@ -142,7 +142,7 @@ class TestRun:
 @pytest.mark.parametrize("spec_text,argv,key", [
     ("[sim]\nbatch_count = three\n", ["run"], "batch_count"),
     ("[doe]\nfactors = block_size:1:2, block_size:1:3\n", ["run"],
-     "factors"),
+     "[doe] 'block_size' and 'block_size'"),
     ("[doe]\nfactors = " + ", ".join(f"x{i}:0:1" for i in range(13)),
      ["run"], "factors"),
     (None, ["case-study", "3", "--batches", "1"], "--batches"),

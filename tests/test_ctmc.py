@@ -4,6 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg
 
 from hlfspn import hlf
 from hlfspn.experiments import parse_experiment
@@ -454,13 +455,13 @@ class TestStationarySolve:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(ctmc, "spilu", singular)
+        monkeypatch.setattr(linalg, "spilu", singular)
         assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
 
     def test_complete_lu_when_gmres_does_not_converge(self, monkeypatch):
         triplets = generator_triplets(benchmark_small_hlf_net())
         want = ctmc._stationary(*triplets)
-        real_gmres, real_splu = ctmc.gmres, ctmc.splu
+        real_gmres, real_splu = linalg.gmres, linalg.splu
         calls = []
 
         def gmres(A, b, **kwargs):
@@ -473,8 +474,8 @@ class TestStationarySolve:
             calls.append("splu")
             return real_splu(A)
 
-        monkeypatch.setattr(ctmc, "gmres", gmres)
-        monkeypatch.setattr(ctmc, "splu", splu)
+        monkeypatch.setattr(linalg, "gmres", gmres)
+        monkeypatch.setattr(linalg, "splu", splu)
         assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
         assert calls == ["gmres", "splu", "gmres"]
 

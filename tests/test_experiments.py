@@ -4,7 +4,6 @@ import csv
 
 import pytest
 
-from hlfspn.doe import Factor, factorial_design
 from hlfspn.experiments import (
     CASE_STUDY_IDS,
     ExperimentSpec,
@@ -12,7 +11,6 @@ from hlfspn.experiments import (
     case_study_specs,
     configure,
     parse_experiment,
-    run_doe,
     run_experiment,
     run_sweep,
     write_effects_csv,
@@ -93,7 +91,7 @@ metrics = mrt_s, tp_tps  # optional; default: all
         assert spec.metrics == ("mrt_s", "tp_tps")
         spec = parse_experiment("[doe]    # mutually exclusive with [sweep]\n"
                                 "factors = block_size:1:10\n")
-        assert [f.name for f in spec.doe_factors] == ["block_size"]
+        assert spec.sweep == (("block_size", (1.0, 10.0)),)
 
     @pytest.mark.parametrize("line,message", [
         ("block_size = maybe",
@@ -139,9 +137,8 @@ arrival_rate_tps = 100
 factors = block_size:1:10, timeout_s:0.1:100
 response = tp_tps
 """)
-        assert [f.name for f in spec.doe_factors] == \
-            ["block_size", "timeout_s"]
-        assert spec.doe_factors[0].high == 10
+        assert spec.sweep == (("block_size", (1.0, 10.0)),
+                              ("timeout_s", (0.1, 100.0)))
         assert spec.doe_response == "tp_tps"
 
     @pytest.mark.parametrize("text,fragment", [
@@ -185,9 +182,9 @@ class TestSweeps:
     def test_parallel_doe_is_equivalent(self):
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
-            doe_factors=(Factor("cp", 2, 6),))
-        serial = run_doe(spec, jobs=1)[2]
-        parallel = run_doe(spec, jobs=2)[2]
+            sweep=(("cp", (2, 6)),), doe_response="mrt_s")
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
         assert len(serial) == len(parallel) == 2
         assert serial == parallel
 
@@ -212,13 +209,36 @@ class TestSweeps:
     def test_doe_runs_standard_order(self):
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
-            doe_factors=(Factor("cp", 2, 6),),
-            doe_response="tp_tps")
-        design, responses, rows = run_doe(spec)
-        assert design.n_runs == 2
-        assert len(responses) == 2
+            sweep=(("cp", (2, 6)),), doe_response="tp_tps")
+        rows = run_sweep(spec)
+        assert len(rows) == 2
         assert rows[0].point == {"cp": 2}
         assert rows[1].point == {"cp": 6}
+
+    def test_doe_levels_given_high_first_keep_their_order(self, tmp_path):
+        # the first level given is the low (-1) level, whichever is larger
+        spec = parse_experiment("""
+[base]
+arrival_rate_tps = 20
+[sim]
+warmup_time = 5
+batch_count = 3
+batch_length = 5
+[doe]
+factors = cp:6:2, block_size:1:3
+[outputs]
+metrics = tp_tps
+""")
+        run_experiment(spec, tmp_path)
+        with open(tmp_path / "doe_runs.csv", newline="") as fh:
+            runs = [row[:2] for row in csv.reader(fh)]
+        assert runs == [["cp", "block_size"], ["6", "1"], ["6", "3"],
+                        ["2", "1"], ["2", "3"]]
+        with open(tmp_path / "interaction_cp_block_size.csv",
+                  newline="") as fh:
+            cells = [row[:2] for row in csv.reader(fh)]
+        assert cells == [["a_level", "b_level"], ["6", "1"], ["6", "3"],
+                         ["2", "1"], ["2", "3"]]
 
 
 GOLDEN_SPEC = """
@@ -265,13 +285,15 @@ def test_fixed_seed_sweep_csv_is_pinned(tmp_path):
 
 def test_effects_and_interaction_csvs_are_pinned(tmp_path):
     # a fixed design and synthetic responses: no simulation runs
-    design = factorial_design([Factor("block_size", 1, 10),
-                               Factor("timeout_s", 0.1, 100.0),
-                               Factor("cp", 2, 6)])
+    spec = ExperimentSpec(
+        base=HlfConfig(), sim=FAST_SIM, doe_response="mrt_s",
+        sweep=(("block_size", (1, 10)), ("timeout_s", (0.1, 100.0)),
+               ("cp", (2, 6))))
     responses = [0.5, 2.0, 1.0, 8.0, 0.25, 4.0, 3.0, 10.0 / 3.0]
-    write_effects_csv(tmp_path / "effects.csv", design, responses)
-    write_interaction_csv(tmp_path / "interaction.csv", design, responses,
-                          "block_size", "cp")
+    write_effects_csv(tmp_path / "effects.csv",
+                      [name for name, _ in spec.sweep], responses)
+    write_interaction_csv(tmp_path / "interaction.csv", spec.points(),
+                          responses, "block_size", "cp")
     assert (tmp_path / "effects.csv").read_bytes() == (
         b"term,effect,abs_rank\r\n"
         b"block_size,-0.2291666667,7\r\n"
@@ -323,7 +345,7 @@ class TestCaseStudyCatalog:
 
     def test_fourth_scenario_is_a_five_factor_doe(self):
         spec = case_study_specs(4)["cs4"]
-        assert [f.name for f in spec.doe_factors] == \
+        assert [name for name, _ in spec.sweep] == \
             ["block_size", "timeout_s", "ep", "op", "cp"]
         assert spec.doe_response == "mrt_s"
 

@@ -83,6 +83,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=field):
                 HlfConfig(**{field: value})
 
+    def test_integral_floats_are_stored_as_integers(self):
+        cfg = HlfConfig(n_endorsers=2.0, eq=100.0).with_arrival_rate(10)
+        assert type(cfg.n_endorsers) is int and type(cfg.eq) is int
+        net = build_hlf_net(cfg).net
+        eq = next(p for p in net.places if p.name == "EQ_1")
+        assert eq.initial_tokens == 100 and type(eq.initial_tokens) is int
+
     def test_nan_arrival_rate_rejected(self):
         with pytest.raises(ConfigError):
             HlfConfig().with_arrival_rate(math.nan)

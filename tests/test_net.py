@@ -59,6 +59,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Place("A", -1)
 
+    def test_non_integral_initial_tokens_rejected(self):
+        for tokens in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="integer"):
+                Place("A", tokens)
+
     def test_bad_comparison_operator_rejected(self):
         with pytest.raises(ValueError):
             Atom("A", "==", IntRhs(0))
