@@ -28,7 +28,7 @@ from .experiments import (
 from .hlf import ConfigError, build_hlf_net
 from .metrics import METRIC_NAMES, metric_report, standard_queries
 from .spn.ctmc import UnsupportedModelError, solve_ctmc
-from .spn.net import EvaluationError, SpnError
+from .spn.net import SpnError
 from .spn.textfmt import to_dot
 
 EXIT_OK = 0
@@ -101,8 +101,7 @@ def main(argv=None) -> int:
         if args.command == "export-dot":
             return _cmd_export_dot(args)
         return _cmd_solve(args)
-    except (SpecError, ConfigError, EvaluationError,
-            UnsupportedModelError) as exc:
+    except (SpecError, ConfigError, UnsupportedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnsupportedModelError):
             print("hint: set arrival_dist = exponential and timeout_dist = "

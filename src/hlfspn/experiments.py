@@ -45,6 +45,7 @@ from __future__ import annotations
 import configparser
 import csv
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields, replace
 from decimal import Decimal
@@ -107,8 +108,10 @@ def configure(cfg, items, where: str = ""):
                                 f"got {value}")
             v = int(Decimal(str(value).strip()))  # exact past 2**53
         elif name == "arrival_rate_tps":
-            if not v > 0:  # NaN fails too
-                raise SpecError(f"{where}arrival_rate_tps must be positive")
+            # the rate and the delay, its reciprocal; NaN fails too
+            if not (0 < v < math.inf and 1.0 / v < math.inf):
+                raise SpecError(f"{where}arrival_rate_tps must be finite "
+                                "and positive")
             v = 1.0 / v
         changes[field] = v
     try:

@@ -16,15 +16,12 @@ from .spn.net import (
     And,
     Arc,
     Atom,
-    Constant,
     Deterministic,
     Exponential,
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     PetriNet,
-    PlaceRhs,
     Place,
     ServerSemantics,
     SpnError,
@@ -166,7 +163,7 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     # --- entry routing and discard
     all_full = None
     for name in eq_names:
-        atom = Atom(name, "=", IntRhs(0))
+        atom = Atom(name, "=", 0)
         all_full = atom if all_full is None else And(all_full, atom)
     transitions.append(Transition(
         "T_DROP", Immediate(), input_arcs=(Arc("P_GT"),), guard=all_full))
@@ -193,7 +190,7 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
             te, Exponential(cfg.endorse_mean(i)),
             input_arcs=(Arc(epf),),
             output_arcs=(Arc(ep), Arc("ENDORSED")),
-            guard=Atom("OQ_1", ">=", IntRhs(1)),
+            guard=Atom("OQ_1", ">=", 1),
             server_semantics=ServerSemantics.INFINITE))
 
     # --- ordering entry
@@ -220,22 +217,20 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     # has fully transferred, so BLKTX_1 only ever holds the in-flight
     # block's transactions and the transfer flush is exact.
     no_block_in_flight = And(
-        And(Atom("FULLBLK_1", "=", IntRhs(0)),
-            Atom("PARTBLK_1", "=", IntRhs(0))),
-        Atom("OPF5_1", "=", IntRhs(0)))
+        And(Atom("FULLBLK_1", "=", 0), Atom("PARTBLK_1", "=", 0)),
+        Atom("OPF5_1", "=", 0))
     transitions.append(Transition(
         "TI6", Immediate(),
-        input_arcs=(Arc("OPF3_1", Constant(cfg.block_size)),),
+        input_arcs=(Arc("OPF3_1", cfg.block_size),),
         output_arcs=(Arc("FULLBLK_1"),
-                     Arc("BLKTX_1", Constant(cfg.block_size))),
-        guard=And(Atom("OPF3_1", ">=", IntRhs(cfg.block_size)),
+                     Arc("BLKTX_1", cfg.block_size)),
+        guard=And(Atom("OPF3_1", ">=", cfg.block_size),
                   no_block_in_flight)))
     transitions.append(Transition(
         "TI7", Immediate(),
         input_arcs=(Arc("OPF3_1", FlushAll()),),
         output_arcs=(Arc("PARTBLK_1"), Arc("BLKTX_1", Flushed())),
-        guard=And(And(Atom("CLK_EXP", ">=", IntRhs(1)),
-                      Atom("OPF3_1", ">=", IntRhs(1))),
+        guard=And(And(Atom("CLK_EXP", ">=", 1), Atom("OPF3_1", ">=", 1)),
                   no_block_in_flight)))
     transitions.append(Transition(
         "TE4", Exponential(cfg.te4),
@@ -268,7 +263,7 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     # so commit congestion backs up through the orderer to the entry queues
     room_for_block = None
     for cq in cq_names:
-        atom = Atom(cq, ">=", PlaceRhs("BLKTX_1"))
+        atom = Atom(cq, ">=", "BLKTX_1")
         room_for_block = atom if room_for_block is None \
             else And(room_for_block, atom)
     for te6, clock_place in (("TE6", "CLK_RUN"), ("TE6_EXP", "CLK_EXP")):

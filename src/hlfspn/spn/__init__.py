@@ -4,22 +4,17 @@ from .net import (
     And,
     Arc,
     Atom,
-    Constant,
     Deterministic,
-    Diagnostic,
-    EvaluationError,
     Exponential,
     ExpectedTokens,
     FiringRate,
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     Not,
     Or,
     PetriNet,
     Place,
-    PlaceRhs,
     Predicate,
     ProbabilityOf,
     RewardQuery,
@@ -44,13 +39,12 @@ from .ctmc import (ExactResult, ExplosionError, SingularGeneratorError,
 from .textfmt import guard_to_text, to_dot
 
 __all__ = [
-    "And", "Arc", "Atom", "Constant", "ContractViolationError",
-    "Deterministic", "Diagnostic", "DivergenceError", "Estimate",
-    "EvaluationError", "ExactResult", "ExplosionError", "Exponential",
-    "ExpectedTokens", "FiringRate", "FlushAll", "Flushed",
-    "Immediate", "IntRhs", "LivelockError", "Not", "Or",
-    "PartialResultError", "PetriNet", "Place", "PlaceRhs",
-    "Predicate", "ProbabilityOf", "RewardQuery", "ServerSemantics",
+    "And", "Arc", "Atom", "ContractViolationError", "Deterministic",
+    "DivergenceError", "Estimate", "ExactResult", "ExplosionError",
+    "Exponential", "ExpectedTokens", "FiringRate", "FlushAll", "Flushed",
+    "Immediate", "LivelockError", "Not", "Or", "PartialResultError",
+    "PetriNet", "Place", "Predicate", "ProbabilityOf", "RewardQuery",
+    "ServerSemantics",
     "SimConfig", "SimulationResult", "SingularGeneratorError", "SpnError",
     "Transition",
     "UnsupportedModelError", "guard_to_text", "predicate_places",

@@ -47,9 +47,7 @@ from typing import Callable, Optional, Sequence
 from .net import (
     And,
     Atom,
-    Constant,
     Deterministic,
-    EvaluationError,
     Exponential,
     ExpectedTokens,
     FiringRate,
@@ -59,7 +57,6 @@ from .net import (
     Not,
     Or,
     PetriNet,
-    PlaceRhs,
     Predicate,
     ProbabilityOf,
     RewardQuery,
@@ -204,7 +201,7 @@ class CompiledNet:
         diags = validate_net(net)
         if diags:
             raise ContractViolationError(
-                "net fails validation: " + "; ".join(str(d) for d in diags))
+                "net fails validation: " + "; ".join(diags))
         self.place_index = {p.name: i for i, p in enumerate(net.places)}
         self.place_names = [p.name for p in net.places]
         self.n_places = len(net.places)
@@ -212,7 +209,6 @@ class CompiledNet:
         self.trans_index = {t.name: i for i, t in enumerate(net.transitions)}
         self.trans: list[_CTrans] = []
 
-        ns = {"_negative": self._negative}
         for i, t in enumerate(net.transitions):
             ct = _CTrans()
             ct.idx = i
@@ -226,15 +222,15 @@ class CompiledNet:
                 if isinstance(arc.count, FlushAll):
                     ct.flush_in.append(p)
                 else:
-                    ct.const_in.append((p, self._resolve_count(arc.count)))
+                    ct.const_in.append((p, arc.count))
             for arc in t.output_arcs:
                 p = self.place_index[arc.place]
                 if isinstance(arc.count, Flushed):
                     ct.flushed_out.append(p)
                 else:
-                    ct.const_out.append((p, self._resolve_count(arc.count)))
+                    ct.const_out.append((p, arc.count))
             if t.guard is not None:
-                ct.guard = self._predicate_source(t.guard, ns)
+                ct.guard = self._predicate_source(t.guard)
             ct.immediate = t.is_immediate
             if isinstance(t.kind, Immediate):
                 ct.priority = t.kind.priority
@@ -301,6 +297,7 @@ class CompiledNet:
                 scan_names[key] = name = f"_T{len(scan_names):d}"
                 lines += _scan_source(name, [self.trans[j]
                                              for j in sorted(key)])
+        ns = {"_negative": self._negative}
         exec(compile("\n".join(lines) + "\n", "<hlfspn generated>",
                      "exec"), ns)
         n = len(self.trans)
@@ -319,11 +316,6 @@ class CompiledNet:
             f"firing {self.trans[i].name!r} drove place "
             f"{self.place_names[p]!r} negative")
 
-    def _resolve_count(self, expr) -> int:
-        if isinstance(expr, Constant):
-            return int(expr.k)  # the generated code formats it with :d
-        raise EvaluationError(f"bad count expression {expr!r}")
-
     def place_id(self, name: str) -> int:
         """Index of a place; ContractViolationError when there is none."""
         try:
@@ -340,29 +332,24 @@ class CompiledNet:
             raise ContractViolationError(
                 f"unknown transition {name!r}") from None
 
-    def _predicate_source(self, pred: Predicate, ns: dict) -> str:
-        """pred as a Python expression over the marking m. Each value an
-        atom compares with is bound in ns under a fresh name, since the
-        repr of a numpy scalar is not valid source."""
+    def _predicate_source(self, pred: Predicate) -> str:
+        """pred as a Python expression over the marking m."""
         if isinstance(pred, Atom):
             rhs = pred.rhs
-            if isinstance(rhs, PlaceRhs):
-                r = f"m[{self.place_id(rhs.place):d}]"
-            else:
-                r = f"_R{len(ns):d}"
-                ns[r] = rhs.value
+            r = f"m[{self.place_id(rhs):d}]" if isinstance(rhs, str) \
+                else f"{rhs:d}"
             op = "==" if pred.op == "=" else pred.op
             return f"m[{self.place_id(pred.place):d}] {op} {r}"
         if isinstance(pred, (And, Or)):
             word = "and" if isinstance(pred, And) else "or"
-            return (f"({self._predicate_source(pred.left, ns)} {word} "
-                    f"{self._predicate_source(pred.right, ns)})")
+            return (f"({self._predicate_source(pred.left)} {word} "
+                    f"{self._predicate_source(pred.right)})")
         if isinstance(pred, Not):
-            return f"(not {self._predicate_source(pred.operand, ns)})"
+            return f"(not {self._predicate_source(pred.operand)})"
         raise TypeError(f"not a predicate: {pred!r}")
 
-    def reward_source(self, query: RewardQuery,
-                      ns: dict) -> tuple[str, tuple[int, ...]]:
+    def reward_source(self, query: RewardQuery
+                      ) -> tuple[str, tuple[int, ...]]:
         """A rate reward as a Python expression over the marking m, and the
         places it reads: `m[i]` for ExpectedTokens, and for ProbabilityOf 1
         or 0 as its predicate holds or not, an int so that the time
@@ -374,7 +361,7 @@ class CompiledNet:
             return f"m[{p:d}]", (p,)
         if isinstance(query, ProbabilityOf):
             pred = query.predicate
-            return (f"(1 if {self._predicate_source(pred, ns)} else 0)",
+            return (f"(1 if {self._predicate_source(pred)} else 0)",
                     tuple(sorted(map(self.place_id, predicate_places(pred)))))
         raise TypeError(f"not a rate reward query: {query!r}")
 
@@ -382,9 +369,8 @@ class CompiledNet:
                 ) -> Callable[[list[int]], tuple]:
         """Rate rewards compiled to one function of the marking m that
         returns their values, in order."""
-        ns: dict = {}
-        body = "".join(self.reward_source(q, ns)[0] + ", " for q in queries)
-        return eval(f"lambda m: ({body})", ns)
+        body = "".join(self.reward_source(q)[0] + ", " for q in queries)
+        return eval(f"lambda m: ({body})", {})
 
     def reward_slots(self, queries: Sequence[RewardQuery]
                      ) -> tuple[list[RewardQuery],
@@ -458,6 +444,11 @@ class SimConfig:
     max_events: int = 200_000_000
 
     def __post_init__(self):
+        for f in ("batch_count", "seed", "max_events"):
+            v = getattr(self, f)
+            if not v % 1 == 0:  # NaN and inf fail too
+                raise ValueError(f"{f} must be an integer, got {v!r}")
+            object.__setattr__(self, f, int(v))
         if not 0 <= self.warmup_time < math.inf:  # NaN fails too
             raise ValueError("warmup_time must be finite and >= 0")
         if self.batch_count < 2:
@@ -633,7 +624,7 @@ class _Simulator:
         exprs = []
         readers: list[list[int]] = [[] for _ in range(cn.n_places)]
         for k, q in enumerate(rates):
-            expr, places = cn.reward_source(q, ns)
+            expr, places = cn.reward_source(q)
             exprs.append(expr)
             for p in places:
                 readers[p].append(k)

@@ -26,22 +26,8 @@ class SpnError(Exception):
         return _rebuild_error, (type(self), self.args, self.__dict__)
 
 
-class EvaluationError(SpnError):
-    """Raised when a guard or arc expression cannot be evaluated."""
-
-
 # ---------------------------------------------------------------------------
-# Arc count expressions
-
-@dataclass(frozen=True)
-class Constant:
-    k: int
-
-    def __post_init__(self):
-        if not (self.k >= 1 and self.k % 1 == 0):  # NaN and inf fail too
-            raise ValueError(f"arc constant must be an integer >= 1, "
-                             f"got {self.k}")
-
+# Arcs
 
 @dataclass(frozen=True)
 class FlushAll:
@@ -53,13 +39,21 @@ class Flushed:
     """Output arcs only: produce as many tokens as FlushAll consumed."""
 
 
-CountExpr = Union[Constant, FlushAll, Flushed]
-
-
 @dataclass(frozen=True)
 class Arc:
+    """An arc moving `count` tokens: an integer >= 1, FlushAll or
+    Flushed."""
+
     place: str
-    count: CountExpr = Constant(1)
+    count: Union[int, FlushAll, Flushed] = 1
+
+    def __post_init__(self):
+        k = self.count
+        if not isinstance(k, (FlushAll, Flushed)):
+            if not (k >= 1 and k % 1 == 0):  # NaN and inf fail too
+                raise ValueError(f"arc count must be an integer >= 1, "
+                                 f"got {k}")
+            object.__setattr__(self, "count", int(k))
 
 
 # ---------------------------------------------------------------------------
@@ -67,29 +61,23 @@ class Arc:
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
-# rhs of an atom: integer literal or another place count
-@dataclass(frozen=True)
-class IntRhs:
-    value: int
-
-
-@dataclass(frozen=True)
-class PlaceRhs:
-    place: str
-
-
-Rhs = Union[IntRhs, PlaceRhs]
-
 
 @dataclass(frozen=True)
 class Atom:
+    """`place op rhs`, where rhs is an integer or the name of a place."""
+
     place: str
     op: str
-    rhs: Rhs
+    rhs: Union[int, str]
 
     def __post_init__(self):
         if self.op not in _CMP_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
+        if not isinstance(self.rhs, str):
+            if not self.rhs % 1 == 0:  # NaN and inf fail too
+                raise ValueError(f"guard threshold must be an integer, "
+                                 f"got {self.rhs}")
+            object.__setattr__(self, "rhs", int(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -116,8 +104,8 @@ def predicate_places(pred: Predicate) -> set[str]:
     """All places a predicate reads."""
     if isinstance(pred, Atom):
         out = {pred.place}
-        if isinstance(pred.rhs, PlaceRhs):
-            out.add(pred.rhs.place)
+        if isinstance(pred.rhs, str):
+            out.add(pred.rhs)
         return out
     if isinstance(pred, (And, Or)):
         return predicate_places(pred.left) | predicate_places(pred.right)
@@ -140,8 +128,8 @@ class Immediate:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("immediate weight must be positive")
+        if not 0 < self.weight < math.inf:  # NaN fails too
+            raise ValueError("immediate weight must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -228,68 +216,60 @@ RewardQuery = Union[ExpectedTokens, ProbabilityOf, FiringRate]
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
-class Diagnostic:
-    element: str
-    message: str
+def validate_net(net: PetriNet) -> list[str]:
+    """Structural checks, each problem as "<element>: <problem>". Empty
+    list iff the net is well formed."""
+    diags: list[str] = []
 
-    def __str__(self):
-        return f"{self.element}: {self.message}"
+    def bad(element: str, problem: str):
+        diags.append(f"{element}: {problem}")
 
-
-def validate_net(net: PetriNet) -> list[Diagnostic]:
-    """Structural checks.  Empty list iff the net is well formed."""
-    diags: list[Diagnostic] = []
     place_names = [p.name for p in net.places]
     seen: set[str] = set()
     for name in place_names:
         if name in seen:
-            diags.append(Diagnostic(name, "duplicate place name"))
+            bad(name, "duplicate place name")
         seen.add(name)
     places = set(place_names)
 
     tseen: set[str] = set()
     for t in net.transitions:
         if t.name in tseen:
-            diags.append(Diagnostic(t.name, "duplicate transition name"))
+            bad(t.name, "duplicate transition name")
         tseen.add(t.name)
         if t.name in places:
-            diags.append(Diagnostic(t.name, "name clashes with a place"))
+            bad(t.name, "name clashes with a place")
 
         in_places: set[str] = set()
         has_flush_all = False
         for arc in t.input_arcs:
             if arc.place not in places:
-                diags.append(Diagnostic(t.name,
-                                        f"input arc references unknown place {arc.place!r}"))
+                bad(t.name,
+                    f"input arc references unknown place {arc.place!r}")
             if arc.place in in_places:
-                diags.append(Diagnostic(t.name,
-                                        f"multiple input arcs from place {arc.place!r}"))
+                bad(t.name, f"multiple input arcs from place {arc.place!r}")
             in_places.add(arc.place)
             if isinstance(arc.count, Flushed):
-                diags.append(Diagnostic(t.name, "Flushed expression on an input arc"))
+                bad(t.name, "Flushed expression on an input arc")
             if isinstance(arc.count, FlushAll):
                 has_flush_all = True
 
         out_places: set[str] = set()
         for arc in t.output_arcs:
             if arc.place not in places:
-                diags.append(Diagnostic(t.name,
-                                        f"output arc references unknown place {arc.place!r}"))
+                bad(t.name,
+                    f"output arc references unknown place {arc.place!r}")
             if arc.place in out_places:
-                diags.append(Diagnostic(t.name,
-                                        f"multiple output arcs to place {arc.place!r}"))
+                bad(t.name, f"multiple output arcs to place {arc.place!r}")
             out_places.add(arc.place)
             if isinstance(arc.count, FlushAll):
-                diags.append(Diagnostic(t.name, "FlushAll expression on an output arc"))
+                bad(t.name, "FlushAll expression on an output arc")
             if isinstance(arc.count, Flushed) and not has_flush_all:
-                diags.append(Diagnostic(t.name,
-                                        "Flushed output without a FlushAll input"))
+                bad(t.name, "Flushed output without a FlushAll input")
 
         if t.guard is not None:
             for pl in predicate_places(t.guard):
                 if pl not in places:
-                    diags.append(Diagnostic(t.name,
-                                            f"guard references unknown place {pl!r}"))
+                    bad(t.name, f"guard references unknown place {pl!r}")
 
     return diags

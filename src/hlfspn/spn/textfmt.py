@@ -14,7 +14,6 @@ from .net import (
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     Not,
     Or,
     PetriNet,
@@ -25,7 +24,7 @@ from .net import (
 def guard_to_text(pred: Predicate) -> str:
     if isinstance(pred, Atom):
         rhs = pred.rhs
-        r = str(rhs.value) if isinstance(rhs, IntRhs) else f"#{rhs.place}"
+        r = f"#{rhs}" if isinstance(rhs, str) else str(rhs)
         return f"#{pred.place} {pred.op} {r}"
     if isinstance(pred, And):
         return f"({guard_to_text(pred.left)} and {guard_to_text(pred.right)})"
@@ -41,7 +40,7 @@ def _count_to_text(count) -> str:
         return "all"
     if isinstance(count, Flushed):
         return "flushed"
-    return str(count.k)
+    return str(count)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,10 @@ from hlfspn.spn import (
     And,
     Arc,
     Atom,
-    Constant,
     Exponential,
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     PetriNet,
     Place,
     ServerSemantics,
@@ -82,15 +80,15 @@ def branch_net() -> PetriNet:
             Transition("TO_A", Immediate(weight=1.0),
                        input_arcs=(Arc("IN"),),
                        output_arcs=(Arc("QA"),),
-                       guard=Atom("QA", "<", IntRhs(4))),
+                       guard=Atom("QA", "<", 4)),
             Transition("TO_B", Immediate(weight=3.0),
                        input_arcs=(Arc("IN"),),
                        output_arcs=(Arc("QB"),),
-                       guard=Atom("QB", "<", IntRhs(4))),
+                       guard=Atom("QB", "<", 4)),
             Transition("DROP", Immediate(),
                        input_arcs=(Arc("IN"),),
-                       guard=And(Atom("QA", ">=", IntRhs(4)),
-                                 Atom("QB", ">=", IntRhs(4)))),
+                       guard=And(Atom("QA", ">=", 4),
+                                 Atom("QB", ">=", 4))),
             Transition("SA", Exponential(0.5),
                        input_arcs=(Arc("QA"),)),
             Transition("SB", Exponential(0.2),
@@ -111,10 +109,10 @@ def flush_net() -> PetriNet:
                        input_arcs=(Arc("ACC", FlushAll()),),
                        output_arcs=(Arc("OUT", Flushed()),
                                     Arc("ROOM", Flushed())),
-                       guard=And(Atom("ACC", ">=", IntRhs(3)),
-                                 Atom("OUT", "<=", IntRhs(4)))),
+                       guard=And(Atom("ACC", ">=", 3),
+                                 Atom("OUT", "<=", 4))),
             Transition("DRAIN", Exponential(0.3),
-                       input_arcs=(Arc("OUT", Constant(1)),),
+                       input_arcs=(Arc("OUT", 1),),
                        server_semantics=ServerSemantics.INFINITE),
         ),
     )
@@ -137,11 +135,11 @@ def priority_net() -> PetriNet:
             Transition("TO_X", Immediate(priority=2, weight=1.0),
                        input_arcs=(Arc("J"),),
                        output_arcs=(Arc("X"),),
-                       guard=Atom("X", "<", IntRhs(1))),
+                       guard=Atom("X", "<", 1)),
             Transition("TO_Y", Immediate(priority=2, weight=2.0),
                        input_arcs=(Arc("J"),),
                        output_arcs=(Arc("Y"),),
-                       guard=Atom("Y", "<", IntRhs(1))),
+                       guard=Atom("Y", "<", 1)),
             Transition("SPILL", Immediate(priority=1),
                        input_arcs=(Arc("J"),),
                        output_arcs=(Arc("IDLE"),)),

@@ -18,7 +18,6 @@ from hlfspn.spn import (
     Atom,
     ExpectedTokens,
     FiringRate,
-    IntRhs,
     ProbabilityOf,
     SimConfig,
     simulate_stationary,
@@ -89,23 +88,23 @@ def test_criterion_1_mmck_closed_form_oracle(lam):
 def cross_check_nets():
     yield mm1k_net(8.0, 10.0, 5), [
         ExpectedTokens("Q"),
-        ProbabilityOf(Atom("ROOM", "=", IntRhs(0))),
-        ProbabilityOf(Atom("Q", "=", IntRhs(0))),
+        ProbabilityOf(Atom("ROOM", "=", 0)),
+        ProbabilityOf(Atom("Q", "=", 0)),
         FiringRate("SERVE"),
         FiringRate("ARRIVE"),
     ]
     yield mmck_net(6.0, 2.0, 3, 7), [
         ExpectedTokens("Q"),
         ExpectedTokens("S"),
-        ProbabilityOf(Atom("ROOM", "=", IntRhs(0))),
+        ProbabilityOf(Atom("ROOM", "=", 0)),
         FiringRate("SERVE"),
         FiringRate("START"),
     ]
     yield tandem_net(), [
         ExpectedTokens("Q1"),
         ExpectedTokens("Q2"),
-        ProbabilityOf(Atom("R1", "=", IntRhs(0))),
-        ProbabilityOf(Atom("R2", "=", IntRhs(0))),
+        ProbabilityOf(Atom("R1", "=", 0)),
+        ProbabilityOf(Atom("R2", "=", 0)),
         FiringRate("S2"),
     ]
     yield branch_net(), [
@@ -118,7 +117,7 @@ def cross_check_nets():
     yield flush_net(), [
         ExpectedTokens("ACC"),
         ExpectedTokens("OUT"),
-        ProbabilityOf(Atom("ACC", ">=", IntRhs(3))),
+        ProbabilityOf(Atom("ACC", ">=", 3)),
         FiringRate("CUT"),
         FiringRate("DRAIN"),
     ]

@@ -20,7 +20,6 @@ from hlfspn.spn import (
     Exponential,
     FiringRate,
     Immediate,
-    IntRhs,
     LivelockError,
     PetriNet,
     Place,
@@ -56,7 +55,7 @@ class TestClosedForms:
                            input_arcs=(Arc("OFF"),),
                            output_arcs=(Arc("ON"),)),
             ))
-        q = ProbabilityOf(Atom("ON", "=", IntRhs(1)))
+        q = ProbabilityOf(Atom("ON", "=", 1))
         res = solve_ctmc(net, [q])
         assert res.n_states == 2
         assert res.value(q) == pytest.approx(0.8)
@@ -65,7 +64,7 @@ class TestClosedForms:
         lam, mu, K = 3.0, 4.0, 3
         oracle = mm1k(lam, mu, K)
         net = mm1k_net(lam, mu, K)
-        queries = [ProbabilityOf(Atom("Q", "=", IntRhs(n)))
+        queries = [ProbabilityOf(Atom("Q", "=", n))
                    for n in range(K + 1)]
         res = solve_ctmc(net, queries)
         assert res.n_states == K + 1
@@ -82,7 +81,7 @@ class TestClosedForms:
         net = mmck_net(lam, mu, c, K)
         q_q = ExpectedTokens("Q")
         q_s = ExpectedTokens("S")
-        q_block = ProbabilityOf(Atom("ROOM", "=", IntRhs(0)))
+        q_block = ProbabilityOf(Atom("ROOM", "=", 0))
         q_rate = FiringRate("SERVE")
         res = solve_ctmc(net, [q_q, q_s, q_block, q_rate])
         assert res.value(q_q) + res.value(q_s) == pytest.approx(
@@ -129,7 +128,7 @@ class TestLimits:
 
     @pytest.mark.parametrize("query", [
         ExpectedTokens("NOPE"), FiringRate("NOPE"),
-        ProbabilityOf(Atom("NOPE", "=", IntRhs(0))), "Q"],
+        ProbabilityOf(Atom("NOPE", "=", 0)), "Q"],
         ids=["tokens", "rate", "probability", "not-a-query"])
     def test_queries_are_checked_before_the_chain_is_generated(
             self, monkeypatch, query):
@@ -150,7 +149,7 @@ class TestLimits:
                 Transition("CYCLE", Exponential(1.0),
                            input_arcs=(Arc("B"),), output_arcs=(Arc("A"),)),
             ))
-        q = ProbabilityOf(Atom("B", "=", IntRhs(1)))
+        q = ProbabilityOf(Atom("B", "=", 1))
         res = solve_ctmc(net, [q])
         # A is vanishing, so the chain has the single tangible state B=1
         assert res.n_states == 1
@@ -181,14 +180,14 @@ class TestLimits:
                            input_arcs=(Arc("C"),), output_arcs=(Arc("Y"),)),
             ))
         with pytest.raises(SingularGeneratorError):
-            solve_ctmc(net, [ProbabilityOf(Atom("X", "=", IntRhs(1)))])
+            solve_ctmc(net, [ProbabilityOf(Atom("X", "=", 1))])
 
 
 class TestAgreementWithSimulator:
     def test_tandem_estimates_cover_exact_values(self):
         net = tandem_net()
         queries = [ExpectedTokens("Q1"), ExpectedTokens("Q2"),
-                   ProbabilityOf(Atom("R1", "=", IntRhs(0))),
+                   ProbabilityOf(Atom("R1", "=", 0)),
                    FiringRate("S2")]
         exact = solve_ctmc(net, queries)
         sim = simulate_stationary(net, queries, SimConfig(
@@ -220,7 +219,7 @@ def fork_join_net(k: int) -> PetriNet:
 class TestVanishingResolution:
     def test_independent_immediates_are_not_a_livelock(self):
         # 10! firing orders, but only 2^10 vanishing markings and no loop
-        q_s = ProbabilityOf(Atom("S", "=", IntRhs(1)))
+        q_s = ProbabilityOf(Atom("S", "=", 1))
         q_i0 = FiringRate("I0")
         res = solve_ctmc(fork_join_net(10), [q_s, q_i0])
         assert res.n_states == 2
@@ -373,7 +372,7 @@ def test_discard_fraction_is_all_full_probability_under_poisson_arrivals(
     # that every entry queue is full (its capacity place empty)
     handle = hlf.build_hlf_net(cfg)
     all_full = ProbabilityOf(reduce(And, (
-        Atom(f"EQ_{i}", "=", IntRhs(0))
+        Atom(f"EQ_{i}", "=", 0)
         for i in range(1, cfg.n_endorsers + 1))))
     res = solve_ctmc(handle.net, [*standard_queries(handle), all_full])
     assert res.n_states == states
@@ -486,7 +485,7 @@ class TestStationarySolve:
         # 1e-14, so convergence is judged by the normwise backward error
         lam, mu, K = 3.0 * scale, 4.0 * scale, 50
         oracle = mm1k(lam, mu, K)
-        queries = [ProbabilityOf(Atom("Q", "=", IntRhs(n)))
+        queries = [ProbabilityOf(Atom("Q", "=", n))
                    for n in range(K + 1)]
         res = solve_ctmc(mm1k_net(lam, mu, K), queries)
         got = np.array([res.value(q) for q in queries])

@@ -19,7 +19,6 @@ from hlfspn.spn import (
     And,
     Arc,
     Atom,
-    Constant,
     ContractViolationError,
     Deterministic,
     DivergenceError,
@@ -29,14 +28,12 @@ from hlfspn.spn import (
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     LivelockError,
     Not,
     Or,
     PartialResultError,
     PetriNet,
     Place,
-    PlaceRhs,
     ProbabilityOf,
     ServerSemantics,
     SimConfig,
@@ -77,11 +74,11 @@ class TestEnabledSet:
         net = PetriNet(
             places=(Place("A", 6), Place("B", 1), Place("C", 0)),
             transitions=(
-                Transition("T1", Immediate(), input_arcs=(Arc("A", Constant(2)),)),
+                Transition("T1", Immediate(), input_arcs=(Arc("A", 2),)),
                 Transition("T2", Immediate(), input_arcs=(Arc("A"), Arc("B"))),
                 Transition("T3", Immediate(), input_arcs=(Arc("C"),)),
                 Transition("T4", Immediate(), input_arcs=(Arc("A"),),
-                           guard=Atom("B", "=", IntRhs(0))),
+                           guard=Atom("B", "=", 0)),
             ))
         assert compiled_degrees(net, {"A": 6, "B": 1, "C": 0}) == \
             {"T1": 3, "T2": 1}
@@ -108,7 +105,7 @@ class TestEnabledSet:
         net = PetriNet(
             places=(Place("A", 5),),
             transitions=(Transition("T", Immediate(),
-                                    input_arcs=(Arc("A", Constant(3)),)),))
+                                    input_arcs=(Arc("A", 3),)),))
         assert compiled_degrees(net, {"A": 5}) == {"T": 1}
         assert compiled_degrees(net, {"A": 2}) == {}
 
@@ -118,8 +115,8 @@ class TestFire:
         net = PetriNet(
             places=(Place("A", 3), Place("B", 0)),
             transitions=(Transition("T", Immediate(),
-                                    input_arcs=(Arc("A", Constant(2)),),
-                                    output_arcs=(Arc("B", Constant(5)),)),))
+                                    input_arcs=(Arc("A", 2),),
+                                    output_arcs=(Arc("B", 5),)),))
         marking, kappa = compiled_fire(net, {"A": 3, "B": 0}, "T")
         assert marking == {"A": 1, "B": 5}
         assert kappa == 0
@@ -130,7 +127,7 @@ class TestFire:
             transitions=(Transition("T", Immediate(),
                                     input_arcs=(Arc("A", FlushAll()),),
                                     output_arcs=(Arc("B", Flushed()),
-                                                 Arc("C", Constant(1)))),))
+                                                 Arc("C", 1))),))
         marking, kappa = compiled_fire(net, {"A": 4, "B": 0, "C": 0}, "T")
         assert kappa == 4
         assert marking == {"A": 0, "B": 4, "C": 1}
@@ -331,12 +328,12 @@ def small_nets(draw):
         n_in = draw(st.integers(0, 2))
         in_places = draw(st.permutations(place_names))[:n_in]
         input_arcs = tuple(
-            Arc(p, Constant(draw(st.integers(1, 3)))) for p in in_places)
+            Arc(p, draw(st.integers(1, 3))) for p in in_places)
         guard = None
         if draw(st.booleans()):
             guard = Atom(draw(st.sampled_from(place_names)),
                          draw(st.sampled_from(("=", "<", ">=", "!="))),
-                         IntRhs(draw(st.integers(0, 4))))
+                         draw(st.integers(0, 4)))
         transitions.append(Transition(
             f"T{i}", Immediate(), input_arcs=input_arcs, guard=guard))
     return PetriNet(places=places, transitions=tuple(transitions))
@@ -351,7 +348,7 @@ def eval_predicate(pred, tokens) -> bool:
     the guard source the compiler generates."""
     if isinstance(pred, Atom):
         rhs = pred.rhs
-        r = rhs.value if isinstance(rhs, IntRhs) else tokens[rhs.place]
+        r = tokens[rhs] if isinstance(rhs, str) else rhs
         return _OPS[pred.op](tokens[pred.place], r)
     if isinstance(pred, And):
         return eval_predicate(pred.left, tokens) and \
@@ -366,7 +363,7 @@ def naive_degree(t, marking):
     if t.guard is not None and not eval_predicate(t.guard, marking):
         return 0
     flush = [a for a in t.input_arcs if isinstance(a.count, FlushAll)]
-    degrees = [marking[a.place] // a.count.k
+    degrees = [marking[a.place] // a.count
                for a in t.input_arcs if a not in flush]
     if 0 in degrees or any(marking[a.place] == 0 for a in flush):
         return 0
@@ -384,12 +381,12 @@ def naive_fire(t, marking):
             out[arc.place] = 0
     for arc in t.input_arcs:
         if not isinstance(arc.count, FlushAll):
-            out[arc.place] -= arc.count.k
+            out[arc.place] -= arc.count
     for arc in t.output_arcs:
         if isinstance(arc.count, Flushed):
             out[arc.place] += kappa
         else:
-            out[arc.place] += arc.count.k
+            out[arc.place] += arc.count
     return out, kappa
 
 
@@ -474,15 +471,12 @@ def test_hlf_nets_cover_every_arc_kind():
         assert any(k > 1 for ct in trans for _, k in ct.const_in)
 
 
-# every rhs kind: another place, and int, float and numpy values (a numpy
-# scalar's repr is not valid source)
+# every rhs kind: another place, and int, integral float and numpy values
 atoms = st.builds(
     Atom, st.sampled_from(place_names),
     st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
-    st.one_of(st.builds(IntRhs, st.one_of(
-                  st.integers(0, 4),
-                  st.sampled_from((1.5, np.float64(2.5), np.int64(2))))),
-              st.builds(PlaceRhs, st.sampled_from(place_names))))
+    st.one_of(st.integers(0, 4), st.sampled_from((2.0, np.int64(2))),
+              st.sampled_from(place_names)))
 predicates = st.recursive(atoms, lambda sub: st.one_of(
     st.builds(And, sub, sub), st.builds(Or, sub, sub), st.builds(Not, sub)),
     max_leaves=6)
@@ -506,6 +500,16 @@ def test_compiled_predicate_matches_eval_predicate(pred, tokens):
     assert [d(m) for d in cn.degrees] == [int(want)] * 2
 
 
+def test_guard_and_reward_source_hold_literals_and_place_indices():
+    net = PetriNet(places=(Place("A"), Place("B")), transitions=(
+        Transition("T", Immediate(), guard=And(Atom("A", ">=", np.int64(4)),
+                                               Atom("B", "<", "A"))),))
+    cn = compile_net(net)
+    assert cn.trans[0].guard == "(m[0] >= 4 and m[1] < m[0])"
+    assert cn.reward_source(ProbabilityOf(Atom("B", "=", 2.0))) == \
+        ("(1 if m[1] == 2 else 0)", (1,))
+
+
 # ---------------------------------------------------------------------------
 # Stationary simulation
 
@@ -522,7 +526,7 @@ class TestStationarySimulation:
         oracle = mm1k(lam, mu, K)
         net = mm1k_net(lam, mu, K)
         q_len = ExpectedTokens("Q")
-        q_blocked = ProbabilityOf(Atom("ROOM", "=", IntRhs(0)))
+        q_blocked = ProbabilityOf(Atom("ROOM", "=", 0))
         q_rate = FiringRate("SERVE")
         res = run(net, [q_len, q_blocked, q_rate], batch_length=200.0)
         assert res.value(q_len) == pytest.approx(
@@ -540,7 +544,7 @@ class TestStationarySimulation:
         oracle = mmck(lam, mu, c, K)
         net = mmck_net(lam, mu, c, K)
         q_n = [ExpectedTokens("Q"), ExpectedTokens("S")]
-        q_blocked = ProbabilityOf(Atom("ROOM", "=", IntRhs(0)))
+        q_blocked = ProbabilityOf(Atom("ROOM", "=", 0))
         res = run(net, q_n + [q_blocked], batch_length=200.0)
         n_est = res.value(q_n[0]) + res.value(q_n[1])
         hw = math.hypot(res.halfwidth(q_n[0]), res.halfwidth(q_n[1]))
@@ -671,7 +675,7 @@ class TestStationarySimulation:
             places=(Place("Q", 0),),
             transitions=(Transition(
                 "FLOOD", Deterministic(0.001),
-                output_arcs=(Arc("Q", Constant(600_000_000)),)),))
+                output_arcs=(Arc("Q", 600_000_000),)),))
         with pytest.raises(DivergenceError):
             run(net, [ExpectedTokens("Q")], warmup_time=0.0,
                 batch_count=2, batch_length=1.0)
@@ -694,9 +698,24 @@ class TestStationarySimulation:
         with pytest.raises(ValueError, match="warmup_time"):
             SimConfig(warmup_time=math.inf)
 
+    def test_sim_config_integer_fields_are_integers(self):
+        for field in ("batch_count", "seed", "max_events"):
+            for bad in (2.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be an "
+                                   "integer"):
+                    SimConfig(**{field: bad})
+        cfg = SimConfig(batch_count=2.0, seed=np.int64(3), max_events=1e6)
+        assert (cfg.batch_count, cfg.seed, cfg.max_events) == (2, 3, 10**6)
+        assert {type(cfg.batch_count), type(cfg.seed),
+                type(cfg.max_events)} == {int}
+        # an integral float batch count runs; it used to reach range()
+        res = run(mm1k_net(1.0, 2.0, 3), [ExpectedTokens("Q")],
+                  warmup_time=0.0, batch_count=2.0, batch_length=5.0)
+        assert len(res.batch_values(ExpectedTokens("Q"))) == 2
+
     @pytest.mark.parametrize("query", [
         ExpectedTokens("NOPE"), FiringRate("NOPE"),
-        ProbabilityOf(Atom("NOPE", "=", IntRhs(0)))],
+        ProbabilityOf(Atom("NOPE", "=", 0))],
         ids=["tokens", "rate", "probability"])
     @pytest.mark.parametrize("evaluator", ["simulate", "solve"])
     def test_unknown_query_targets_raise(self, evaluator, query):
@@ -712,7 +731,7 @@ class TestStationarySimulation:
 # Query sets, in the simulator and the exact solver alike
 
 MM1K_QUERIES = [ExpectedTokens("Q"),
-                ProbabilityOf(Atom("ROOM", "=", IntRhs(0))),
+                ProbabilityOf(Atom("ROOM", "=", 0)),
                 FiringRate("ARRIVE"), FiringRate("SERVE")]
 
 
@@ -745,7 +764,7 @@ class TestQuerySets:
         net = PetriNet(places=(Place("P", 1),), transitions=(
             Transition("T", Exponential(0.5), input_arcs=(Arc("P"),),
                        output_arcs=(Arc("P"),)),))
-        rates = [ExpectedTokens("P"), ProbabilityOf(Atom("P", "=", IntRhs(1)))]
+        rates = [ExpectedTokens("P"), ProbabilityOf(Atom("P", "=", 1))]
         res = evaluate(evaluator, net, [FiringRate("T")]
                        + (rates if kinds == "all" else []))
         if evaluator == "solve":
@@ -767,7 +786,7 @@ PINNED_QUERIES = [
     *(ExpectedTokens(p) for p in (
         "P_GT", "EQF_1", "EPF_1", "OQF1_1", "OPF2_1", "OPF3_1", "FULLBLK_1",
         "PARTBLK_1", "OPF5_1", "BLKTX_1", "CQF_1", "CPF_1")),
-    ProbabilityOf(Atom("EQ_1", "=", IntRhs(0))),
+    ProbabilityOf(Atom("EQ_1", "=", 0)),
     *(ExpectedTokens(p) for p in ("EP_1", "OP_1", "CP_1")),
     *(FiringRate(t) for t in (
         "TE4", "TE5", "T_ARRIVAL", "T_DROP", "TE7", "TI6", "TI7")),

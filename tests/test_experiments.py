@@ -98,7 +98,8 @@ metrics = mrt_s, tp_tps  # optional; default: all
          "[base] block_size: could not convert string to float: 'maybe'"),
         ("block_size = 0", "[base] block_size must be >= 1"),
         ("block_size = 1.5", "[base] block_size must be an integer, got 1.5"),
-        ("arrival_rate_tps = 0", "[base] arrival_rate_tps must be positive"),
+        ("arrival_rate_tps = 0",
+         "[base] arrival_rate_tps must be finite and positive"),
         ("bogus = 1", "[base] unknown model parameter 'bogus'"),
     ])
     def test_base_errors_name_the_key_once(self, line, message):

@@ -14,10 +14,8 @@ from hlfspn.metrics import (
 )
 from hlfspn.spn import (
     Atom,
-    Constant,
     ExpectedTokens,
     FiringRate,
-    IntRhs,
     ProbabilityOf,
     SimConfig,
     simulate_stationary,
@@ -162,9 +160,9 @@ class TestStructure:
     def test_block_size_is_an_arc_constant(self):
         cfg = HlfConfig(block_size=4, timeout_s=2.0).with_arrival_rate(10.0)
         cut = build_hlf_net(cfg).net.transition("TI6")
-        assert cut.input_arcs[0].count == Constant(4)
-        assert cut.output_arcs[1].count == Constant(4)
-        assert cut.guard.left == Atom("OPF3_1", ">=", IntRhs(4))
+        assert cut.input_arcs[0].count == 4
+        assert cut.output_arcs[1].count == 4
+        assert cut.guard.left == Atom("OPF3_1", ">=", 4)
 
     def test_in_progress_places_exist(self):
         handle = build_hlf_net(HlfConfig().with_arrival_rate(10.0))
@@ -261,7 +259,7 @@ class TestBehavior:
         queries = [ExpectedTokens(p) for p in
                    ("ENDORSED", *(f"CIN_{i}"
                                   for i in range(1, cfg.n_committers + 1)))]
-        orderer_full = ProbabilityOf(Atom("OQ_1", "=", IntRhs(0)))
+        orderer_full = ProbabilityOf(Atom("OQ_1", "=", 0))
         sim = SimConfig(warmup_time=30.0, batch_count=6, batch_length=10.0,
                         seed=5)
         result = simulate_stationary(handle.net, [*queries, orderer_full],

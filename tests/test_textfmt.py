@@ -7,18 +7,15 @@ from hlfspn.spn import (
     And,
     Arc,
     Atom,
-    Constant,
     Deterministic,
     Exponential,
     FlushAll,
     Flushed,
     Immediate,
-    IntRhs,
     Not,
     Or,
     PetriNet,
     Place,
-    PlaceRhs,
     ServerSemantics,
     Transition,
     guard_to_text,
@@ -32,27 +29,27 @@ EXAMPLE_NET = PetriNet(
         Transition("CUT", Immediate(priority=2, weight=2.0),
                    input_arcs=(Arc("ACC", FlushAll()),),
                    output_arcs=(Arc("OUT", Flushed()),),
-                   guard=Atom("ACC", ">=", IntRhs(3))),
+                   guard=Atom("ACC", ">=", 3)),
         Transition("FEED", Exponential(0.25),
-                   output_arcs=(Arc("ACC", Constant(1)),),
+                   output_arcs=(Arc("ACC", 1),),
                    server_semantics=ServerSemantics.INFINITE),
         Transition("TICK", Deterministic(10.0),
-                   input_arcs=(Arc("CLOCK", Constant(1)),),
-                   output_arcs=(Arc("CLOCK", Constant(1)),)),
+                   input_arcs=(Arc("CLOCK", 1),),
+                   output_arcs=(Arc("CLOCK", 1),)),
     ))
 
 
 class TestGuardText:
     @pytest.mark.parametrize("atom,text", [
-        (Atom("A", ">=", IntRhs(3)), "#A >= 3"),
-        (Atom("A", "<", PlaceRhs("B")), "#A < #B"),
+        (Atom("A", ">=", 3), "#A >= 3"),
+        (Atom("A", "<", "B"), "#A < #B"),
     ])
     def test_atom_for_each_rhs_kind(self, atom, text):
         assert guard_to_text(atom) == text
 
     def test_connectives_are_parenthesised(self):
-        a = Atom("A", "=", IntRhs(0))
-        b = Atom("B", "!=", IntRhs(2))
+        a = Atom("A", "=", 0)
+        b = Atom("B", "!=", 2)
         assert guard_to_text(And(a, b)) == "(#A = 0 and #B != 2)"
         assert guard_to_text(Or(a, Not(b))) == \
             "(#A = 0 or not (#B != 2))"
@@ -76,7 +73,7 @@ class TestDot:
             places=(Place("A", 0), Place("B", 0)),
             transitions=(Transition(
                 "T", Immediate(),
-                input_arcs=(Arc("A", Constant(3)),),
+                input_arcs=(Arc("A", 3),),
                 output_arcs=(Arc("B"),)),))
         dot = to_dot(net)
         assert '"A" -> "T" [label="3"]' in dot
