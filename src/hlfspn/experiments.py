@@ -45,7 +45,6 @@ from __future__ import annotations
 import configparser
 import csv
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields, replace
 from decimal import Decimal
@@ -55,7 +54,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .doe import effects
-from .hlf import ConfigError, HlfConfig, HlfNetHandle, build_hlf_net
+from .hlf import (ConfigError, HlfConfig, HlfNetHandle, arrival_delay,
+                  build_hlf_net)
 from .metrics import METRIC_NAMES, MetricReport, metric_report, standard_queries
 from .spn.engine import SimConfig, SimulationResult, simulate_stationary
 from .spn.net import SpnError
@@ -108,11 +108,10 @@ def configure(cfg, items, where: str = ""):
                                 f"got {value}")
             v = int(Decimal(str(value).strip()))  # exact past 2**53
         elif name == "arrival_rate_tps":
-            # the rate and the delay, its reciprocal; NaN fails too
-            if not (0 < v < math.inf and 1.0 / v < math.inf):
-                raise SpecError(f"{where}arrival_rate_tps must be finite "
-                                "and positive")
-            v = 1.0 / v
+            try:
+                v = arrival_delay(v)
+            except ConfigError as exc:
+                raise SpecError(f"{where}{exc}") from None
         changes[field] = v
     try:
         return replace(cfg, **changes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from typing import Optional
 
 from .spn.net import (
@@ -31,6 +32,13 @@ from .spn.net import (
 
 class ConfigError(SpnError):
     """Invalid model configuration."""
+
+
+def arrival_delay(tps: float) -> float:
+    """The mean arrival delay of a rate in transactions per second."""
+    if not (0 < tps < math.inf and 1.0 / tps < math.inf):  # NaN fails too
+        raise ConfigError("arrival_rate_tps must be finite and positive")
+    return 1.0 / tps
 
 
 @dataclass(frozen=True)
@@ -97,9 +105,7 @@ class HlfConfig:
         return 1.0 / self.arrival_delay_s
 
     def with_arrival_rate(self, tps: float) -> "HlfConfig":
-        if not tps > 0:
-            raise ConfigError("arrival rate must be positive")
-        return replace(self, arrival_delay_s=1.0 / tps)
+        return replace(self, arrival_delay_s=arrival_delay(tps))
 
     def endorse_mean(self, i: int) -> float:
         return self.te1 if i == 1 else self.te2
@@ -117,7 +123,6 @@ class HlfNetHandle:
 
     cfg: HlfConfig
     net: PetriNet
-    entry_place: str
     endorser_queue_fills: tuple[str, ...]  # EQF_i
     endorser_proc_caps: tuple[str, ...]    # EP_i
     endorser_proc_fills: tuple[str, ...]   # EPF_i
@@ -133,92 +138,71 @@ class HlfNetHandle:
     in_progress_places: tuple[str, ...]
 
 
+def _delay(dist: str, mean: float):
+    return Deterministic(mean) if dist == "deterministic" \
+        else Exponential(mean)
+
+
+def _stage(places, transitions, entry, names, queue, slots, mean, served,
+           guard=None):
+    """Append one node's triangle: a token on `entry` takes a unit of the
+    node's `queue` room, then one of its `slots` processing slots, and is
+    served by an infinite-server exponential delay of `mean` that puts a
+    token on each place of `served`. `names` are the room, fill, free and
+    busy places and the route, start and serve transitions."""
+    room, fill, free, busy, route, start, serve = names
+    places += [Place(room, queue), Place(fill, 0), Place(free, slots),
+               Place(busy, 0)]
+    transitions += [
+        Transition(route, Immediate(), input_arcs=(Arc(entry), Arc(room)),
+                   output_arcs=(Arc(fill),)),
+        Transition(start, Immediate(), input_arcs=(Arc(fill), Arc(free)),
+                   output_arcs=(Arc(busy), Arc(room))),
+        Transition(serve, Exponential(mean), input_arcs=(Arc(busy),),
+                   output_arcs=tuple(map(Arc, served)), guard=guard,
+                   server_semantics=ServerSemantics.INFINITE)]
+
+
 def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     """Construct the transaction-flow net for a configuration."""
     if cfg.arrival_delay_s is None:
         raise ConfigError("arrival_delay_s must be set to build the net")
-    ne = cfg.n_endorsers
-    nc = cfg.n_committers
+    ends = range(1, cfg.n_endorsers + 1)
+    coms = range(1, cfg.n_committers + 1)
 
+    # --- arrival, and discard when every endorser queue is full
     places = [Place("P_GT", 0)]
-    transitions = []
+    transitions = [
+        Transition("T_ARRIVAL", _delay(cfg.arrival_dist, cfg.arrival_delay_s),
+                   output_arcs=(Arc("P_GT"),)),
+        Transition("T_DROP", Immediate(), input_arcs=(Arc("P_GT"),),
+                   guard=reduce(And, (Atom(f"EQ_{i}", "=", 0) for i in ends)))]
 
-    eq_names = tuple(f"EQ_{i}" for i in range(1, ne + 1))
-    eqf_names = tuple(f"EQF_{i}" for i in range(1, ne + 1))
-    ep_names = tuple(f"EP_{i}" for i in range(1, ne + 1))
-    epf_names = tuple(f"EPF_{i}" for i in range(1, ne + 1))
-    cq_names = tuple(f"CQ_{i}" for i in range(1, nc + 1))
-    cqf_names = tuple(f"CQF_{i}" for i in range(1, nc + 1))
-    cp_names = tuple(f"CP_{i}" for i in range(1, nc + 1))
-    cpf_names = tuple(f"CPF_{i}" for i in range(1, nc + 1))
-    cin_names = tuple(f"CIN_{i}" for i in range(1, nc + 1))
+    # --- endorsement; the guard blocks completion while the orderer queue
+    # is full, so congestion backs up to the entry queues and no
+    # transaction is lost inside the pipeline
+    for i in ends:
+        _stage(places, transitions, "P_GT",
+               (f"EQ_{i}", f"EQF_{i}", f"EP_{i}", f"EPF_{i}", f"TI_ROUTE_{i}",
+                f"TI{2 * i}" if i <= 2 else f"TI_EP_{i}",
+                f"TE{i}" if i <= 2 else f"TE2_{i}"),
+               cfg.eq, cfg.ep, cfg.endorse_mean(i), (f"EP_{i}", "ENDORSED"),
+               guard=Atom("OQ_1", ">=", 1))
 
-    # --- arrival
-    arr_kind = Deterministic(cfg.arrival_delay_s) \
-        if cfg.arrival_dist == "deterministic" \
-        else Exponential(cfg.arrival_delay_s)
-    transitions.append(Transition(
-        "T_ARRIVAL", arr_kind, output_arcs=(Arc("P_GT"),)))
-
-    # --- entry routing and discard
-    all_full = None
-    for name in eq_names:
-        atom = Atom(name, "=", 0)
-        all_full = atom if all_full is None else And(all_full, atom)
-    transitions.append(Transition(
-        "T_DROP", Immediate(), input_arcs=(Arc("P_GT"),), guard=all_full))
-
-    for i in range(1, ne + 1):
-        eq, eqf, ep, epf = (eq_names[i - 1], eqf_names[i - 1],
-                            ep_names[i - 1], epf_names[i - 1])
-        places += [Place(eq, cfg.eq), Place(eqf, 0),
-                   Place(ep, cfg.ep), Place(epf, 0)]
-        transitions.append(Transition(
-            f"TI_ROUTE_{i}", Immediate(),
-            input_arcs=(Arc("P_GT"), Arc(eq)),
-            output_arcs=(Arc(eqf),)))
-        start = f"TI{2 * i}" if i <= 2 else f"TI_EP_{i}"
-        transitions.append(Transition(
-            start, Immediate(),
-            input_arcs=(Arc(eqf), Arc(ep)),
-            output_arcs=(Arc(epf), Arc(eq))))
-        te = f"TE{i}" if i <= 2 else f"TE2_{i}"
-        # the guard blocks completion while the orderer queue is full, so
-        # congestion backs up to the entry queues; no transaction is lost
-        # inside the pipeline
-        transitions.append(Transition(
-            te, Exponential(cfg.endorse_mean(i)),
-            input_arcs=(Arc(epf),),
-            output_arcs=(Arc(ep), Arc("ENDORSED")),
-            guard=Atom("OQ_1", ">=", 1),
-            server_semantics=ServerSemantics.INFINITE))
-
-    # --- ordering entry
-    places += [Place("ENDORSED", 0), Place("OQ_1", cfg.oq),
-               Place("OQF1_1", 0), Place("OP_1", cfg.op), Place("OPF2_1", 0),
-               Place("OPF3_1", 0), Place("FULLBLK_1", 0),
-               Place("PARTBLK_1", 0), Place("OPF5_1", 0), Place("BLKTX_1", 0)]
-    transitions.append(Transition(
-        "TI_OQ", Immediate(),
-        input_arcs=(Arc("ENDORSED"), Arc("OQ_1")),
-        output_arcs=(Arc("OQF1_1"),)))
-    transitions.append(Transition(
-        "TI5", Immediate(),
-        input_arcs=(Arc("OQF1_1"), Arc("OP_1")),
-        output_arcs=(Arc("OPF2_1"), Arc("OQ_1"))))
-    transitions.append(Transition(
-        "TE3", Exponential(cfg.te3),
-        input_arcs=(Arc("OPF2_1"),),
-        output_arcs=(Arc("OPF3_1"),),
-        server_semantics=ServerSemantics.INFINITE))
+    # --- ordering entry; its slots return only when the block transfers
+    places.append(Place("ENDORSED", 0))
+    _stage(places, transitions, "ENDORSED",
+           ("OQ_1", "OQF1_1", "OP_1", "OPF2_1", "TI_OQ", "TI5", "TE3"),
+           cfg.oq, cfg.op, cfg.te3, ("OPF3_1",))
+    places += [Place(p, 0) for p in
+               ("OPF3_1", "FULLBLK_1", "PARTBLK_1", "OPF5_1", "BLKTX_1")]
 
     # --- block formation: cut at block_size, or flush the accumulator on
     # timeout. Cutting is serialized: no new block until the in-flight one
     # has fully transferred, so BLKTX_1 only ever holds the in-flight
     # block's transactions and the transfer flush is exact.
-    no_block_in_flight = And(
-        And(Atom("FULLBLK_1", "=", 0), Atom("PARTBLK_1", "=", 0)),
-        Atom("OPF5_1", "=", 0))
+    no_block_in_flight = reduce(And, (Atom(p, "=", 0) for p in
+                                      ("FULLBLK_1", "PARTBLK_1", "OPF5_1")))
     transitions.append(Transition(
         "TI6", Immediate(),
         input_arcs=(Arc("OPF3_1", cfg.block_size),),
@@ -232,24 +216,18 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
         output_arcs=(Arc("PARTBLK_1"), Arc("BLKTX_1", Flushed())),
         guard=And(And(Atom("CLK_EXP", ">=", 1), Atom("OPF3_1", ">=", 1)),
                   no_block_in_flight)))
-    transitions.append(Transition(
-        "TE4", Exponential(cfg.te4),
-        input_arcs=(Arc("FULLBLK_1"),),
-        output_arcs=(Arc("OPF5_1"),),
-        server_semantics=ServerSemantics.INFINITE))
-    transitions.append(Transition(
-        "TE5", Exponential(cfg.te5),
-        input_arcs=(Arc("PARTBLK_1"),),
-        output_arcs=(Arc("OPF5_1"),),
-        server_semantics=ServerSemantics.INFINITE))
+    for te, mean, block in (("TE4", cfg.te4, "FULLBLK_1"),
+                            ("TE5", cfg.te5, "PARTBLK_1")):
+        transitions.append(Transition(
+            te, Exponential(mean),
+            input_arcs=(Arc(block),),
+            output_arcs=(Arc("OPF5_1"),),
+            server_semantics=ServerSemantics.INFINITE))
 
     # --- clock
     places += [Place("CLK_RUN", 1), Place("CLK_EXP", 0), Place("CLK_RESET", 0)]
-    timeout_kind = Deterministic(cfg.timeout_s) \
-        if cfg.timeout_dist == "deterministic" \
-        else Exponential(cfg.timeout_s)
     transitions.append(Transition(
-        "T_TIMEOUT", timeout_kind,
+        "T_TIMEOUT", _delay(cfg.timeout_dist, cfg.timeout_s),
         input_arcs=(Arc("CLK_RUN"),),
         output_arcs=(Arc("CLK_EXP"),)))
     transitions.append(Transition(
@@ -261,59 +239,45 @@ def build_hlf_net(cfg: HlfConfig) -> HlfNetHandle:
     # token through the vanishing CLK_RESET place, which restarts T_TIMEOUT.
     # Transfer waits until every committer queue can absorb the whole block,
     # so commit congestion backs up through the orderer to the entry queues
-    room_for_block = None
-    for cq in cq_names:
-        atom = Atom(cq, ">=", "BLKTX_1")
-        room_for_block = atom if room_for_block is None \
-            else And(room_for_block, atom)
+    room_for_block = reduce(And, (Atom(f"CQ_{i}", ">=", "BLKTX_1")
+                                  for i in coms))
     for te6, clock_place in (("TE6", "CLK_RUN"), ("TE6_EXP", "CLK_EXP")):
         transitions.append(Transition(
             te6, Exponential(cfg.te6),
             input_arcs=(Arc("OPF5_1"), Arc("BLKTX_1", FlushAll()),
                         Arc(clock_place)),
             output_arcs=(Arc("OP_1", Flushed()), Arc("CLK_RESET"),
-                         *(Arc(c, Flushed()) for c in cin_names)),
+                         *(Arc(f"CIN_{i}", Flushed()) for i in coms)),
             guard=room_for_block))
 
     # --- commit
-    for i in range(1, nc + 1):
-        cin, cq, cqf, cp, cpf = (cin_names[i - 1], cq_names[i - 1],
-                                 cqf_names[i - 1], cp_names[i - 1],
-                                 cpf_names[i - 1])
-        places += [Place(cin, 0), Place(cq, cfg.cq), Place(cqf, 0),
-                   Place(cp, cfg.cp), Place(cpf, 0)]
-        transitions.append(Transition(
-            f"TI_CQ_{i}", Immediate(),
-            input_arcs=(Arc(cin), Arc(cq)),
-            output_arcs=(Arc(cqf),)))
-        transitions.append(Transition(
-            f"TI8_{i}", Immediate(),
-            input_arcs=(Arc(cqf), Arc(cp)),
-            output_arcs=(Arc(cpf), Arc(cq))))
-        te = f"TE{6 + i}" if i <= 2 else f"TE8_{i}"
-        transitions.append(Transition(
-            te, Exponential(cfg.commit_mean(i)),
-            input_arcs=(Arc(cpf),),
-            output_arcs=(Arc(cp),),
-            server_semantics=ServerSemantics.INFINITE))
+    for i in coms:
+        places.append(Place(f"CIN_{i}", 0))
+        _stage(places, transitions, f"CIN_{i}",
+               (f"CQ_{i}", f"CQF_{i}", f"CP_{i}", f"CPF_{i}", f"TI_CQ_{i}",
+                f"TI8_{i}", f"TE{6 + i}" if i <= 2 else f"TE8_{i}"),
+               cfg.cq, cfg.cp, cfg.commit_mean(i), (f"CP_{i}",))
 
-    net = PetriNet(places=tuple(places), transitions=tuple(transitions))
+    def per_node(prefix, nodes):
+        return tuple(f"{prefix}_{i}" for i in nodes)
 
     return HlfNetHandle(
-        cfg=cfg, net=net,
-        entry_place="P_GT",
-        endorser_queue_fills=eqf_names,
-        endorser_proc_caps=ep_names,
-        endorser_proc_fills=epf_names,
+        cfg=cfg,
+        net=PetriNet(places=tuple(places), transitions=tuple(transitions)),
+        endorser_queue_fills=per_node("EQF", ends),
+        endorser_proc_caps=per_node("EP", ends),
+        endorser_proc_fills=per_node("EPF", ends),
         orderer_proc_cap="OP_1",
         full_block="FULLBLK_1",
         partial_block="PARTBLK_1",
-        committer_proc_caps=cp_names,
-        committer_proc_fills=cpf_names,
+        committer_proc_caps=per_node("CP", coms),
+        committer_proc_fills=per_node("CPF", coms),
         arrival="T_ARRIVAL",
         entry_drop="T_DROP",
         full_block_cut="TI6",
-        in_progress_places=("P_GT", *eqf_names, *epf_names, "OQF1_1",
-                            "OPF2_1", "OPF3_1", "FULLBLK_1", "PARTBLK_1",
-                            "OPF5_1", "BLKTX_1", *cqf_names, *cpf_names),
+        in_progress_places=("P_GT", *per_node("EQF", ends),
+                            *per_node("EPF", ends), "OQF1_1", "OPF2_1",
+                            "OPF3_1", "FULLBLK_1", "PARTBLK_1", "OPF5_1",
+                            "BLKTX_1", *per_node("CQF", coms),
+                            *per_node("CPF", coms)),
     )

@@ -178,6 +178,7 @@ class Place:
         if not (tokens >= 0 and tokens % 1 == 0):  # NaN and inf fail too
             raise ValueError(f"place {self.name!r}: initial tokens must be "
                              f"an integer >= 0, got {tokens}")
+        object.__setattr__(self, "initial_tokens", int(tokens))
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,12 @@ class TestConfig:
         eq = next(p for p in net.places if p.name == "EQ_1")
         assert eq.initial_tokens == 100 and type(eq.initial_tokens) is int
 
-    def test_nan_arrival_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            HlfConfig().with_arrival_rate(math.nan)
+    def test_bad_arrival_rates_rejected(self):
+        # 1e-320 is positive, but its reciprocal overflows
+        for tps in (0.0, -1.0, math.nan, math.inf, 1e-320):
+            with pytest.raises(ConfigError, match="^arrival_rate_tps must "
+                               "be finite and positive$"):
+                HlfConfig().with_arrival_rate(tps)
 
     def test_parse_accepts_rate_as_reciprocal_delay(self):
         cfg = parse_base("arrival_rate_tps = 100\nblock_size = 10\n")
@@ -168,6 +171,11 @@ class TestStructure:
         handle = build_hlf_net(HlfConfig().with_arrival_rate(10.0))
         names = {p.name for p in handle.net.places}
         assert set(handle.in_progress_places) <= names
+        # tip sums them in this order, so the CSV bytes depend on it
+        assert handle.in_progress_places == (
+            "P_GT", "EQF_1", "EQF_2", "EPF_1", "EPF_2", "OQF1_1", "OPF2_1",
+            "OPF3_1", "FULLBLK_1", "PARTBLK_1", "OPF5_1", "BLKTX_1",
+            "CQF_1", "CQF_2", "CPF_1", "CPF_2")
 
     def test_deterministic_and_exponential_timing_variants(self):
         from hlfspn.spn import Deterministic, Exponential

@@ -74,7 +74,7 @@ class TestFormulas:
         assert all_queues_full(handle) in standard_queries(handle)
 
     def test_mrt_modes(self, handle):
-        v = lookup(handle, {ExpectedTokens(handle.entry_place): 10.0,
+        v = lookup(handle, {ExpectedTokens("P_GT"): 10.0,
                             all_queues_full(handle): 0.5,
                             FiringRate(handle.entry_drop): 10.0})
         # divided by 50 * (1 - P(all queues full)), not by
@@ -123,7 +123,7 @@ class TestFormulas:
         # an exact result has no batch series: every CI is 0
         estimates = {q: 0.0 for q in standard_queries(handle)}
         estimates[FiringRate(handle.arrival)] = 50.0
-        estimates[ExpectedTokens(handle.entry_place)] = 1.0
+        estimates[ExpectedTokens("P_GT")] = 1.0
         report = metric_report(ExactResult(estimates, n_states=1), handle)
         for name in METRIC_NAMES:
             metric = getattr(report, name)
@@ -181,7 +181,7 @@ class TestReport:
     def test_batch_without_arrival_gives_infinite_ci(self, handle):
         batches = {q: [0.0, 0.0, 0.0] for q in standard_queries(handle)}
         batches[FiringRate(handle.arrival)] = [50.0, 0.0, 50.0]
-        batches[ExpectedTokens(handle.entry_place)] = [1.0, 2.0, 3.0]
+        batches[ExpectedTokens("P_GT")] = [1.0, 2.0, 3.0]
         report = metric_report(simulation_result(batches), handle)
         assert report.dp_prob.value == 0.0
         assert report.dp_prob.ci == math.inf

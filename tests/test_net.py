@@ -71,6 +71,9 @@ class TestConstruction:
         for tokens in (2.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="integer"):
                 Place("A", tokens)
+        # stored as an int
+        for tokens in (2.0, np.int64(2)):
+            assert type(Place("A", tokens).initial_tokens) is int
 
     def test_bad_comparison_operator_rejected(self):
         with pytest.raises(ValueError):
