@@ -14,7 +14,9 @@ which side runs first, so that one run's host noise does not decide a
 per-layer comparison. The file records the machine, the Python version,
 every run's end-to-end metrics, the median and quartiles per side, how
 many pairs the change won (by each metric's declared `better` direction),
-and each side's per-layer metrics as the median over its traced runs.
+and each side's per-layer metrics as the median over its traced runs. It
+names the commit of each side, as the `manifest` line of that side's runs
+reports it; a side whose runs report different commits stops the record.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ TRACE_SEED = 101
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
-    """The last stdout line of one perfbench/run.py run, parsed."""
+    """The last stdout line of one perfbench/run.py run, parsed, with the
+    `git_commit` of its manifest line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -47,6 +50,9 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float,
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     out = json.loads(lines[-1])
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    manifest = next(json.loads(line.split(" ", 1)[1]) for line in lines
+                    if line.startswith("manifest "))
+    out["git_commit"] = manifest["git_commit"]
     return out
 
 
@@ -83,15 +89,25 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "run_seconds": seconds,
+        "git_commit": {},
         "workloads": {},
     }
+    commits = record["git_commit"]
+
+    def run_side(side: str, workload: str, seed: int, trace: int) -> dict:
+        res = run_bench(sides[side], workload, seed, seconds, trace)
+        if commits.setdefault(side, res["git_commit"]) != res["git_commit"]:
+            raise SystemExit(f"{sides[side]}: commit changed from "
+                             f"{commits[side]} to {res['git_commit']}")
+        return res
+
     for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for k in range(PAIRS):
             seed = args.seed + k
             pair = {"seed": seed, "first": first_side(k)[0]}
             for side in first_side(k):
-                res = run_bench(sides[side], workload, seed, seconds, 0)
+                res = run_side(side, workload, seed, 0)
                 pair[side] = {"correct": res["correct"],
                               "attempted": res["attempted"],
                               "failed": res["failed"], **res["metrics"]}
@@ -111,9 +127,8 @@ def main(argv=None) -> int:
         traced = {side: [] for side in sides}
         for k in range(TRACE_PAIRS):
             for side in first_side(k):
-                traced[side].append(run_bench(sides[side], workload,
-                                              TRACE_SEED, seconds, 1)
-                                    ["metrics"])
+                traced[side].append(run_side(side, workload, TRACE_SEED,
+                                             1)["metrics"])
         record["workloads"][workload] = {
             "summary": summary, "pairs": pairs,
             "traced": {"seed": TRACE_SEED, "pairs": TRACE_PAIRS,

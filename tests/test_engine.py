@@ -1,5 +1,7 @@
 """Token game and stationary simulator."""
 
+import dataclasses
+import functools
 import math
 import operator
 import os
@@ -42,6 +44,7 @@ from hlfspn.spn import (
 )
 
 from hlfspn.hlf import HlfConfig, build_hlf_net
+from hlfspn.metrics import standard_queries
 from hlfspn.spn import ctmc, engine
 from hlfspn.spn.engine import CompiledNet, compile_net
 
@@ -828,6 +831,77 @@ def test_fixed_seed_result_is_pinned():
     assert res.event_count == PINNED_EVENTS
     got = [(res.value(q), res.halfwidth(q)) for q in PINNED_QUERIES]
     assert got == PINNED_ESTIMATES
+
+
+# ---------------------------------------------------------------------------
+# Generated steps
+
+def generated_code(cfg):
+    """The code objects of a configuration's compiled net and of its
+    simulator's steps, with the standard queries."""
+    handle = build_hlf_net(cfg)
+    cn = compile_net(handle.net)
+    sim = engine._Simulator(cn, standard_queries(handle), SimConfig())
+    return [f.__code__ for f in (*cn.degrees, *cn.fires, *cn.top_after,
+                                 cn.top_all, sim.start, *sim.steps)]
+
+
+def test_generated_code_is_shared_only_by_one_structure():
+    # rates, delays and the timeout are bound in the namespace, never
+    # written into the source, so the cached code fits every one of them
+    base = HlfConfig(block_size=2)
+    timing = dataclasses.replace(
+        base, timeout_s=0.3, te1=0.004, te2=0.006, te3=0.007, te4=0.003,
+        te5=0.001, te6=0.02, te7=0.05, te8=0.09)
+    a = generated_code(base.with_arrival_rate(20.0))
+    b = generated_code(timing.with_arrival_rate(35.0))
+    assert all(x is y for x, y in zip(a, b))
+    # the block size is an arc count of TI6, so it is structure
+    c = generated_code(dataclasses.replace(base, block_size=3)
+                       .with_arrival_rate(20.0))
+    assert len(c) == len(a)
+    assert not any(x is y for x, y in zip(a, c))
+
+
+def test_the_schedule_is_released_when_a_run_ends(monkeypatch):
+    # the generated steps and their namespace form a reference cycle, so a
+    # schedule left filled would live until a garbage collection
+    sims = []
+
+    class Recorded(engine._Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(engine, "_Simulator", Recorded)
+    net = mmck_net(6.0, 2.0, 3, 7)
+    run(net, [ExpectedTokens("Q")], batch_count=2, batch_length=10.0)
+    with pytest.raises(PartialResultError):
+        run(net, [ExpectedTokens("Q")], max_events=50)
+    assert len(sims) == 2
+    for sim in sims:
+        assert sim.heap == []
+        assert all(lst == [] for lst in sim.sched)
+
+
+@pytest.mark.parametrize("places", [1, 12], ids=["inline", "degree-call"])
+def test_a_timed_step_rejects_a_disabled_transition(places):
+    # the guard over many places is written as a call to `_D<i>`, the short
+    # one inline; the schedule must only hold enabled firings either way
+    names = [f"G{k}" for k in range(places)]
+    guard = functools.reduce(And, (Atom(g, "=", 0) for g in names))
+    net = PetriNet(
+        places=(Place("A", 1), *(Place(g) for g in names)),
+        transitions=(Transition("SERVE", Exponential(1.0),
+                                input_arcs=(Arc("A"),), guard=guard),))
+    cn = compile_net(net)
+    assert (len(engine._enabled_source(cn.trans[0]))
+            > engine._INLINE_ENABLED) == (places > 1)
+    sim = engine._Simulator(cn, [], SimConfig())
+    for m in ([0] + [0] * places, [1, 1] + [0] * (places - 1)):
+        with pytest.raises(AssertionError, match="'SERVE' is disabled; "
+                           "schedule reconciliation bug"):
+            sim.steps[0](m, 0.0)
 
 
 # ---------------------------------------------------------------------------
