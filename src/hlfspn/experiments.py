@@ -410,15 +410,6 @@ def run_experiment(spec: ExperimentSpec, out_dir, jobs: int = 1) -> list[Path]:
 # ---------------------------------------------------------------------------
 # Built-in case studies
 
-def _frange(start: float, stop: float, step: float) -> list[float]:
-    out = []
-    v = start
-    while v <= stop + 1e-9:
-        out.append(round(v, 9))
-        v += step
-    return out
-
-
 CASE_STUDY_IDS = (1, 2, 3, 4)
 
 
@@ -439,7 +430,7 @@ def case_study_specs(case_id: int, seed: int = 1,
     sim = configure(
         SimConfig(warmup_time=warmup, batch_length=length, seed=seed),
         [("batch_count", batch_count)], f"--batches {batch_count}: ")
-    arrivals = tuple(_frange(2.5, 200.0, 15.0))
+    arrivals = tuple(2.5 + 15.0 * i for i in range(14))  # 2.5 to 197.5
     if case_id == 1:
         specs = {}
         for cp in (2, 4, 6):

@@ -3,9 +3,9 @@
 Each metric is a plain formula over a reward-value lookup `v`, a function
 from a reward query to its value. `metric_report` evaluates every formula
 once on the result's point estimates, which gives the value, and once on
-each batch of the result's batch series, which gives the CI: the t-interval
-half-width of the per-batch values. An exact result has no batch series, so
-its CIs are 0.
+each batch of the result's batch series, which gives the per-batch series
+and the CI: the series' t-interval half-width. Each metric is an Estimate
+of the three. An exact result has no batch series, so its CIs are 0.
 
 The formulas are listed once, in CSV column order, in `_FORMULAS`, from
 which `METRIC_NAMES` is derived, and so is `standard_queries`, the rewards a
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .hlf import HlfNetHandle
-from .spn.engine import t_halfwidth
+from .spn.engine import Estimate, Result, t_halfwidth
 from .spn.net import (
     ExpectedTokens,
     FiringRate,
@@ -52,23 +52,17 @@ class UndefinedMetricError(SpnError):
 
 
 @dataclass(frozen=True)
-class Metric:
-    value: float
-    ci: float
-
-
-@dataclass(frozen=True)
 class MetricReport:
     """The full metric set; field names match the CSV columns."""
-    mrt_s: Metric
-    tip: Metric
-    dp_prob: Metric
-    u_end: Metric
-    u_ord: Metric
-    u_com: Metric
-    tp_tps: Metric
-    block_call_rate: Metric
-    timeout_call_rate: Metric
+    mrt_s: Estimate
+    tip: Estimate
+    dp_prob: Estimate
+    u_end: Estimate
+    u_ord: Estimate
+    u_com: Estimate
+    tp_tps: Estimate
+    block_call_rate: Estimate
+    timeout_call_rate: Estimate
 
 
 def all_queues_full(handle: HlfNetHandle) -> ProbabilityOf:
@@ -160,12 +154,13 @@ def standard_queries(handle: HlfNetHandle) -> list[RewardQuery]:
     return list(read)
 
 
-def metric_report(result, handle: HlfNetHandle) -> MetricReport:
-    """Every metric's value and CI half-width (see the module docstring).
+def metric_report(result: Result, handle: HlfNetHandle) -> MetricReport:
+    """Every metric's Estimate: its value, CI half-width and per-batch
+    series (see the module docstring).
 
     A formula that is undefined on some batch (dp_prob on a batch without
     arrivals, or mrt_s on one whose endorser queues are full throughout)
-    gets CI inf; one undefined on the point estimates raises
+    gets CI inf and no series; one undefined on the point estimates raises
     UndefinedMetricError.
     """
     queries = standard_queries(handle)
@@ -185,9 +180,9 @@ def metric_report(result, handle: HlfNetHandle) -> MetricReport:
         try:
             series = [formula(batch.__getitem__, handle) for batch in batches]
         except ZeroDivisionError:
-            ci = math.inf
+            series, ci = [], math.inf
         else:
             ci = t_halfwidth(series, result.confidence_level) \
                 if batches else 0.0
-        metrics[name] = Metric(value, ci)
+        metrics[name] = Estimate(value, ci, tuple(series))
     return MetricReport(**metrics)

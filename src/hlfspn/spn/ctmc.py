@@ -28,7 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import CompiledNet, LivelockError, compile_net
+from .engine import (CompiledNet, Estimate, LivelockError, Result,
+                     compile_net)
 from .net import Deterministic, PetriNet, RewardQuery, SpnError
 
 
@@ -56,22 +57,9 @@ class ExplosionError(SpnError):
 
 
 @dataclass(frozen=True)
-class ExactResult:
-    estimates: dict
+class ExactResult(Result):
+    """Each query's exact value, as an Estimate with CI 0."""
     n_states: int
-
-    def value(self, query: RewardQuery) -> float:
-        return self.estimates[query]
-
-    def halfwidth(self, query: RewardQuery) -> float:
-        return 0.0
-
-    def batch_values(self, query: RewardQuery) -> tuple[float, ...]:
-        """An exact value has no batch series and no sampling error."""
-        return ()
-
-    def has(self, query: RewardQuery) -> bool:
-        return query in self.estimates
 
 
 # distinct vanishing markings one resolution may visit
@@ -241,7 +229,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     firing = np.bincount(np.asarray(f_tids, dtype=np.int64),
                          weights=pi[f_rows] * np.asarray(f_rates),
                          minlength=len(cn.trans))
-    estimates = {q: float((values if is_rate else firing)[i])
+    estimates = {q: Estimate(float((values if is_rate else firing)[i]), 0.0)
                  for q, (is_rate, i) in slots.items()}
     return ExactResult(estimates=estimates, n_states=n)
 

@@ -323,9 +323,12 @@ class CompiledNet:
                      for s in dep_places]
         # transition -> the timed transitions to reconcile after it fires,
         # itself included when timed (its schedule lost the firing), and
-        # the immediates that may have become enabled. The timed set is
-        # built in one fixed order and iterated as built, so the simulator
-        # draws its random numbers in that order.
+        # the immediates that may have become enabled. The simulator
+        # reconciles, and so draws its random numbers, in the order of
+        # tuple(timed): CPython's iteration order of the set, which is
+        # neither the order in which it was filled nor sorted. Any change
+        # to how the set is built can change that order, and with it every
+        # sample path (test_engine pins it on the default net).
         self.affects_timed: list[tuple[int, ...]] = []
         self.affects_imm: list[frozenset[int]] = []
         for ct in self.trans:
@@ -522,9 +525,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    point_estimate: float
-    ci_halfwidth: float
-    batch_values: tuple[float, ...]
+    """A value with its confidence-interval half-width, and the per-batch
+    series the CI comes from: empty for an exact value, whose CI is 0."""
+    value: float
+    ci: float
+    batch_values: tuple[float, ...] = ()
 
 
 def t_halfwidth(values: Sequence[float], confidence_level: float) -> float:
@@ -612,24 +617,28 @@ def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
 
 
 @dataclass(frozen=True)
-class SimulationResult:
-    estimates: dict
-    total_time: float
-    event_count: int
-    seed: int
-    confidence_level: float
+class Result:
+    """Each query's Estimate, from a simulation or an exact solve."""
+    estimates: dict[RewardQuery, Estimate]
 
     def value(self, query: RewardQuery) -> float:
-        return self.estimates[query].point_estimate
+        return self.estimates[query].value
 
     def halfwidth(self, query: RewardQuery) -> float:
-        return self.estimates[query].ci_halfwidth
+        return self.estimates[query].ci
 
     def batch_values(self, query: RewardQuery) -> tuple[float, ...]:
         return self.estimates[query].batch_values
 
     def has(self, query: RewardQuery) -> bool:
         return query in self.estimates
+
+
+@dataclass(frozen=True)
+class SimulationResult(Result):
+    total_time: float
+    event_count: int
+    confidence_level: float
 
 
 def simulate_stationary(net: PetriNet, queries: Sequence[RewardQuery],
@@ -854,5 +863,5 @@ class _Simulator:
                 mean, t_halfwidth(vals, cfg.confidence_level), tuple(vals))
         total = cfg.warmup_time + self.closed * cfg.batch_length
         return SimulationResult(estimates=estimates, total_time=total,
-                                event_count=event_count, seed=cfg.seed,
+                                event_count=event_count,
                                 confidence_level=cfg.confidence_level)

@@ -833,6 +833,29 @@ def test_fixed_seed_result_is_pinned():
     assert got == PINNED_ESTIMATES
 
 
+# the timed transitions each firing reconciles on the default net, as
+# transition indices in CPython's set order: neither the order in which
+# the set was filled nor sorted
+PINNED_AFFECTS_TIMED = {
+    "T_ARRIVAL": (0,), "T_DROP": (), "TI_ROUTE_1": (), "TI2": (4,),
+    "TE1": (4,), "TI_ROUTE_2": (), "TI4": (7,), "TE2": (7,),
+    "TI_OQ": (4, 7), "TI5": (10, 4, 7), "TE3": (10,), "TI6": (17, 18, 13),
+    "TI7": (17, 18, 14), "TE4": (17, 18, 13), "TE5": (17, 18, 14),
+    "T_TIMEOUT": (17, 18, 15), "TI_CLK": (17, 15), "TE6": (17, 18, 15),
+    "TE6_EXP": (17, 18), "TI_CQ_1": (17, 18), "TI8_1": (17, 18, 21),
+    "TE7": (21,), "TI_CQ_2": (17, 18), "TI8_2": (24, 17, 18), "TE8": (24,),
+}
+
+
+def test_reconcile_order_is_pinned():
+    # the simulator draws its random numbers in affects_timed order, so a
+    # change to how those sets are built fails here by name before it
+    # moves the pinned estimates
+    cn = compile_net(build_hlf_net(HlfConfig().with_arrival_rate(10.0)).net)
+    got = {ct.name: cn.affects_timed[ct.idx] for ct in cn.trans}
+    assert got == PINNED_AFFECTS_TIMED
+
+
 # ---------------------------------------------------------------------------
 # Generated steps
 

@@ -52,8 +52,13 @@ def simulation_result(batches: dict, confidence_level=0.95):
     estimates = {q: Estimate(sum(vals) / len(vals), math.nan, tuple(vals))
                  for q, vals in batches.items()}
     return SimulationResult(estimates=estimates, total_time=0.0,
-                            event_count=0, seed=1,
-                            confidence_level=confidence_level)
+                            event_count=0, confidence_level=confidence_level)
+
+
+def exact_result(values: dict):
+    """An exact result record holding the given values."""
+    return ExactResult({q: Estimate(v, 0.0) for q, v in values.items()},
+                       n_states=1)
 
 
 class TestFormulas:
@@ -113,22 +118,23 @@ class TestFormulas:
             estimates[FiringRate(handle.arrival)] = arrivals
             estimates[all_queues_full(handle)] = full
             with pytest.raises(UndefinedMetricError):
-                metric_report(ExactResult(estimates, n_states=1), handle)
+                metric_report(exact_result(estimates), handle)
 
     def test_missing_query_raises(self, handle):
         with pytest.raises(MissingQueryError):
-            metric_report(ExactResult({}, n_states=1), handle)
+            metric_report(exact_result({}), handle)
 
     def test_report_covers_all_metric_names(self, handle):
         # an exact result has no batch series: every CI is 0
         estimates = {q: 0.0 for q in standard_queries(handle)}
         estimates[FiringRate(handle.arrival)] = 50.0
         estimates[ExpectedTokens("P_GT")] = 1.0
-        report = metric_report(ExactResult(estimates, n_states=1), handle)
+        report = metric_report(exact_result(estimates), handle)
         for name in METRIC_NAMES:
             metric = getattr(report, name)
             assert math.isfinite(metric.value)
             assert metric.ci == 0.0
+            assert metric.batch_values == ()
         assert report.tip.value == 1.0
 
     def test_standard_queries_have_no_duplicates(self, handle):
@@ -142,7 +148,7 @@ class TestFormulas:
         queries = standard_queries(handle)
 
         def values(estimates):
-            report = metric_report(ExactResult(estimates, n_states=1), handle)
+            report = metric_report(exact_result(estimates), handle)
             return [getattr(report, name).value for name in METRIC_NAMES]
 
         base = {q: 0.5 for q in queries}
@@ -177,6 +183,18 @@ class TestReport:
         assert report.dp_prob.ci == pytest.approx(t_ci(dps))
         mrts = [t / 50.0 for t in tips]
         assert report.mrt_s.ci == pytest.approx(t_ci(mrts))
+        assert report.tip.batch_values == pytest.approx(tips)
+        assert report.dp_prob.batch_values == pytest.approx(dps)
+        assert report.mrt_s.batch_values == pytest.approx(mrts)
+        # each metric's series is its formula on each batch: the value of
+        # an exact result holding that batch's rewards
+        for k in range(4):
+            batch = metric_report(
+                exact_result({q: vals[k] for q, vals in batches.items()}),
+                handle)
+            for name in METRIC_NAMES:
+                assert getattr(report, name).batch_values[k] \
+                    == getattr(batch, name).value, (name, k)
 
     def test_batch_without_arrival_gives_infinite_ci(self, handle):
         batches = {q: [0.0, 0.0, 0.0] for q in standard_queries(handle)}
