@@ -297,7 +297,8 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Evaluate spec.base at each point of spec.points(), in order.
 
     Point i runs with seed spec.sim.seed + i, so results do not depend on
-    `jobs`; with jobs > 1 the points run in a process pool.
+    `jobs`; with jobs > 1 the points run in a process pool of at most one
+    worker per point.
     """
     points = spec.points()
     tasks = [(configure(spec.base, point),
@@ -305,7 +306,7 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
              for i, point in enumerate(points)]
 
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_point_worker, tasks))
     else:
         outcomes = [_point_worker(t) for t in tasks]

@@ -10,7 +10,9 @@ Every firing takes one path through the event loop, from t = 0 on: an
 enabled immediate of highest priority, picked by weight, fires before the
 next timed event, so a vanishing start marking resolves like any other, its
 firings count toward the event cap, and LivelockError names a cycle's
-transitions.
+transitions. The next batch boundary is an entry of the same heap as the
+pending firings; it pops before a firing at the same time, so that firing
+belongs to the next batch.
 
 Compiling a net does once the work that would otherwise repeat on every
 firing: each transition gets generated enabling-degree and firing code
@@ -52,6 +54,7 @@ from heapq import heappop, heappush
 from itertools import count
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
+from zlib import crc32
 
 from .net import (
     And,
@@ -123,8 +126,11 @@ def _compiled(functions: tuple[str, ...]) -> tuple:
     source holds place and transition indices, arc counts and guard
     literals, never a rate or a delay, so nets and simulators of one
     structure share the code. Each function is compiled on its own, which
-    bounds the compiler's working memory by the largest one."""
-    return tuple(compile(f, "<hlfspn generated>", "exec") for f in functions)
+    bounds the compiler's working memory by the largest one. The file name
+    carries a digest of the whole source, so a profile keeps functions of
+    different structures that share a name apart."""
+    name = f"<hlfspn generated {crc32(''.join(functions).encode()):08x}>"
+    return tuple(compile(f, name, "exec") for f in functions)
 
 
 class _CTrans:
@@ -218,19 +224,6 @@ def _fire_source(ct: _CTrans) -> list[str]:
     return [f"def _F{ct.idx:d}(m):"] + ["    " + s for s in body]
 
 
-# longest enabling test written inline into a simulator step; a longer one
-# (a guard over many nodes) is a call to `_D<i>`, which keeps the source
-# that every step affected by the transition repeats small
-_INLINE_ENABLED = 80
-
-
-def _enabled_test(ct: _CTrans) -> str:
-    """Whether ct is enabled in marking m, as an expression for a
-    simulator step."""
-    test = _enabled_source(ct)
-    return test if len(test) <= _INLINE_ENABLED else f"_D{ct.idx:d}(m)"
-
-
 def _reconcile_body(ct: _CTrans) -> list[str]:
     """Statements that bring the schedule `s<j>` of timed transition ct
     in line with its enabling degree in marking m at time `now`:
@@ -243,7 +236,7 @@ def _reconcile_body(ct: _CTrans) -> list[str]:
     schedule = [f"e = [now + {delay}, next(seq), {j:d}, True]",
                 "push(heap, e)", f"s{j:d}.append(e)"]
     if not ct.infinite:
-        return ([f"if {_enabled_test(ct)}:", f"    if not s{j:d}:"]
+        return ([f"if {_enabled_source(ct)}:", f"    if not s{j:d}:"]
                 + ["        " + s for s in schedule]
                 + [f"elif s{j:d}: s{j:d}.pop()[3] = False"])
     return ([f"d = _D{j:d}(m)", f"n = len(s{j:d})", "while n > d:",
@@ -478,10 +471,8 @@ def _cycle(cn: CompiledNet, m: list[int], rng: random.Random) -> list[str]:
 def _pick(top: tuple[int, ...], weights: list[float],
           rng: random.Random) -> int:
     """One transition of the conflict set top, with probability
-    proportional to its weight; one rng.random() draw, made only when
-    there is a choice."""
-    if len(top) == 1:
-        return top[0]
+    proportional to its weight; one rng.random() draw. The run loop takes
+    a one-member set without a draw."""
     total = 0.0
     for tid in top:
         total += weights[tid]
@@ -662,7 +653,6 @@ class _Simulator:
                  cfg: SimConfig, on_fire: Optional[Callable] = None):
         self.cn = cn
         self.cfg = cfg
-        self.queries = queries
         self.rng = random.Random(cfg.seed)
         self.on_fire = on_fire
 
@@ -676,9 +666,10 @@ class _Simulator:
         self.fire_count = [0] * len(cn.trans)
         self.batches: dict[RewardQuery, list[float]] = {
             q: [] for q in self.slots}
-        self.closed = 0  # batches closed after the warmup
+        self.passed = 0  # batch boundaries passed, the warmup's end first
         # the pending firings, as [time, sequence, transition, live]
-        # entries, in one heap and per transition in scheduling order
+        # entries, in one heap and per transition in scheduling order; the
+        # next batch boundary, [time, -1, -1, True], is in the heap too
         self.heap: list[list] = []
         self.sched: list[list[list]] = [[] for _ in cn.trans]
         self.start, self.steps = self._generate_steps(rates)
@@ -739,7 +730,7 @@ class _Simulator:
             outputs = {p for p, _ in ct.const_out} | set(ct.flushed_out)
             body = []
             if not ct.immediate:
-                body.append(f"if not ({_enabled_test(ct)}): "
+                body.append(f"if not ({_enabled_source(ct)}): "
                             f"raise _unsound({i:d})")
             for k in dict.fromkeys(k for p in ct.touched for k in readers[p]):
                 body += [f"ra[{k:d}] += {exprs[k]} * (now - rl[{k:d}])",
@@ -776,12 +767,8 @@ class _Simulator:
         max_events = cfg.max_events
         max_imm = _MAX_IMMEDIATE_STEPS
         batch_count = cfg.batch_count
-        boundaries = [cfg.warmup_time + i * cfg.batch_length
-                      for i in range(batch_count + 1)]
-        next_b = 0
-        bt = boundaries[0]
-        inf = math.inf
         now = 0.0
+        heappush(heap, [cfg.warmup_time, -1, -1, True])
 
         # every timed transition is scheduled and every immediate is
         # scanned, so a vanishing start marking resolves like any other
@@ -797,26 +784,20 @@ class _Simulator:
                 if imm_steps > max_imm:
                     raise LivelockError(_cycle(cn, m, rng))
             else:
-                # next timed event, closing batches on the way
-                while True:
-                    if heap:
-                        e = heap[0]
-                        if not e[3]:
-                            pop(heap)
-                            continue
-                        te = e[0]
-                    else:
-                        te = inf
-                    if te < bt:
-                        break
-                    self._close_batch(bt, next_b == 0, m)
-                    next_b += 1
-                    if next_b > batch_count:
-                        return self._finish(event_count)
-                    bt = boundaries[next_b]
-                pop(heap)
-                now = te
+                # the next live heap entry: a batch boundary or a firing
+                e = pop(heap)
+                if not e[3]:
+                    continue
+                now = e[0]
                 tid = e[2]
+                if tid < 0:
+                    self._close_batch(now, m)
+                    k = self.passed
+                    if k > batch_count:
+                        return self._finish(event_count)
+                    heappush(heap, [cfg.warmup_time + k * cfg.batch_length,
+                                    -1, -1, True])
+                    continue
                 lst = sched[tid]
                 if lst[-1] is e:
                     lst.pop()
@@ -831,22 +812,22 @@ class _Simulator:
                 raise PartialResultError(
                     max_events, result=self._finish(event_count))
 
-    def _close_batch(self, t: float, is_warmup: bool, m: list[int]) -> None:
+    def _close_batch(self, t: float, m: list[int]) -> None:
         """Settle every rate reward at boundary time t, record the batch
-        unless it is the warmup, and reset the accumulators."""
+        unless it is the warmup, reset the accumulators and count t."""
         ra = self.ra
         rl = self.rl
         for k, v in enumerate(self.rewards(m)):
             ra[k] += v * (t - rl[k])
             rl[k] = t
-        if not is_warmup:
-            self.closed += 1
+        if self.passed:
             length = self.cfg.batch_length
             for q, (is_rate, i) in self.slots.items():
                 self.batches[q].append(
                     (ra if is_rate else self.fire_count)[i] / length)
         ra[:] = [0.0] * len(ra)
         self.fire_count[:] = [0] * len(self.fire_count)
+        self.passed += 1
 
     def _finish(self, event_count: int) -> SimulationResult:
         """The result of the run, after releasing its schedule: the
@@ -861,7 +842,7 @@ class _Simulator:
             mean = sum(vals) / len(vals) if vals else math.nan
             estimates[q] = Estimate(
                 mean, t_halfwidth(vals, cfg.confidence_level), tuple(vals))
-        total = cfg.warmup_time + self.closed * cfg.batch_length
+        total = cfg.warmup_time + max(self.passed - 1, 0) * cfg.batch_length
         return SimulationResult(estimates=estimates, total_time=total,
                                 event_count=event_count,
                                 confidence_level=cfg.confidence_level)

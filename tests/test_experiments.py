@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from hlfspn import experiments
 from hlfspn.experiments import (
     CASE_STUDY_IDS,
     ExperimentSpec,
@@ -179,6 +180,31 @@ class TestSweeps:
         parallel = run_sweep(spec, jobs=2)
         assert len(serial) == len(parallel) == 2
         assert serial == parallel
+
+    def test_the_pool_has_at_most_one_worker_per_point(self, monkeypatch):
+        # a process pool forks all its workers at the first submit, so a
+        # large --jobs on a few points must not reach it
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        spec = ExperimentSpec(
+            base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
+            sweep=(("arrival_rate_tps", (10.0, 30.0)),))
+        assert run_sweep(spec, jobs=64) == run_sweep(spec, jobs=1)
+        assert sizes == [2]
 
     def test_parallel_doe_is_equivalent(self):
         spec = ExperimentSpec(
