@@ -5,7 +5,8 @@ Subcommands::
     hlfspn run <spec.ini>          sweep or DoE experiment -> CSV
     hlfspn case-study <1|2|3|4>    built-in scenario -> CSV set
     hlfspn export-dot <spec.ini>   the [base] model -> DOT on stdout
-    hlfspn solve <spec.ini>        exact CTMC rewards (exponential-only)
+    hlfspn solve <spec.ini>        exact CTMC rewards per point
+                                   (exponential-only, no [doe])
 
 Exit codes: 0 success, 2 parse or validation error, 3 no usable estimate
 (see README), 4 output path not writable.
@@ -70,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--arrival-rate", type=float, default=None,
                        help="arrival rate in tps if [base] leaves it unset")
 
-    p_solve = sub.add_parser("solve",
-                             help="exact CTMC rewards for a single-point spec")
-    p_solve.add_argument("spec", help="experiment spec (INI), no sweep/doe")
+    p_solve = sub.add_parser(
+        "solve", help="exact CTMC rewards for each point of a spec")
+    p_solve.add_argument("spec", help="experiment spec (INI), no doe")
     p_solve.add_argument("--max-states", type=int, default=50_000)
     return parser
 
@@ -153,14 +154,24 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_point(args)
-    handle = build_hlf_net(spec.base)
-    result = solve_ctmc(handle.net, standard_queries(handle),
-                        max_states=args.max_states)
-    report = metric_report(result, handle)
-    print(f"tangible states: {result.n_states}")
-    for name in METRIC_NAMES:
-        print(f"{name} = {getattr(report, name).value:.10g}")
+    """Solve each point of a single-point or [sweep] spec in order. A sweep
+    point's lines follow one naming it; points of one structure share
+    its generated chain (see spn.ctmc)."""
+    spec = load_experiment(args.spec)
+    if spec.doe_response is not None:
+        raise SpecError("solve expects a single-point or [sweep] spec "
+                        "(no [doe])")
+    for point in spec.points():
+        if point:
+            print("point: " + ", ".join(f"{name} = {value:.10g}"
+                                        for name, value in point))
+        handle = build_hlf_net(configure(spec.base, point))
+        result = solve_ctmc(handle.net, standard_queries(handle),
+                            max_states=args.max_states)
+        report = metric_report(result, handle)
+        print(f"tangible states: {result.n_states}")
+        for name in METRIC_NAMES:
+            print(f"{name} = {getattr(report, name).value:.10g}")
     return EXIT_OK
 
 

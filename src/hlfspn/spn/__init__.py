@@ -34,15 +34,16 @@ from .engine import (
     SimulationResult,
     simulate_stationary,
 )
-from .ctmc import (ExactResult, ExplosionError, SingularGeneratorError,
-                   UnsupportedModelError, solve_ctmc)
+from .ctmc import (ExactResult, ExplosionError, NumericalSolveError,
+                   SingularGeneratorError, UnsupportedModelError, solve_ctmc)
 from .textfmt import guard_to_text, to_dot
 
 __all__ = [
     "And", "Arc", "Atom", "ContractViolationError", "Deterministic",
     "DivergenceError", "Estimate", "ExactResult", "ExplosionError",
     "Exponential", "ExpectedTokens", "FiringRate", "FlushAll", "Flushed",
-    "Immediate", "LivelockError", "Not", "Or", "PartialResultError",
+    "Immediate", "LivelockError", "Not", "NumericalSolveError", "Or",
+    "PartialResultError",
     "PetriNet", "Place", "Predicate", "ProbabilityOf", "RewardQuery",
     "ServerSemantics",
     "SimConfig", "SimulationResult", "SingularGeneratorError", "SpnError",

@@ -11,6 +11,16 @@ compiled net generates: the timed transition's own scan for the first
 step, the scan over all immediates after that. A vanishing loop raises
 LivelockError, even one that is left with probability 1.
 
+Generation reads no rate: in an exponential net the means change neither
+the reachable markings nor the immediate branching, so Q = sum over timed
+t of (1 / mean_t) B_t (Stewart, *Introduction to the Numerical Solution of
+Markov Chains*, 1994). It yields the tangible states and, for each
+generator and firing-rate triplet, the timed transition t that fired, its
+degree d and the probability or expected count p; a solve computes each
+rate as (d / mean_t) * p, the float a generation with rates would give.
+Generated chains stay in a small LRU keyed on the net's structure, so a
+solve at other rates of a structure solved before skips generation.
+
 The normalised system is solved by GMRES with an incomplete-LU
 preconditioner; the complete LU takes its place when the incomplete
 factorisation is singular or GMRES does not converge with it. Rate rewards
@@ -45,6 +55,20 @@ class SingularGeneratorError(SpnError):
         super().__init__(
             "stationary solve failed: singular generator (the chain has "
             "more than one closed class)")
+
+
+class NumericalSolveError(SpnError):
+    """The chain has one closed class, so its stationary distribution is
+    unique, yet no solve converged to it: its rates span too many orders of
+    magnitude for double precision."""
+
+    def __init__(self, low: float, high: float):
+        self.low = low
+        self.high = high
+        super().__init__(
+            "stationary solve failed numerically: no converged solution "
+            f"for a chain with one closed class, whose rates span {low:.3g} "
+            f"to {high:.3g}")
 
 
 class ExplosionError(SpnError):
@@ -152,7 +176,9 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     Raises UnsupportedModelError on deterministic transitions and
     ExplosionError when the tangible state space exceeds max_states. The
     queries' targets are looked up before the chain is generated, so a
-    query naming an unknown place or transition fails at once.
+    query naming an unknown place or transition fails at once. The chain
+    of each structure is generated once (`_chain`); each solve assembles
+    its rates from the net's own means.
     """
     cn = compile_net(net)
     for t in net.transitions:
@@ -162,21 +188,111 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                 "the CTMC solver")
     rate_rewards, slots = cn.reward_slots(queries)
     reward = cn.rewards(rate_rewards)
+    ch = _chain(cn, max_states)
 
+    # each timed firing's rate d / mean_t, then each triplet's (d / mean_t)
+    # * p: the expressions, and so the floats, of a generation with rates
+    means = np.array([1.0 if ct.immediate else ct.mean for ct in cn.trans])
+    rate = ch.degrees / means[ch.tids]
+    n = len(ch.states)
+    pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs)
+
+    # rate rewards: pi @ R, R holding each state's reward values as a row
+    # (read flat: on 5,768 states faster than np.array of the row tuples);
+    # impulse rewards: each transition's firing rate
+    k = len(rate_rewards)
+    R = np.fromiter(chain.from_iterable(map(reward, ch.states)), float, n * k)
+    values = pi @ R.reshape(n, k)
+    firing = np.bincount(ch.f_tids,
+                         weights=pi[ch.f_rows] * (rate[ch.f_src]
+                                                  * ch.f_counts),
+                         minlength=len(cn.trans))
+    estimates = {q: Estimate(float((values if is_rate else firing)[i]), 0.0)
+                 for q, (is_rate, i) in slots.items()}
+    return ExactResult(estimates=estimates, n_states=n)
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """The tangible chain of one net structure, free of rates.
+
+    Timed firing k, of transition tids[k] with degree degrees[k] (1 for a
+    single server), has rate degrees[k] / mean. Each generator triplet
+    (rows, cols) and each firing-rate triplet (f_rows, f_tids) stems from
+    the timed firing src or f_src, with probability probs or expected count
+    f_counts; its rate is the firing's times that. A timed firing's own
+    firing-rate triplet has count 1."""
+    states: tuple
+    tids: np.ndarray
+    degrees: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    src: np.ndarray
+    probs: np.ndarray
+    f_rows: np.ndarray
+    f_tids: np.ndarray
+    f_src: np.ndarray
+    f_counts: np.ndarray
+
+
+# generated chains, by structure, least recently used first: the newest,
+# and older ones while all hold at most _CACHED_STATES states. On the
+# benchmark's HLF nets a chain holds 0.7 kB per state (a 23-place tuple and
+# about 60 array entries), so the cache holds about 70 MB at most, or the
+# one chain of a larger structure
+_CACHED_STATES = 100_000
+_chains: dict[tuple, _Chain] = {}
+
+
+def _structure(cn: CompiledNet) -> tuple:
+    """Everything chain generation reads of cn but the timed means: the
+    generated code (arcs, guards, priorities; each compile binds new
+    functions to the shared code), the initial marking, the immediates'
+    weights and each transition's kind and server semantics."""
+    code = tuple(f.__code__ for f in chain(cn.degrees, cn.fires,
+                                           cn.top_after, (cn.top_all,)))
+    return (code, tuple(cn.initial), tuple(cn.weights),
+            tuple((ct.immediate, ct.infinite) for ct in cn.trans))
+
+
+def _chain(cn: CompiledNet, max_states: int) -> _Chain:
+    """cn's chain from the cache, or generated and cached. A cached chain
+    larger than max_states raises the ExplosionError its generation would
+    have; a generation that raises caches nothing."""
+    key = _structure(cn)
+    ch = _chains.pop(key, None)
+    if ch is None:
+        ch = _generate(cn, max_states)
+        cached = sum(len(c.states) for c in _chains.values())
+        while cached + len(ch.states) > _CACHED_STATES and _chains:
+            cached -= len(_chains.pop(next(iter(_chains))).states)
+    _chains[key] = ch  # the most recently used last
+    if len(ch.states) > max_states:
+        raise ExplosionError(max_states + 1, max_states)
+    return ch
+
+
+def _generate(cn: CompiledNet, max_states: int) -> _Chain:
+    """The tangible reachability graph of cn, from its initial marking,
+    with each timed firing's vanishing markings resolved on the fly."""
     timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
-              ct.mean, cn.top_after[ct.idx])
+              cn.top_after[ct.idx])
              for ct in cn.trans if not ct.immediate]
 
     index: dict[tuple, int] = {}
     states: list[tuple] = []
-    # generator off-diagonal triplets (state, state, rate)
-    rows: list[int] = []
+    # timed firings (state, transition, degree)
+    firing_rows: list[int] = []
+    tids: list[int] = []
+    degrees: list[int] = []
+    # generator off-diagonal triplets (state, firing, probability)
     cols: list[int] = []
-    rates: list[float] = []
-    # firing-rate triplets (state, transition, rate), immediates included
-    f_rows: list[int] = []
+    src: list[int] = []
+    probs: list[float] = []
+    # firing-rate triplets (transition, firing, count), immediates included
     f_tids: list[int] = []
-    f_rates: list[float] = []
+    f_src: list[int] = []
+    f_counts: list[float] = []
 
     def intern(mt: tuple) -> int:
         i = index.get(mt)
@@ -194,44 +310,46 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     i = 0
     while i < len(states):
         m = states[i]
-        for tid, degree, fire, infinite, mean, scan in timed:
+        for tid, degree, fire, infinite, scan in timed:
             d = degree(m)
             if not d:
                 continue
             if not infinite:
                 d = 1
-            rate = d / mean
-            f_rows.append(i)
+            k = len(tids)
+            firing_rows.append(i)
+            tids.append(tid)
+            degrees.append(d)
             f_tids.append(tid)
-            f_rates.append(rate)
+            f_src.append(k)
+            f_counts.append(1.0)
             m2 = list(m)
             fire(m2)
             dist, counts = _resolve_vanishing(cn, m2, scan)
             for mt, p in dist.items():
-                rows.append(i)
                 cols.append(intern(mt))
-                rates.append(rate * p)
+                src.append(k)
+                probs.append(p)
             for t, c in counts.items():
-                f_rows.append(i)
                 f_tids.append(t)
-                f_rates.append(rate * c)
+                f_src.append(k)
+                f_counts.append(c)
         i += 1
 
-    n = len(states)
-    pi = _stationary(n, rows, cols, rates)
+    def frozen(xs, dtype=np.int64) -> np.ndarray:
+        # the cache hands these to every later solve: none may write them
+        a = np.array(xs, dtype=dtype)
+        a.flags.writeable = False
+        return a
 
-    # rate rewards: pi @ R, R holding each state's reward values as a row
-    # (read flat: on 5,768 states faster than np.array of the row tuples);
-    # impulse rewards: each transition's firing rate
-    k = len(rate_rewards)
-    R = np.fromiter(chain.from_iterable(map(reward, states)), float, n * k)
-    values = pi @ R.reshape(n, k)
-    firing = np.bincount(np.asarray(f_tids, dtype=np.int64),
-                         weights=pi[f_rows] * np.asarray(f_rates),
-                         minlength=len(cn.trans))
-    estimates = {q: Estimate(float((values if is_rate else firing)[i]), 0.0)
-                 for q, (is_rate, i) in slots.items()}
-    return ExactResult(estimates=estimates, n_states=n)
+    firing_rows = np.array(firing_rows, dtype=np.int64)
+    src, f_src = frozen(src), frozen(f_src)
+    return _Chain(states=tuple(states), tids=frozen(tids),
+                  degrees=frozen(degrees, float),
+                  rows=frozen(firing_rows[src]), cols=frozen(cols), src=src,
+                  probs=frozen(probs, float),
+                  f_rows=frozen(firing_rows[f_src]), f_tids=frozen(f_tids),
+                  f_src=f_src, f_counts=frozen(f_counts, float))
 
 
 # GMRES settings of the stationary solve: incomplete-LU drop tolerance,
@@ -249,9 +367,10 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     1986) preconditioned by an incomplete LU factorisation. When that
     factorisation is exactly singular, or GMRES gives no converged
     solution with it, the same GMRES call is made once more, preconditioned
-    by the complete LU, with which it converges in a step or two. Raises
-    SingularGeneratorError when neither gives a solution with a positive
-    sum."""
+    by the complete LU, with which it converges in a step or two. When
+    neither gives a solution with a positive sum, raises
+    SingularGeneratorError if the chain has more than one closed class,
+    and NumericalSolveError if it has one."""
     if n == 1:
         return np.ones(1)
     from scipy import sparse
@@ -275,7 +394,25 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
             s = pi.sum()
             if s > 0:
                 return pi / s
-    raise SingularGeneratorError()
+    if _closed_classes(n, rows, cols, rates) > 1:
+        raise SingularGeneratorError()
+    raise NumericalSolveError(float(rates.min()), float(rates.max()))
+
+
+def _closed_classes(n: int, rows, cols, rates) -> int:
+    """The number of closed classes of the chain with the off-diagonal
+    rate triplets: strongly connected components of its transition graph
+    that no positive rate leaves."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    live = rates > 0
+    rows, cols = rows[live], cols[live]
+    graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                              shape=(n, n))
+    k, labels = connected_components(graph, directed=True,
+                                     connection="strong")
+    leaving = labels[rows] != labels[cols]
+    return k - len(np.unique(labels[rows[leaving]]))
 
 
 def _incomplete_lu(A):

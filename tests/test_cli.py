@@ -25,6 +25,7 @@ from hlfspn.spn import (
     ExpectedTokens,
     ExplosionError,
     LivelockError,
+    NumericalSolveError,
     PartialResultError,
     SingularGeneratorError,
 )
@@ -355,10 +356,37 @@ class TestSolve:
         assert main(["solve", str(spec)]) == EXIT_PARSE
         assert "exponential" in capsys.readouterr().err
 
-    def test_sweep_spec_rejected(self, tmp_path):
+    def test_doe_spec_rejected(self, tmp_path, capsys):
         spec = tmp_path / "spec.ini"
-        spec.write_text(TINY_SPEC)
+        spec.write_text(SOLVE_SPEC + "\n[doe]\nfactors = cp:1:2\n")
         assert main(["solve", str(spec)]) == EXIT_PARSE
+        assert "solve expects a single-point or [sweep] spec (no [doe])" \
+            in capsys.readouterr().err
+
+    def test_sweep_prints_each_points_single_point_block(self, tmp_path,
+                                                          capsys):
+        spec = tmp_path / "spec.ini"
+        blocks = []
+        for rate in ("5", "8"):
+            spec.write_text(SOLVE_SPEC.replace("arrival_rate_tps = 5",
+                                               f"arrival_rate_tps = {rate}"))
+            assert main(["solve", str(spec)]) == EXIT_OK
+            blocks.append(f"point: arrival_rate_tps = {rate}\n"
+                          + capsys.readouterr().out)
+        spec.write_text(SOLVE_SPEC + "\n[sweep]\nparameter = "
+                        "arrival_rate_tps\nvalues = 5, 8\n")
+        assert main(["solve", str(spec)]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(blocks)
+
+    def test_one_closed_class_that_fails_numerically(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SOLVE_SPEC.replace("arrival_rate_tps = 5",
+                                           "arrival_rate_tps = 1e300")
+                        .replace("= 2", "= 1"))
+        assert main(["solve", str(spec)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "one closed class, whose rates span 0.1 to 1e+300" in err
+        assert "more than one closed class" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--jobs", "2"], ["--seed", "3"], ["--out-dir", "out"],
@@ -438,6 +466,7 @@ class TestExitCodes:
         (UndefinedMetricError("effective arrival rate is zero"),
          EXIT_DIVERGED),
         (SingularGeneratorError(), EXIT_DIVERGED),
+        (NumericalSolveError(0.1, 1e300), EXIT_DIVERGED),
     ])
     def test_model_errors_map_to_documented_exits(self, tmp_path, capsys,
                                                   monkeypatch, error, code):
@@ -461,6 +490,7 @@ class TestExitCodes:
      {"missing": [ExpectedTokens("Q")]}),
     (ContractViolationError("unknown place 'Q'"), {}),
     (UndefinedMetricError("effective arrival rate is zero"), {}),
+    (NumericalSolveError(0.1, 1e300), {"low": 0.1, "high": 1e300}),
 ])
 def test_errors_survive_pickling(error, attrs):
     # a --jobs worker's exception reaches the parent process pickled

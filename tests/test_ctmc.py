@@ -1,5 +1,6 @@
 """Exact CTMC solver against closed forms and the simulator."""
 
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -21,9 +22,11 @@ from hlfspn.spn import (
     FiringRate,
     Immediate,
     LivelockError,
+    NumericalSolveError,
     PetriNet,
     Place,
     ProbabilityOf,
+    ServerSemantics,
     SimConfig,
     SingularGeneratorError,
     Transition,
@@ -41,6 +44,15 @@ from refnets import (branch_net, flush_net, mm1k_net, mmck_net, priority_net,
                      tandem_net)
 from test_cli import SOLVE_SPEC
 from test_hlf import littles_law_pairs
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """An empty chain cache of the test's own, so that the first solve of
+    each structure generates its chain whatever ran before."""
+    cache = {}
+    monkeypatch.setattr(ctmc, "_chains", cache)
+    return cache
 
 
 class TestClosedForms:
@@ -131,7 +143,7 @@ class TestLimits:
         ProbabilityOf(Atom("NOPE", "=", 0)), "Q"],
         ids=["tokens", "rate", "probability", "not-a-query"])
     def test_queries_are_checked_before_the_chain_is_generated(
-            self, monkeypatch, query):
+            self, monkeypatch, chains, query):
         def generate(*args, **kwargs):
             raise AssertionError("the chain was generated")
 
@@ -179,8 +191,31 @@ class TestLimits:
                 Transition("TO_Y", Immediate(weight=3.0),
                            input_arcs=(Arc("C"),), output_arcs=(Arc("Y"),)),
             ))
-        with pytest.raises(SingularGeneratorError):
+        with pytest.raises(SingularGeneratorError) as info:
             solve_ctmc(net, [ProbabilityOf(Atom("X", "=", 1))])
+        assert "more than one closed class" in str(info.value)
+
+    def test_one_closed_class_that_fails_numerically_names_its_rates(
+            self, monkeypatch):
+        # every capacity 1 and arrivals at 1e300 tps: one closed class of
+        # 144 states, whose rates span 0.1 to 1e300
+        cfg = hlf.HlfConfig(
+            n_endorsers=1, n_committers=1, eq=1, oq=1, cq=1, ep=1, op=1,
+            cp=1, arrival_dist="exponential", timeout_dist="exponential"
+        ).with_arrival_rate(1e300)
+        got = []
+        real = ctmc._stationary
+        monkeypatch.setattr(ctmc, "_stationary",
+                            lambda *args: got.append(args) or real(*args))
+        with pytest.raises(NumericalSolveError) as info:
+            solve_ctmc(hlf.build_hlf_net(cfg).net, [])
+        n, rows, cols, rates = got[0]
+        assert n == 144
+        assert ctmc._closed_classes(n, rows, cols, rates) == 1
+        assert (info.value.low, info.value.high) == \
+            pytest.approx((0.1, 1e300), rel=1e-12)
+        assert "more than one closed class" not in str(info.value)
+        assert "rates span 0.1 to 1e+300" in str(info.value)
 
 
 class TestAgreementWithSimulator:
@@ -241,7 +276,8 @@ class TestVanishingResolution:
             solve_ctmc(net, [])
         assert set(info.value.transitions) == {"AB", "BA"}
 
-    def test_unbounded_vanishing_growth_is_capped(self, monkeypatch):
+    def test_unbounded_vanishing_growth_is_capped(self, monkeypatch,
+                                                  chains):
         # GROW keeps A and adds a token to B: every marking is new
         monkeypatch.setattr(ctmc, "_MAX_VANISHING", 1000)
         net = PetriNet(
@@ -415,6 +451,7 @@ def generator_triplets(net: PetriNet) -> tuple:
     return got[0]
 
 
+
 def dense_stationary(n, rows, cols, rates) -> np.ndarray:
     """Reference: numpy.linalg.solve of Q^T with its last row replaced by
     ones, right-hand side e_n, assembled densely."""
@@ -502,3 +539,102 @@ class TestStationarySolve:
             ))
         with pytest.raises(SingularGeneratorError):
             solve_ctmc(net, [])
+
+
+def solve_cold(net: PetriNet, queries, chains, **kwargs):
+    """solve_ctmc with the chain cache emptied first."""
+    chains.clear()
+    return solve_ctmc(net, queries, **kwargs)
+
+
+def hlf_1200(lam: float = 20.0, **changes) -> tuple:
+    """The benchmark's 1,200-state HLF net at rate lam, with changes to its
+    configuration, and its standard queries."""
+    handle = hlf.build_hlf_net(replace(benchmark_small_hlf_config(),
+                                       **changes).with_arrival_rate(lam))
+    return handle.net, standard_queries(handle)
+
+
+def with_transition(net: PetriNet, name: str, **changes) -> PetriNet:
+    return replace(net, transitions=tuple(
+        replace(t, **changes) if t.name == name else t
+        for t in net.transitions))
+
+
+class TestChainCache:
+    def test_hit_at_another_rate_equals_a_cold_solve(self, monkeypatch,
+                                                     chains):
+        solve_ctmc(*hlf_1200(20.0))
+        net, queries = hlf_1200(21.0)
+        args = []
+        real = ctmc._stationary
+        monkeypatch.setattr(ctmc, "_stationary",
+                            lambda *a: args.append(a) or real(*a))
+        hit = solve_ctmc(net, queries)
+        assert len(chains) == 1
+        cold = solve_cold(net, queries, chains)
+        assert hit == cold
+        (n, *triplets), (n_cold, *triplets_cold) = args
+        assert n == n_cold == 1200
+        for got, want in zip(triplets, triplets_cold):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("base,changed", [
+        (hlf_1200, lambda: hlf_1200(block_size=3)),
+        (hlf_1200, lambda: hlf_1200(cq=2)),
+        (lambda: (branch_net(), [FiringRate("TO_A"), FiringRate("TO_B")]),
+         lambda: (with_transition(branch_net(), "TO_B",
+                                  kind=Immediate(weight=2.0)),
+                  [FiringRate("TO_A"), FiringRate("TO_B")])),
+        (lambda: (mmck_net(6.0, 2.0, 3, 7), [FiringRate("SERVE")]),
+         lambda: (with_transition(mmck_net(6.0, 2.0, 3, 7), "SERVE",
+                                  server_semantics=ServerSemantics.SINGLE),
+                  [FiringRate("SERVE")])),
+    ], ids=["block-size", "capacity", "immediate-weight", "server-semantics"])
+    def test_structural_change_misses(self, chains, base, changed):
+        net, queries = changed()
+        before = solve_ctmc(*base())
+        got = solve_ctmc(net, queries)
+        assert len(chains) == 2
+        assert got == solve_cold(net, queries, chains)
+        assert got != before
+
+    def test_hit_below_max_states_raises_the_cold_error(self, chains):
+        net = mm1k_net(3.0, 4.0, 50)
+        assert solve_ctmc(net, []).n_states == 51
+        with pytest.raises(ExplosionError) as hit:
+            solve_ctmc(net, [], max_states=10)
+        with pytest.raises(ExplosionError) as cold:
+            solve_cold(net, [], chains, max_states=10)
+        assert (hit.value.count, hit.value.max_states) == \
+            (cold.value.count, cold.value.max_states) == (11, 10)
+        assert str(hit.value) == str(cold.value)
+
+    def test_failed_generation_caches_nothing(self, chains):
+        livelock = PetriNet(
+            places=(Place("S", 1), Place("A", 0), Place("B", 0)),
+            transitions=(
+                Transition("GO", Exponential(1.0), input_arcs=(Arc("S"),),
+                           output_arcs=(Arc("A"),)),
+                Transition("AB", Immediate(), input_arcs=(Arc("A"),),
+                           output_arcs=(Arc("B"),)),
+                Transition("BA", Immediate(), input_arcs=(Arc("B"),),
+                           output_arcs=(Arc("A"),)),
+            ))
+        with pytest.raises(LivelockError):
+            solve_ctmc(livelock, [])
+        with pytest.raises(ExplosionError):
+            solve_ctmc(mm1k_net(3.0, 4.0, 50), [], max_states=10)
+        assert not chains
+
+    def test_least_recently_used_chains_leave_past_the_state_budget(
+            self, monkeypatch, chains):
+        monkeypatch.setattr(ctmc, "_CACHED_STATES", 100)
+        for k in (40, 30, 20):  # 41 + 31 + 21 states: within the budget
+            solve_ctmc(mm1k_net(3.0, 4.0, k), [])
+        solve_ctmc(mm1k_net(3.0, 4.0, 40), [])  # a hit: now the newest
+        assert [len(c.states) for c in chains.values()] == [31, 21, 41]
+        solve_ctmc(mm1k_net(3.0, 4.0, 10), [])
+        assert [len(c.states) for c in chains.values()] == [21, 41, 11]
+        solve_ctmc(mm1k_net(3.0, 4.0, 200), [])  # alone past the budget
+        assert [len(c.states) for c in chains.values()] == [201]
