@@ -451,7 +451,6 @@ def generator_triplets(net: PetriNet) -> tuple:
     return got[0]
 
 
-
 def dense_stationary(n, rows, cols, rates) -> np.ndarray:
     """Reference: numpy.linalg.solve of Q^T with its last row replaced by
     ones, right-hand side e_n, assembled densely."""
