@@ -468,51 +468,112 @@ def assert_same_distribution(got, want, rel: float) -> None:
     assert np.abs(got - want).max() <= rel * want.max()
 
 
+# the refnets nets and the benchmark's 1,200-state HLF net
+solved_nets = pytest.mark.parametrize("make", [
+    lambda: mm1k_net(3.0, 4.0, 3),
+    lambda: mmck_net(6.0, 2.0, 3, 7),
+    tandem_net,
+    branch_net,
+    flush_net,
+    priority_net,
+    benchmark_small_hlf_net,
+], ids=["mm1k", "mmck", "tandem", "branch", "flush", "priority", "hlf-1200"])
+
+
 @pytest.mark.filterwarnings("error")
 class TestStationarySolve:
-    @pytest.mark.parametrize("make", [
-        lambda: mm1k_net(3.0, 4.0, 3),
-        lambda: mmck_net(6.0, 2.0, 3, 7),
-        tandem_net,
-        branch_net,
-        flush_net,
-        benchmark_small_hlf_net,
-    ], ids=["mm1k", "mmck", "tandem", "branch", "flush", "hlf-1200"])
+    @solved_nets
     def test_matches_dense_solve(self, make):
         triplets = generator_triplets(make())
         assert_same_distribution(ctmc._stationary(*triplets),
                                  dense_stationary(*triplets), 1e-10)
 
-    def test_complete_lu_when_incomplete_lu_is_singular(self, monkeypatch):
+    def test_complete_lu_when_a_triangle_is_singular(self, monkeypatch):
         triplets = generator_triplets(benchmark_small_hlf_net())
         want = ctmc._stationary(*triplets)
+        real_splu = linalg.splu
+        calls = []
 
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        def splu(A, **kwargs):
+            # the symmetric Gauss-Seidel triangles are factored in natural
+            # order, the complete LU in SuperLU's default order
+            if kwargs.get("permc_spec") == "NATURAL":
+                calls.append("triangle")
+                raise RuntimeError("Factor is exactly singular")
+            calls.append("complete")
+            return real_splu(A, **kwargs)
 
-        monkeypatch.setattr(linalg, "spilu", singular)
+        monkeypatch.setattr(linalg, "splu", splu)
         assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
+        assert calls == ["triangle", "complete"]
 
     def test_complete_lu_when_gmres_does_not_converge(self, monkeypatch):
         triplets = generator_triplets(benchmark_small_hlf_net())
         want = ctmc._stationary(*triplets)
-        real_gmres, real_splu = linalg.gmres, linalg.splu
+        real_gmres = linalg.gmres
         calls = []
 
         def gmres(A, b, **kwargs):
             calls.append("gmres")
-            if len(calls) == 1:  # the incomplete-LU run: one Krylov step
+            if calls.count("gmres") == 1:  # Gauss-Seidel: one Krylov step
                 kwargs.update(restart=1, maxiter=1)
             return real_gmres(A, b, **kwargs)
 
-        def splu(A):
-            calls.append("splu")
-            return real_splu(A)
+        def spy(name):
+            real = getattr(ctmc, name)
+
+            def tier(A):
+                calls.append(name)
+                return real(A)
+            monkeypatch.setattr(ctmc, name, tier)
+
+        spy("_symmetric_gauss_seidel")
+        spy("_complete_lu")
+        monkeypatch.setattr(linalg, "gmres", gmres)
+        assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
+        assert calls == ["_symmetric_gauss_seidel", "gmres", "_complete_lu",
+                         "gmres"]
+
+    @solved_nets
+    def test_first_tier_solves_without_fallback(self, monkeypatch, make):
+        # a broken preconditioner would otherwise show only as a slow solve
+        triplets = generator_triplets(make())
+        real_gmres = linalg.gmres
+        calls = []
+
+        def gmres(A, b, **kwargs):
+            calls.append("gmres")
+            return real_gmres(A, b, **kwargs)
+
+        def complete_lu(A):
+            raise AssertionError("fell back to the complete LU")
 
         monkeypatch.setattr(linalg, "gmres", gmres)
-        monkeypatch.setattr(linalg, "splu", splu)
-        assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
-        assert calls == ["gmres", "splu", "gmres"]
+        monkeypatch.setattr(ctmc, "_complete_lu", complete_lu)
+        ctmc._stationary(*triplets)
+        assert calls == ["gmres"]
+
+    def test_zero_diagonal_before_the_last_row(self):
+        # X is absorbing and is the second state found, so A = Q^T (last
+        # row: ones) has a zero diagonal entry in row 1: a singular lower
+        # triangle, which the complete LU replaces
+        net = PetriNet(
+            places=(Place("S", 1), Place("X", 0), Place("Y", 0)),
+            transitions=(
+                Transition("TO_X", Exponential(1.0), input_arcs=(Arc("S"),),
+                           output_arcs=(Arc("X"),)),
+                Transition("TO_Y", Exponential(0.5), input_arcs=(Arc("S"),),
+                           output_arcs=(Arc("Y"),)),
+                Transition("Y_X", Exponential(2.0), input_arcs=(Arc("Y"),),
+                           output_arcs=(Arc("X"),)),
+            ))
+        n, rows, cols, rates = generator_triplets(net)
+        assert n == 3
+        assert not np.isin(1, rows)  # X, state 1, has no outgoing rate
+        queries = [ExpectedTokens("X"), ExpectedTokens("Y"), FiringRate("Y_X")]
+        res = solve_ctmc(net, queries)
+        assert [res.value(q) for q in queries] == \
+            pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_rates_in_a_finer_time_unit(self, scale):
