@@ -21,12 +21,14 @@ rate as (d / mean_t) * p, the float a generation with rates would give.
 Generated chains stay in a small LRU keyed on the net's structure, so a
 solve at other rates of a structure solved before skips generation.
 
-The normalised system is solved by GMRES with a symmetric Gauss-Seidel
-preconditioner, whose two triangular factors cost no fill; the complete LU
-takes its place when a triangle is singular (a zero diagonal entry) or
-GMRES does not converge with it. Rate rewards are pi @ R, where R holds
-CompiledNet.rewards of each tangible state; impulse rewards are the firing
-rates, immediates' included.
+The normalised system is solved by the module's own restarted GMRES, right
+preconditioned by symmetric Gauss-Seidel, whose two triangular factors
+cost no fill; the complete LU takes its place when a triangle is singular
+(a zero diagonal entry) or GMRES does not converge with it. A chain keeps
+its tangible markings as one integer matrix S, a row per state: the
+expected token counts are pi @ S, and a probability sums pi over the
+distinct values of the places its predicate reads, testing each value
+once. Impulse rewards are the firing rates, immediates' included.
 
 scipy is imported by the first solve, not with the module, so that the
 simulator never loads it.
@@ -41,7 +43,8 @@ import numpy as np
 
 from .engine import (CompiledNet, Estimate, LivelockError, Result,
                      compile_net)
-from .net import Deterministic, PetriNet, RewardQuery, SpnError
+from .net import (Deterministic, ExpectedTokens, PetriNet, RewardQuery,
+                  SpnError)
 
 
 class UnsupportedModelError(SpnError):
@@ -188,22 +191,18 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                 f"deterministic transition {t.name!r} is not supported by "
                 "the CTMC solver")
     rate_rewards, slots = cn.reward_slots(queries)
-    reward = cn.rewards(rate_rewards)
+    reads = [cn.reward_source(q)[1] for q in rate_rewards]
     ch = _chain(cn, max_states)
 
     # each timed firing's rate d / mean_t, then each triplet's (d / mean_t)
     # * p: the expressions, and so the floats, of a generation with rates
     means = np.array([1.0 if ct.immediate else ct.mean for ct in cn.trans])
     rate = ch.degrees / means[ch.tids]
-    n = len(ch.states)
+    n = len(ch.marks)
     pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs)
 
-    # rate rewards: pi @ R, R holding each state's reward values as a row
-    # (read flat: on 5,768 states faster than np.array of the row tuples);
     # impulse rewards: each transition's firing rate
-    k = len(rate_rewards)
-    R = np.fromiter(chain.from_iterable(map(reward, ch.states)), float, n * k)
-    values = pi @ R.reshape(n, k)
+    values = _rate_rewards(cn, rate_rewards, reads, ch.marks, pi)
     firing = np.bincount(ch.f_tids,
                          weights=pi[ch.f_rows] * (rate[ch.f_src]
                                                   * ch.f_counts),
@@ -211,6 +210,41 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     estimates = {q: Estimate(float((values if is_rate else firing)[i]), 0.0)
                  for q, (is_rate, i) in slots.items()}
     return ExactResult(estimates=estimates, n_states=n)
+
+
+def _rate_rewards(cn: CompiledNet, queries: list[RewardQuery],
+                  reads: list[tuple[int, ...]], marks: np.ndarray,
+                  pi: np.ndarray) -> list[float]:
+    """Each rate reward's expectation under pi, the tangible markings being
+    the rows of marks and reads[k] the places queries[k] reads. Every
+    ExpectedTokens comes from the one product pi @ marks. A ProbabilityOf
+    sums pi over the markings' distinct values of the places its predicate
+    reads, and evaluates CompiledNet.rewards of that predicate once per
+    such value, on a marking that has it."""
+    expected = None
+    values = []
+    for q, places in zip(queries, reads):
+        if isinstance(q, ExpectedTokens):
+            if expected is None:
+                expected = pi @ marks
+            values.append(float(expected[places[0]]))
+            continue
+        # number the distinct values of the places read, one place at a
+        # time, so that no group number exceeds the state count
+        group = np.zeros(len(marks), np.int64)
+        for place in places:
+            column = marks[:, place]
+            group = group * (int(column.max()) + 1) + column
+            _, first, group = np.unique(group, return_index=True,
+                                        return_inverse=True)
+        mass = np.bincount(group, weights=pi, minlength=len(first))
+        holds = cn.rewards([q])
+        total = 0.0
+        for m, p in zip(marks[first].tolist(), mass.tolist()):
+            if holds(m)[0]:
+                total += p
+        values.append(total)
+    return values
 
 
 @dataclass(frozen=True)
@@ -222,8 +256,9 @@ class _Chain:
     (rows, cols) and each firing-rate triplet (f_rows, f_tids) stems from
     the timed firing src or f_src, with probability probs or expected count
     f_counts; its rate is the firing's times that. A timed firing's own
-    firing-rate triplet has count 1."""
-    states: tuple
+    firing-rate triplet has count 1. Row i of marks is tangible state i's
+    marking, in the smallest integer dtype that holds every token count."""
+    marks: np.ndarray
     tids: np.ndarray
     degrees: np.ndarray
     rows: np.ndarray
@@ -238,9 +273,10 @@ class _Chain:
 
 # generated chains, by structure, least recently used first: the newest,
 # and older ones while all hold at most _CACHED_STATES states. On the
-# benchmark's HLF nets a chain holds 0.7 kB per state (a 23-place tuple and
-# about 60 array entries), so the cache holds about 70 MB at most, or the
-# one chain of a larger structure
+# benchmark's HLF nets a chain holds 0.5 kB per state (a 23-byte marking
+# row and about 60 array entries; tracemalloc: 2.9 MB for 5,768 states), so
+# the cache holds about 50 MB at most, or the one chain of a larger
+# structure
 _CACHED_STATES = 100_000
 _chains: dict[tuple, _Chain] = {}
 
@@ -264,11 +300,11 @@ def _chain(cn: CompiledNet, max_states: int) -> _Chain:
     ch = _chains.pop(key, None)
     if ch is None:
         ch = _generate(cn, max_states)
-        cached = sum(len(c.states) for c in _chains.values())
-        while cached + len(ch.states) > _CACHED_STATES and _chains:
-            cached -= len(_chains.pop(next(iter(_chains))).states)
+        cached = sum(len(c.marks) for c in _chains.values())
+        while cached + len(ch.marks) > _CACHED_STATES and _chains:
+            cached -= len(_chains.pop(next(iter(_chains))).marks)
     _chains[key] = ch  # the most recently used last
-    if len(ch.states) > max_states:
+    if len(ch.marks) > max_states:
         raise ExplosionError(max_states + 1, max_states)
     return ch
 
@@ -343,9 +379,12 @@ def _generate(cn: CompiledNet, max_states: int) -> _Chain:
         a.flags.writeable = False
         return a
 
+    marks = np.array(states, dtype=np.int64).reshape(len(states),
+                                                     len(cn.initial))
+    marks = frozen(marks, np.min_scalar_type(marks.max(initial=0)))
     firing_rows = np.array(firing_rows, dtype=np.int64)
     src, f_src = frozen(src), frozen(f_src)
-    return _Chain(states=tuple(states), tids=frozen(tids),
+    return _Chain(marks=marks, tids=frozen(tids),
                   degrees=frozen(degrees, float),
                   rows=frozen(firing_rows[src]), cols=frozen(cols), src=src,
                   probs=frozen(probs, float),
@@ -362,15 +401,24 @@ _MAX_RESTARTS = 4
 
 def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     """Solve pi Q = 0 with sum(pi) = 1 for the generator built from the
-    off-diagonal rate triplets: Q^T with its last equation replaced by the
-    normalisation (Stewart 1994), solved by restarted GMRES (Saad & Schultz
-    1986) preconditioned by symmetric Gauss-Seidel (Saad 2003, 10.2). When
-    a triangle of A is exactly singular, or GMRES gives no converged
-    solution with it, the same GMRES call is made once more, preconditioned
-    by the complete LU, with which it converges in a step or two. When
-    neither gives a solution with a positive sum, raises
-    SingularGeneratorError if the chain has more than one closed class,
-    and NumericalSolveError if it has one."""
+    off-diagonal rate triplets: Q^T with its first equation, that of the
+    initial state, replaced by the normalisation (Stewart 1994), solved by
+    restarted GMRES (`_gmres`) right preconditioned by symmetric
+    Gauss-Seidel (Saad 2003, 9.3 and 10.2). When a triangle of A is exactly
+    singular, or GMRES gives no converged solution with it, the same GMRES
+    call is made once more, preconditioned by the complete LU, with which
+    it converges in a step or two. When neither gives a solution with a
+    positive sum, raises SingularGeneratorError if the chain has more than
+    one closed class, and NumericalSolveError if it has one.
+
+    The normalisation is a row of ones, so the Gauss-Seidel sweep through
+    it sums a whole vector into that row's entry, and with right
+    preconditioning the cancellation error lands in pi. Row 0 puts it on
+    the initial state, typically one of the most probable, where the last
+    row put it on the last state found, typically one of the least: on the
+    368-state 1x1 net at 5 tps (eq = oq = cq = 2), P(EQ_1 = 0) moved 3.1e-12
+    relative from a refined dense solve with the ones last, and 2e-14 with
+    them first."""
     if n == 1:
         return np.ones(1)
     from scipy import sparse
@@ -379,14 +427,14 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     diag = -np.bincount(rows, weights=rates, minlength=n)
     states = np.arange(n)
-    # Q^T holds rate (i -> j) at (j, i); row n-1 is dropped for the ones
-    keep = cols != n - 1
-    a_rows = np.concatenate([cols[keep], states[:-1], np.full(n, n - 1)])
-    a_cols = np.concatenate([rows[keep], states[:-1], states])
-    a_vals = np.concatenate([rates[keep], diag[:-1], np.ones(n)])
+    # Q^T holds rate (i -> j) at (j, i); row 0 is dropped for the ones
+    keep = cols != 0
+    a_rows = np.concatenate([cols[keep], states[1:], np.zeros(n, np.int64)])
+    a_cols = np.concatenate([rows[keep], states[1:], states])
+    a_vals = np.concatenate([rates[keep], diag[1:], np.ones(n)])
     A = sparse.csc_matrix((a_vals, (a_rows, a_cols)), shape=(n, n))
     b = np.zeros(n)
-    b[-1] = 1.0
+    b[0] = 1.0
     for precondition in (_symmetric_gauss_seidel, _complete_lu):
         pi = _gmres(A, b, precondition)
         if pi is not None:
@@ -444,18 +492,77 @@ def _gmres(A, b, precondition):
     """x from GMRES on A x = b preconditioned by precondition(A), or None
     when that factorisation is exactly singular or x is not converged.
 
-    GMRES stops at |b - A x| <= _RTOL. x counts as converged when its
-    normwise backward error is at most _RTOL, |b - A x| <= _RTOL (|A| |x| +
-    1), which also passes a generator whose rates are so large that
-    rounding alone keeps |b - A x| above _RTOL. NaN or infinite entries
-    fail the test."""
-    from scipy.sparse.linalg import LinearOperator, gmres
+    Restarted GMRES (Saad & Schultz 1986) with right preconditioning: it
+    minimises |b - A M^-1 u| over a Krylov space of A M^-1 and sets x = M^-1
+    u, so that its least-squares residual is the true residual |b - A x| up
+    to rounding. Each Arnoldi step orthogonalises against the whole basis
+    at once, by classical Gram-Schmidt applied twice (Giraud et al., Numer.
+    Math. 101, 2005), and the Givens rotations run on Python floats, since
+    the Hessenberg columns hold at most _RESTART + 1 entries. A cycle of at
+    most _RESTART steps ends in x += M^-1 (V y), so no preconditioned basis
+    is stored; at most _MAX_RESTARTS cycles run.
+
+    x counts as converged when its normwise backward error is at most
+    _RTOL, |b - A x| <= _RTOL (|A| |x| + |b|), which also passes a
+    generator whose rates are so large that rounding alone keeps |b - A x|
+    above _RTOL |b|. The iteration stops when the least-squares residual
+    meets that bound at the cycle's starting x, and between cycles when x
+    passes the test. NaN or infinite entries fail it."""
+    import math
     try:
         solve = precondition(A)
     except RuntimeError:  # an exactly singular factor
         return None
-    x, _ = gmres(A, b, rtol=_RTOL, atol=0.0, restart=_RESTART,
-                 maxiter=_MAX_RESTARTS, M=LinearOperator(A.shape, solve))
-    residual = np.linalg.norm(b - A @ x)
-    scale = np.linalg.norm(abs(A) @ abs(x)) + 1.0
-    return x if residual <= _RTOL * scale else None
+    norm = np.linalg.norm
+    abs_a = abs(A)
+    b_norm = float(norm(b))
+    x = np.zeros(len(b))
+    r = b
+    V = np.empty((_RESTART + 1, len(b)))
+    # the result is judged by the backward-error test below, so overflow on
+    # a chain with extreme rates needs no warning
+    with np.errstate(all="ignore"):
+        for cycle in range(_MAX_RESTARTS + 1):
+            residual = float(norm(r))
+            bound = _RTOL * (float(norm(abs_a @ abs(x))) + b_norm)
+            if residual <= bound:
+                return x
+            if cycle == _MAX_RESTARTS or not math.isfinite(residual):
+                return None
+            V[0] = r / residual
+            g = [residual]  # Q^T (residual e_1), Q the rotations so far
+            R = []  # the columns of the rotated Hessenberg matrix
+            rotations = []
+            for j in range(_RESTART):
+                w = A @ solve(V[j])
+                basis = V[:j + 1]
+                h = basis @ w
+                w -= h @ basis
+                h2 = basis @ w
+                w -= h2 @ basis
+                col = (h + h2).tolist()
+                w_norm = float(norm(w))
+                for i, (c, s) in enumerate(rotations):
+                    col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                          c * col[i + 1] - s * col[i])
+                rho = math.hypot(col[j], w_norm)
+                if rho == 0.0:  # A M^-1 is singular on the Krylov space
+                    return None
+                c, s = col[j] / rho, w_norm / rho
+                col[j] = rho
+                rotations.append((c, s))
+                R.append(col)
+                g.append(-s * g[j])
+                g[j] *= c
+                if abs(g[-1]) <= bound or w_norm == 0.0:
+                    break
+                V[j + 1] = w / w_norm
+            # back substitution for y in R y = g[:k]
+            k = len(R)
+            y = g[:k]
+            for i in range(k - 1, -1, -1):
+                y[i] /= R[i][i]
+                for m in range(i):
+                    y[m] -= R[i][m] * y[i]
+            x = x + solve(np.array(y) @ V[:k])
+            r = b - A @ x

@@ -1,7 +1,7 @@
 """Exact CTMC solver against closed forms and the simulator."""
 
 from dataclasses import replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -22,7 +22,9 @@ from hlfspn.spn import (
     FiringRate,
     Immediate,
     LivelockError,
+    Not,
     NumericalSolveError,
+    Or,
     PetriNet,
     Place,
     ProbabilityOf,
@@ -423,8 +425,9 @@ def test_discard_fraction_is_all_full_probability_under_poisson_arrivals(
     benchmark_small_hlf_config(),
 ], ids=["solve-spec", "hlf-1200"])
 def test_rate_and_impulse_rewards_agree_by_littles_law(cfg):
-    # rate rewards come from pi @ R, impulse rewards from the firing-rate
-    # triplets; in the stationary chain each pair is equal
+    # rate rewards come from the chain's marking matrix, impulse rewards
+    # from the firing-rate triplets; in the stationary chain each pair is
+    # equal
     handle = hlf.build_hlf_net(cfg)
     pairs = littles_law_pairs(handle)
     res = solve_ctmc(handle.net, [q for pair in pairs for q in pair[:2]])
@@ -432,6 +435,38 @@ def test_rate_and_impulse_rewards_agree_by_littles_law(cfg):
         assert res.value(rate) > 0.1
         assert res.value(rate) == pytest.approx(res.value(tokens) / mean,
                                                 rel=1e-10)
+
+
+def test_compound_predicates_sum_pi_over_the_markings_where_they_hold(
+        monkeypatch, chains):
+    # rate rewards are grouped by the values of the places a predicate
+    # reads; the sum must be the per-state one, with the scalar reward
+    # function evaluated on every tangible marking
+    queries = [
+        ProbabilityOf(And(Atom("Q1", ">", 0),
+                          Or(Atom("Q2", "<", 2), Not(Atom("R1", "=", 1))))),
+        ProbabilityOf(Atom("Q1", ">=", "Q2")),
+        ProbabilityOf(Or(Atom("Q1", "=", "R2"),
+                         Not(And(Atom("Q2", ">=", 1),
+                                 Atom("R1", "<=", "Q2"))))),
+        ProbabilityOf(Not(Atom("Q2", "!=", "R1"))),
+        ExpectedTokens("Q2"),
+    ]
+    net = tandem_net()
+    solved = []
+    real = ctmc._stationary
+    monkeypatch.setattr(ctmc, "_stationary",
+                        lambda *a: solved.append(real(*a)) or solved[-1])
+    res = solve_ctmc(net, queries)
+    (ch,), (pi,) = chains.values(), solved
+    reward = compile_net(net).rewards(queries)
+    want = [sum(p * v[k] for p, v in zip(pi.tolist(),
+                                         map(reward, ch.marks.tolist())))
+            for k in range(len(queries))]
+    assert len(ch.marks) == res.n_states > 10
+    assert 0 < min(want[:4]) and max(want[:4]) < 1
+    for q, w in zip(queries, want):
+        assert abs(res.value(q) - w) <= 1e-14
 
 
 def generator_triplets(net: PetriNet) -> tuple:
@@ -468,7 +503,13 @@ def assert_same_distribution(got, want, rel: float) -> None:
     assert np.abs(got - want).max() <= rel * want.max()
 
 
-# the refnets nets and the benchmark's 1,200-state HLF net
+# M/M/1/100 with equal rates: its first-tier GMRES takes more than
+# _RESTART Krylov steps, so it runs the restart
+restarting_net = partial(mm1k_net, 4.0, 4.0, 100)
+
+# the refnets nets, the benchmark's 1,200-state HLF net, M/M/1/50 in a
+# finer time unit (convergence judged by the backward error) and a net
+# whose solve restarts
 solved_nets = pytest.mark.parametrize("make", [
     lambda: mm1k_net(3.0, 4.0, 3),
     lambda: mmck_net(6.0, 2.0, 3, 7),
@@ -477,7 +518,10 @@ solved_nets = pytest.mark.parametrize("make", [
     flush_net,
     priority_net,
     benchmark_small_hlf_net,
-], ids=["mm1k", "mmck", "tandem", "branch", "flush", "priority", "hlf-1200"])
+    lambda: mm1k_net(3e3, 4e3, 50),
+    restarting_net,
+], ids=["mm1k", "mmck", "tandem", "branch", "flush", "priority", "hlf-1200",
+        "mm1k-50-x1e3", "mm1k-100-restart"])
 
 
 @pytest.mark.filterwarnings("error")
@@ -510,14 +554,17 @@ class TestStationarySolve:
     def test_complete_lu_when_gmres_does_not_converge(self, monkeypatch):
         triplets = generator_triplets(benchmark_small_hlf_net())
         want = ctmc._stationary(*triplets)
-        real_gmres = linalg.gmres
+        real_gmres = ctmc._gmres
         calls = []
 
-        def gmres(A, b, **kwargs):
-            calls.append("gmres")
-            if calls.count("gmres") == 1:  # Gauss-Seidel: one Krylov step
-                kwargs.update(restart=1, maxiter=1)
-            return real_gmres(A, b, **kwargs)
+        def gmres(A, b, precondition):
+            with monkeypatch.context() as first:
+                if "gmres" not in calls:  # Gauss-Seidel: one Krylov step
+                    first.setattr(ctmc, "_RESTART", 1)
+                    first.setattr(ctmc, "_MAX_RESTARTS", 1)
+                x = real_gmres(A, b, precondition)
+            calls.append("gmres")  # after the preconditioner it built
+            return x
 
         def spy(name):
             real = getattr(ctmc, name)
@@ -529,7 +576,7 @@ class TestStationarySolve:
 
         spy("_symmetric_gauss_seidel")
         spy("_complete_lu")
-        monkeypatch.setattr(linalg, "gmres", gmres)
+        monkeypatch.setattr(ctmc, "_gmres", gmres)
         assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
         assert calls == ["_symmetric_gauss_seidel", "gmres", "_complete_lu",
                          "gmres"]
@@ -538,24 +585,37 @@ class TestStationarySolve:
     def test_first_tier_solves_without_fallback(self, monkeypatch, make):
         # a broken preconditioner would otherwise show only as a slow solve
         triplets = generator_triplets(make())
-        real_gmres = linalg.gmres
+        real_gmres = ctmc._gmres
         calls = []
 
-        def gmres(A, b, **kwargs):
+        def gmres(A, b, precondition):
             calls.append("gmres")
-            return real_gmres(A, b, **kwargs)
+            return real_gmres(A, b, precondition)
 
         def complete_lu(A):
             raise AssertionError("fell back to the complete LU")
 
-        monkeypatch.setattr(linalg, "gmres", gmres)
+        monkeypatch.setattr(ctmc, "_gmres", gmres)
         monkeypatch.setattr(ctmc, "_complete_lu", complete_lu)
         ctmc._stationary(*triplets)
         assert calls == ["gmres"]
 
+    def test_the_restarting_net_restarts(self, monkeypatch):
+        # one preconditioner application per Krylov step and one per cycle
+        real = ctmc._symmetric_gauss_seidel
+        applied = []
+
+        def counted(A):
+            solve = real(A)
+            return lambda r: applied.append(1) or solve(r)
+
+        monkeypatch.setattr(ctmc, "_symmetric_gauss_seidel", counted)
+        ctmc._stationary(*generator_triplets(restarting_net()))
+        assert len(applied) > ctmc._RESTART + 1
+
     def test_zero_diagonal_before_the_last_row(self):
-        # X is absorbing and is the second state found, so A = Q^T (last
-        # row: ones) has a zero diagonal entry in row 1: a singular lower
+        # X is absorbing and is the second state found, so A = Q^T (row 0:
+        # ones) has a zero diagonal entry in row 1: a singular lower
         # triangle, which the complete LU replaces
         net = PetriNet(
             places=(Place("S", 1), Place("X", 0), Place("Y", 0)),
@@ -693,8 +753,8 @@ class TestChainCache:
         for k in (40, 30, 20):  # 41 + 31 + 21 states: within the budget
             solve_ctmc(mm1k_net(3.0, 4.0, k), [])
         solve_ctmc(mm1k_net(3.0, 4.0, 40), [])  # a hit: now the newest
-        assert [len(c.states) for c in chains.values()] == [31, 21, 41]
+        assert [len(c.marks) for c in chains.values()] == [31, 21, 41]
         solve_ctmc(mm1k_net(3.0, 4.0, 10), [])
-        assert [len(c.states) for c in chains.values()] == [21, 41, 11]
+        assert [len(c.marks) for c in chains.values()] == [21, 41, 11]
         solve_ctmc(mm1k_net(3.0, 4.0, 200), [])  # alone past the budget
-        assert [len(c.states) for c in chains.values()] == [201]
+        assert [len(c.marks) for c in chains.values()] == [201]
