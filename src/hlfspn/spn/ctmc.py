@@ -191,6 +191,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                 f"deterministic transition {t.name!r} is not supported by "
                 "the CTMC solver")
     rate_rewards, slots = cn.reward_slots(queries)
+    # the places each rate reward reads; an unknown one raises here
     reads = [cn.reward_source(q)[1] for q in rate_rewards]
     ch = _chain(cn, max_states)
 
@@ -201,8 +202,8 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     n = len(ch.marks)
     pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs)
 
-    # impulse rewards: each transition's firing rate
     values = _rate_rewards(cn, rate_rewards, reads, ch.marks, pi)
+    # impulse rewards: each transition's firing rate
     firing = np.bincount(ch.f_tids,
                          weights=pi[ch.f_rows] * (rate[ch.f_src]
                                                   * ch.f_counts),
