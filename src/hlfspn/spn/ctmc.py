@@ -18,17 +18,19 @@ Markov Chains*, 1994). It yields the tangible states and, for each
 generator and firing-rate triplet, the timed transition t that fired, its
 degree d and the probability or expected count p; a solve computes each
 rate as (d / mean_t) * p, the float a generation with rates would give.
-Generated chains stay in a small LRU keyed on the net's structure, so a
-solve at other rates of a structure solved before skips generation.
+Generated chains stay in a small LRU keyed on the net's structure, each
+with its compiled net, so a solve at other rates of a structure solved
+before skips compilation and generation and reads only the net's means.
 
 The normalised system is solved by the module's own restarted GMRES, right
-preconditioned by symmetric Gauss-Seidel, whose two triangular factors
-cost no fill; the complete LU takes its place when a triangle is singular
-(a zero diagonal entry) or GMRES does not converge with it. A chain keeps
-its tangible markings as one integer matrix S, a row per state: the
-expected token counts are pi @ S, and a probability sums pi over the
-distinct values of the places its predicate reads, testing each value
-once. Impulse rewards are the firing rates, immediates' included.
+preconditioned by symmetric Gauss-Seidel, whose two triangular factors,
+masked from the matrix, cost no fill; the complete LU takes its place when
+a triangle is singular (a zero diagonal entry) or GMRES does not converge
+with it. A chain keeps its tangible markings as one integer matrix S, a
+row per state: the expected token counts are pi @ S, and a probability
+sums pi over the distinct values of the places its predicate reads,
+grouped once per chain, testing each value once. Impulse rewards are the
+firing rates, immediates' included.
 
 scipy is imported by the first solve, not with the module, so that the
 simulator never loads it.
@@ -36,15 +38,14 @@ simulator never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import (CompiledNet, Estimate, LivelockError, Result,
                      compile_net)
-from .net import (Deterministic, ExpectedTokens, PetriNet, RewardQuery,
-                  SpnError)
+from .net import (Deterministic, ExpectedTokens, Immediate, PetriNet,
+                  RewardQuery, SpnError)
 
 
 class UnsupportedModelError(SpnError):
@@ -181,10 +182,12 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     ExplosionError when the tangible state space exceeds max_states. The
     queries' targets are looked up before the chain is generated, so a
     query naming an unknown place or transition fails at once. The chain
-    of each structure is generated once (`_chain`); each solve assembles
-    its rates from the net's own means.
+    of each structure is generated once, and compiled with it (`_chain`);
+    each solve assembles its rates from the net's own means.
     """
-    cn = compile_net(net)
+    key = _structure(net)
+    cached = _chains.get(key)
+    cn = compile_net(net) if cached is None else cached.cn
     for t in net.transitions:
         if isinstance(t.kind, Deterministic):
             raise UnsupportedModelError(
@@ -193,16 +196,17 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     rate_rewards, slots = cn.reward_slots(queries)
     # the places each rate reward reads; an unknown one raises here
     reads = [cn.reward_source(q)[1] for q in rate_rewards]
-    ch = _chain(cn, max_states)
+    ch = _chain(key, cn, max_states)
 
     # each timed firing's rate d / mean_t, then each triplet's (d / mean_t)
     # * p: the expressions, and so the floats, of a generation with rates
-    means = np.array([1.0 if ct.immediate else ct.mean for ct in cn.trans])
+    means = np.array([1.0 if t.is_immediate else t.kind.mean_delay
+                      for t in net.transitions])
     rate = ch.degrees / means[ch.tids]
     n = len(ch.marks)
     pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs)
 
-    values = _rate_rewards(cn, rate_rewards, reads, ch.marks, pi)
+    values = _rate_rewards(ch, rate_rewards, reads, pi)
     # impulse rewards: each transition's firing rate
     firing = np.bincount(ch.f_tids,
                          weights=pi[ch.f_rows] * (rate[ch.f_src]
@@ -213,35 +217,38 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     return ExactResult(estimates=estimates, n_states=n)
 
 
-def _rate_rewards(cn: CompiledNet, queries: list[RewardQuery],
-                  reads: list[tuple[int, ...]], marks: np.ndarray,
-                  pi: np.ndarray) -> list[float]:
-    """Each rate reward's expectation under pi, the tangible markings being
-    the rows of marks and reads[k] the places queries[k] reads. Every
-    ExpectedTokens comes from the one product pi @ marks. A ProbabilityOf
-    sums pi over the markings' distinct values of the places its predicate
-    reads, and evaluates CompiledNet.rewards of that predicate once per
-    such value, on a marking that has it."""
+def _rate_rewards(ch: _Chain, queries: list[RewardQuery],
+                  reads: list[tuple[int, ...]], pi: np.ndarray
+                  ) -> list[float]:
+    """Each rate reward's expectation under pi over ch's tangible markings,
+    reads[k] being the places queries[k] reads. Every ExpectedTokens comes
+    from the one product pi @ ch.marks. A ProbabilityOf sums pi over the
+    markings' distinct values of the places its predicate reads, grouped
+    once per chain, and evaluates CompiledNet.rewards of that predicate
+    once per such value, on a marking that has it."""
     expected = None
     values = []
     for q, places in zip(queries, reads):
         if isinstance(q, ExpectedTokens):
             if expected is None:
-                expected = pi @ marks
+                expected = pi @ ch.marks
             values.append(float(expected[places[0]]))
             continue
-        # number the distinct values of the places read, one place at a
-        # time, so that no group number exceeds the state count
-        group = np.zeros(len(marks), np.int64)
-        for place in places:
-            column = marks[:, place]
-            group = group * (int(column.max()) + 1) + column
-            _, first, group = np.unique(group, return_index=True,
-                                        return_inverse=True)
-        mass = np.bincount(group, weights=pi, minlength=len(first))
-        holds = cn.rewards([q])
+        if places not in ch.groups:
+            # number the distinct values of the places read, one place at a
+            # time, so that no group number exceeds the state count
+            group = np.zeros(len(ch.marks), np.int64)
+            for place in places:
+                column = ch.marks[:, place]
+                group = group * (int(column.max()) + 1) + column
+                _, first, group = np.unique(group, return_index=True,
+                                            return_inverse=True)
+            ch.groups[places] = group, ch.marks[first].tolist()
+        group, firsts = ch.groups[places]
+        mass = np.bincount(group, weights=pi, minlength=len(firsts))
+        holds = ch.cn.rewards([q])
         total = 0.0
-        for m, p in zip(marks[first].tolist(), mass.tolist()):
+        for m, p in zip(firsts, mass.tolist()):
             if holds(m)[0]:
                 total += p
         values.append(total)
@@ -250,7 +257,8 @@ def _rate_rewards(cn: CompiledNet, queries: list[RewardQuery],
 
 @dataclass(frozen=True)
 class _Chain:
-    """The tangible chain of one net structure, free of rates.
+    """The tangible chain of one net structure, free of rates, and its
+    CompiledNet, whose means no solve reads.
 
     Timed firing k, of transition tids[k] with degree degrees[k] (1 for a
     single server), has rate degrees[k] / mean. Each generator triplet
@@ -259,6 +267,7 @@ class _Chain:
     f_counts; its rate is the firing's times that. A timed firing's own
     firing-rate triplet has count 1. Row i of marks is tangible state i's
     marking, in the smallest integer dtype that holds every token count."""
+    cn: CompiledNet
     marks: np.ndarray
     tids: np.ndarray
     degrees: np.ndarray
@@ -270,6 +279,8 @@ class _Chain:
     f_tids: np.ndarray
     f_src: np.ndarray
     f_counts: np.ndarray
+    # by the places a predicate reads, their grouping (`_rate_rewards`)
+    groups: dict = field(default_factory=dict)
 
 
 # generated chains, by structure, least recently used first: the newest,
@@ -282,22 +293,21 @@ _CACHED_STATES = 100_000
 _chains: dict[tuple, _Chain] = {}
 
 
-def _structure(cn: CompiledNet) -> tuple:
-    """Everything chain generation reads of cn but the timed means: the
-    generated code (arcs, guards, priorities; each compile binds new
-    functions to the shared code), the initial marking, the immediates'
-    weights and each transition's kind and server semantics."""
-    code = tuple(f.__code__ for f in chain(cn.degrees, cn.fires,
-                                           cn.top_after, (cn.top_all,)))
-    return (code, tuple(cn.initial), tuple(cn.weights),
-            tuple((ct.immediate, ct.infinite) for ct in cn.trans))
+def _structure(net: PetriNet) -> tuple:
+    """Everything compilation and chain generation read of net but the
+    timed means: the places, with their initial tokens, and each
+    transition's name, arcs, guard and server semantics, with its Immediate
+    kind (priority and weight) or its kind's class."""
+    return net.places, tuple(
+        (t.name, t.input_arcs, t.output_arcs, t.guard, t.server_semantics,
+         t.kind if isinstance(t.kind, Immediate) else type(t.kind))
+        for t in net.transitions)
 
 
-def _chain(cn: CompiledNet, max_states: int) -> _Chain:
-    """cn's chain from the cache, or generated and cached. A cached chain
-    larger than max_states raises the ExplosionError its generation would
-    have; a generation that raises caches nothing."""
-    key = _structure(cn)
+def _chain(key: tuple, cn: CompiledNet, max_states: int) -> _Chain:
+    """The chain cached under key, or cn's, generated and cached. A cached
+    chain larger than max_states raises the ExplosionError its generation
+    would have; a generation that raises caches nothing."""
     ch = _chains.pop(key, None)
     if ch is None:
         ch = _generate(cn, max_states)
@@ -385,7 +395,7 @@ def _generate(cn: CompiledNet, max_states: int) -> _Chain:
     marks = frozen(marks, np.min_scalar_type(marks.max(initial=0)))
     firing_rows = np.array(firing_rows, dtype=np.int64)
     src, f_src = frozen(src), frozen(f_src)
-    return _Chain(marks=marks, tids=frozen(tids),
+    return _Chain(cn=cn, marks=marks, tids=frozen(tids),
                   degrees=frozen(degrees, float),
                   rows=frozen(firing_rows[src]), cols=frozen(cols), src=src,
                   probs=frozen(probs, float),
@@ -466,16 +476,22 @@ def _closed_classes(n: int, rows, cols, rates) -> int:
 
 def _symmetric_gauss_seidel(A):
     # A = L + D + U and M = (D + L) D^-1 (D + U): one forward and one
-    # backward sweep. In natural order each triangle is its own factor, so
-    # splu adds no fill. A zero diagonal entry makes a triangle exactly
-    # singular. SuperLU's default panel size raised peak RSS by about 5 MB
-    # on the benchmark's 1,200- and 5,768-state chains; a panel of 1 does
-    # not
+    # backward sweep, each triangle masked from A's canonical CSC arrays. In
+    # natural order each is its own factor, so splu adds no fill. A zero
+    # diagonal entry makes a triangle exactly singular. SuperLU's default
+    # panel size raised peak RSS by about 5 MB on the benchmark's 1,200- and
+    # 5,768-state chains; a panel of 1 does not. Relaxed supernodes pay off
+    # on dense blocks, not on 3-4 entries a column: relax=1 took the two
+    # factorisations of the 5,768-state chain from 3.2-3.9 to 2.1-2.4 ms
+    # and an application from 0.26-0.31 to 0.19-0.24 ms
     from scipy import sparse
     from scipy.sparse.linalg import splu
-    lower, upper = (splu(part(A, format="csc"), permc_spec="NATURAL",
-                         diag_pivot_thresh=0.0, panel_size=1)
-                    for part in (sparse.tril, sparse.triu))
+    rows, ptr = A.indices, A.indptr
+    cols = np.repeat(np.arange(len(ptr) - 1, dtype=rows.dtype), np.diff(ptr))
+    lower, upper = (splu(sparse.csc_matrix(
+        (A.data[keep], rows[keep], np.append(0, np.cumsum(keep))[ptr]),
+        shape=A.shape), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        panel_size=1, relax=1) for keep in (rows >= cols, rows <= cols))
     d = A.diagonal()
     return lambda r: upper.solve(d * lower.solve(r))
 

@@ -5,6 +5,7 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.sparse import linalg
 
 from hlfspn import hlf
@@ -600,6 +601,54 @@ class TestStationarySolve:
         ctmc._stationary(*triplets)
         assert calls == ["gmres"]
 
+    @solved_nets
+    def test_preconditioner_is_symmetric_gauss_seidel(self, monkeypatch,
+                                                      make):
+        # GMRES converges under a mis-sliced M too, only more slowly, so
+        # the dense-pi tests cannot catch a slicing error: one application
+        # must be (D + U)^-1 D (D + L)^-1 r with the triangles taken densely,
+        # the upper one holding row 0's ones and both the diagonal
+        triplets = generator_triplets(make())
+        matrices = []
+        real_gmres = ctmc._gmres
+        monkeypatch.setattr(ctmc, "_gmres", lambda A, b, precondition: (
+            matrices.append(A) or real_gmres(A, b, precondition)))
+        ctmc._stationary(*triplets)
+        A = matrices[0]
+        dense = A.toarray()
+        assert (dense[0] == 1.0).all()
+        r = np.random.default_rng(2700).random(A.shape[0])
+        forward = solve_triangular(np.tril(dense), r, lower=True)
+        want = solve_triangular(np.triu(dense), np.diag(dense) * forward)
+        got = ctmc._symmetric_gauss_seidel(A)(r)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lam,mu,K", [(3.9, 4.0, 200), (4.0, 4.0, 300)])
+    def test_long_birth_death_chains_fall_back_to_the_complete_lu(
+            self, monkeypatch, lam, mu, K):
+        # a chain whose state graph is one long path defeats the
+        # Gauss-Seidel sweeps within _MAX_RESTARTS cycles; the complete LU
+        # carries it. A preconditioner that carries these chains changes
+        # the calls seen here
+        calls = []
+
+        def spy(name):
+            real = getattr(ctmc, name)
+
+            def tier(A):
+                calls.append(name)
+                return real(A)
+            monkeypatch.setattr(ctmc, name, tier)
+
+        spy("_symmetric_gauss_seidel")
+        spy("_complete_lu")
+        oracle = mm1k(lam, mu, K)
+        queries = [ProbabilityOf(Atom("Q", "=", n)) for n in range(K + 1)]
+        res = solve_ctmc(mm1k_net(lam, mu, K), queries)
+        got = np.array([res.value(q) for q in queries])
+        assert_same_distribution(got, np.array(oracle.pi), 1e-10)
+        assert calls == ["_symmetric_gauss_seidel", "_complete_lu"]
+
     def test_the_restarting_net_restarts(self, monkeypatch):
         # one preconditioner application per Krylov step and one per cycle
         real = ctmc._symmetric_gauss_seidel
@@ -710,7 +759,17 @@ class TestChainCache:
          lambda: (with_transition(mmck_net(6.0, 2.0, 3, 7), "SERVE",
                                   server_semantics=ServerSemantics.SINGLE),
                   [FiringRate("SERVE")])),
-    ], ids=["block-size", "capacity", "immediate-weight", "server-semantics"])
+        (lambda: (priority_net(), [FiringRate("SPILL")]),
+         lambda: (with_transition(priority_net(), "SPILL",
+                                  kind=Immediate(priority=2)),
+                  [FiringRate("SPILL")])),
+        (lambda: (flush_net(), [FiringRate("CUT")]),
+         lambda: (with_transition(flush_net(), "CUT",
+                                  guard=And(Atom("ACC", ">=", 2),
+                                            Atom("OUT", "<=", 4))),
+                  [FiringRate("CUT")])),
+    ], ids=["block-size", "capacity", "immediate-weight", "server-semantics",
+            "immediate-priority", "guard"])
     def test_structural_change_misses(self, chains, base, changed):
         net, queries = changed()
         before = solve_ctmc(*base())
@@ -718,6 +777,33 @@ class TestChainCache:
         assert len(chains) == 2
         assert got == solve_cold(net, queries, chains)
         assert got != before
+
+    def test_deterministic_twin_of_a_cached_net_is_rejected(self, chains):
+        net = mm1k_net(3.0, 4.0, 3)
+        solve_ctmc(net, [])
+        with pytest.raises(UnsupportedModelError):
+            solve_ctmc(with_transition(net, "SERVE",
+                                       kind=Deterministic(0.25)), [])
+        assert len(chains) == 1
+
+    def test_hit_compiles_nothing(self, monkeypatch, chains):
+        compiled = []
+        real = ctmc.compile_net
+        monkeypatch.setattr(ctmc, "compile_net",
+                            lambda net: compiled.append(net) or real(net))
+        for lam in (20.0, 21.0):
+            solve_ctmc(*hlf_1200(lam))
+        assert len(compiled) == 1
+
+    def test_each_set_of_places_read_has_its_own_grouping(self, chains):
+        # a chain keeps the grouping of each set of places a predicate
+        # reads; one kept for Q1 alone would merge markings that Q1 >= Q2
+        # tells apart
+        net = tandem_net()
+        solve_ctmc(net, [ProbabilityOf(Atom("Q1", ">", 0))])
+        queries = [ProbabilityOf(Atom("Q1", ">=", "Q2"))]
+        hit = solve_ctmc(net, queries)
+        assert hit == solve_cold(net, queries, chains)
 
     def test_hit_below_max_states_raises_the_cold_error(self, chains):
         net = mm1k_net(3.0, 4.0, 50)
