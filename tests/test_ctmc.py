@@ -504,6 +504,14 @@ def assert_same_distribution(got, want, rel: float) -> None:
     assert np.abs(got - want).max() <= rel * want.max()
 
 
+def record_preconditioners(monkeypatch, calls: list) -> None:
+    """Append to calls the name of each preconditioner that is built."""
+    for name in ("_symmetric_gauss_seidel", "_complete_lu"):
+        real = getattr(ctmc, name)
+        monkeypatch.setattr(ctmc, name, lambda A, name=name, real=real: (
+            calls.append(name) or real(A)))
+
+
 # M/M/1/100 with equal rates: its first-tier GMRES takes more than
 # _RESTART Krylov steps, so it runs the restart
 restarting_net = partial(mm1k_net, 4.0, 4.0, 100)
@@ -567,16 +575,7 @@ class TestStationarySolve:
             calls.append("gmres")  # after the preconditioner it built
             return x
 
-        def spy(name):
-            real = getattr(ctmc, name)
-
-            def tier(A):
-                calls.append(name)
-                return real(A)
-            monkeypatch.setattr(ctmc, name, tier)
-
-        spy("_symmetric_gauss_seidel")
-        spy("_complete_lu")
+        record_preconditioners(monkeypatch, calls)
         monkeypatch.setattr(ctmc, "_gmres", gmres)
         assert_same_distribution(ctmc._stationary(*triplets), want, 1e-12)
         assert calls == ["_symmetric_gauss_seidel", "gmres", "_complete_lu",
@@ -631,17 +630,7 @@ class TestStationarySolve:
         # carries it. A preconditioner that carries these chains changes
         # the calls seen here
         calls = []
-
-        def spy(name):
-            real = getattr(ctmc, name)
-
-            def tier(A):
-                calls.append(name)
-                return real(A)
-            monkeypatch.setattr(ctmc, name, tier)
-
-        spy("_symmetric_gauss_seidel")
-        spy("_complete_lu")
+        record_preconditioners(monkeypatch, calls)
         oracle = mm1k(lam, mu, K)
         queries = [ProbabilityOf(Atom("Q", "=", n)) for n in range(K + 1)]
         res = solve_ctmc(mm1k_net(lam, mu, K), queries)
