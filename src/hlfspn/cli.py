@@ -1,9 +1,9 @@
 """Command-line harness.
 
-Subcommands::
+Subcommands (all but export-dot evaluate points with `run_sweep`)::
 
-    hlfspn run <spec.ini>          sweep or DoE experiment -> CSV
-    hlfspn case-study <1|2|3|4>    built-in scenario -> CSV set
+    hlfspn run <spec.ini>          sweep or DoE, simulated -> CSV
+    hlfspn case-study <1|2|3|4>    built-in scenario, simulated -> CSV set
     hlfspn export-dot <spec.ini>   the [base] model -> DOT on stdout
     hlfspn solve <spec.ini>        exact CTMC rewards per point
                                    (exponential-only, no [doe])
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .experiments import (
     CASE_STUDY_IDS,
@@ -25,10 +26,12 @@ from .experiments import (
     configure,
     load_experiment,
     run_experiment,
+    run_sweep,
+    solve_config,
 )
 from .hlf import ConfigError, build_hlf_net
-from .metrics import METRIC_NAMES, metric_report, standard_queries
-from .spn.ctmc import UnsupportedModelError, solve_ctmc
+from .metrics import METRIC_NAMES
+from .spn.ctmc import UnsupportedModelError
 from .spn.net import SpnError
 from .spn.textfmt import to_dot
 
@@ -118,8 +121,7 @@ def main(argv=None) -> int:
 
 def _cmd_run(args) -> int:
     spec = _apply_overrides(load_experiment(args.spec), args)
-    written = run_experiment(spec, args.out_dir, jobs=args.jobs)
-    for path in written:
+    for path in run_experiment(spec, args.out_dir, jobs=args.jobs):
         print(path)
     return EXIT_OK
 
@@ -133,17 +135,12 @@ def _cmd_case_study(args) -> int:
     return EXIT_OK
 
 
-def _load_point(args):
-    """The spec named on the command line, which must be a single point."""
+def _cmd_export_dot(args) -> int:
     spec = load_experiment(args.spec)
     if spec.sweep:
-        raise SpecError(f"{args.command} expects a single-point spec "
+        raise SpecError("export-dot expects a single-point spec "
                         "(no sweep/doe)")
-    return spec
-
-
-def _cmd_export_dot(args) -> int:
-    cfg = _load_point(args).base
+    cfg = spec.base
     if cfg.arrival_delay_s is None:
         rate = args.arrival_rate if args.arrival_rate is not None else 100.0
         cfg = configure(cfg, [("arrival_rate_tps", rate)],
@@ -154,24 +151,23 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    """Solve each point of a single-point or [sweep] spec in order. A sweep
-    point's lines follow one naming it; points of one structure share
-    its generated chain (see spn.ctmc)."""
+    """Solve each point of a single-point or [sweep] spec with run_sweep's
+    exact evaluator, in order in one process: points of one structure share
+    its chain (see spn.ctmc). A sweep point's lines follow one naming it."""
     spec = load_experiment(args.spec)
     if spec.doe_response is not None:
         raise SpecError("solve expects a single-point or [sweep] spec "
                         "(no [doe])")
+    rows = run_sweep(spec, evaluate=partial(solve_config,
+                                            max_states=args.max_states))
     for point in spec.points():
         if point:
             print("point: " + ", ".join(f"{name} = {value:.10g}"
                                         for name, value in point))
-        handle = build_hlf_net(configure(spec.base, point))
-        result = solve_ctmc(handle.net, standard_queries(handle),
-                            max_states=args.max_states)
-        report = metric_report(result, handle)
-        print(f"tangible states: {result.n_states}")
+        row = next(rows)  # solved here, after its `point:` line
+        print(f"tangible states: {row.result.n_states}")
         for name in METRIC_NAMES:
-            print(f"{name} = {getattr(report, name).value:.10g}")
+            print(f"{name} = {getattr(row.report, name).value:.10g}")
     return EXIT_OK
 
 

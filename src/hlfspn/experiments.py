@@ -33,11 +33,12 @@ flag, is read by one function, `configure`, and every point is checked when
 the spec is built. A DoE is a sweep in which each axis holds a factor's two
 levels: `ExperimentSpec.points`, the cartesian product of the axes, lists
 its 2^k corners in standard order. One runner, `run_sweep`, evaluates the
-points of either kind; for a DoE, `run_experiment` then estimates the
-effects (`doe.effects`) from the responses. Points run independently
-(optionally in parallel); rows always come back in point order with a
-per-point seed of base seed + index, so a spec plus seed reproduces
-byte-identical CSVs.
+points of either kind, with one of two evaluators: `evaluate_config`
+simulates and `solve_config` solves the CTMC exactly. For a DoE,
+`run_experiment` estimates the effects (`doe.effects`) from the responses.
+Points run independently (optionally in parallel); rows always come back in
+point order with a per-point seed of base seed + index, so a spec plus seed
+reproduces byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .doe import effects
 from .hlf import (ConfigError, HlfConfig, HlfNetHandle, arrival_delay,
                   build_hlf_net)
 from .metrics import METRIC_NAMES, MetricReport, metric_report, standard_queries
+from .spn.ctmc import ExactResult, solve_ctmc
 from .spn.engine import SimConfig, SimulationResult, simulate_stationary
 from .spn.net import SpnError
 
@@ -279,9 +281,12 @@ def evaluate_config(cfg: HlfConfig, sim: SimConfig
     return report, result, handle
 
 
-def _point_worker(args):
-    report, result, _ = evaluate_config(*args)
-    return report, result.total_time, result.event_count
+def solve_config(cfg: HlfConfig, sim: SimConfig, max_states: int
+                 ) -> tuple[MetricReport, ExactResult, HlfNetHandle]:
+    """Build, solve exactly, and score one configuration; `sim` is unused."""
+    handle = build_hlf_net(cfg)
+    result = solve_ctmc(handle.net, standard_queries(handle), max_states)
+    return metric_report(result, handle), result, handle
 
 
 @dataclass(frozen=True)
@@ -289,32 +294,31 @@ class ResultRow:
     point: dict             # point parameter name -> value
     report: MetricReport
     seed: int
-    simulated_time: float
-    event_count: int
+    result: SimulationResult | ExactResult
 
 
-def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
-    """Evaluate spec.base at each point of spec.points(), in order.
+def _point_worker(args):
+    evaluate, point, cfg, sim = args
+    report, result, _ = evaluate(cfg, sim)  # the handle stays here
+    return ResultRow(dict(point), report, sim.seed, result)
 
-    Point i runs with seed spec.sim.seed + i, so results do not depend on
-    `jobs`; with jobs > 1 the points run in a process pool of at most one
-    worker per point.
+
+def run_sweep(spec: ExperimentSpec, jobs: int = 1,
+              evaluate=evaluate_config) -> Iterator[ResultRow]:
+    """Yield the row of `evaluate(cfg, sim)` at each point of spec.points(),
+    in order. Point i runs with seed spec.sim.seed + i, so results do not
+    depend on `jobs`; with jobs > 1 the points run in a process pool of at
+    most one worker per point, otherwise each as its row is asked for.
     """
-    points = spec.points()
-    tasks = [(configure(spec.base, point),
+    tasks = [(evaluate, point, configure(spec.base, point),
               replace(spec.sim, seed=spec.sim.seed + i))
-             for i, point in enumerate(points)]
-
+             for i, point in enumerate(spec.points())]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_point_worker, tasks))
+            rows = list(pool.map(_point_worker, tasks))
     else:
-        outcomes = [_point_worker(t) for t in tasks]
-
-    return [ResultRow(point=dict(point), report=report, seed=sim.seed,
-                      simulated_time=ttime, event_count=events)
-            for point, (_, sim), (report, ttime, events)
-            in zip(points, tasks, outcomes)]
+        rows = map(_point_worker, tasks)
+    yield from rows
 
 
 def write_rows_csv(path, rows: Sequence[ResultRow],
@@ -331,7 +335,7 @@ def write_rows_csv(path, rows: Sequence[ResultRow],
         for m in metrics:
             metric = getattr(row.report, m)
             out += [_fmt(metric.value), _fmt(metric.ci)]
-        out += [row.seed, _fmt(row.simulated_time), row.event_count]
+        out += [row.seed, _fmt(row.result.total_time), row.result.event_count]
         lines.append(out)
     _write_csv(path, header, lines)
 
@@ -386,7 +390,7 @@ def write_interaction_csv(path, points, responses, a: str, b: str) -> None:
 def run_experiment(spec: ExperimentSpec, out_dir, jobs: int = 1) -> list[Path]:
     """Execute a parsed spec, writing its CSV artifacts; returns the paths."""
     out_dir = Path(out_dir)
-    rows = run_sweep(spec, jobs=jobs)
+    rows = list(run_sweep(spec, jobs=jobs))
     if spec.doe_response is None:
         path = out_dir / spec.outputs.get("results", "results.csv")
         write_rows_csv(path, rows, spec.metrics)

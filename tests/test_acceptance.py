@@ -11,7 +11,7 @@ import time
 import pytest
 
 from hlfspn.doe import effects, signs
-from hlfspn.experiments import case_study_specs, run_sweep
+from hlfspn.experiments import case_study_specs, evaluate_config, run_sweep
 from hlfspn.hlf import HlfConfig, build_hlf_net
 from hlfspn.metrics import metric_report, standard_queries
 from hlfspn.spn import (
@@ -150,7 +150,7 @@ def test_criterion_3_commit_saturation_sweep():
     start = time.time()
     specs = case_study_specs(1, seed=1, batch_count=10)
     for cp in (2, 4, 6):
-        rows = run_sweep(specs[f"cs1_cp{cp}"])
+        rows = list(run_sweep(specs[f"cs1_cp{cp}"]))
         plateau = cp / 0.08
         rates = [r.point["arrival_rate_tps"] for r in rows]
         tps = [r.report.tp_tps.value for r in rows]
@@ -173,11 +173,9 @@ def test_criterion_3_commit_saturation_sweep():
 def cs2_point(block_size, seed):
     cfg = HlfConfig(block_size=block_size,
                     timeout_s=100.0).with_arrival_rate(100.0)
-    handle = build_hlf_net(cfg)
     sim = SimConfig(warmup_time=300.0, batch_count=10, batch_length=100.0,
                     seed=seed)
-    res = simulate_stationary(handle.net, standard_queries(handle), sim)
-    return metric_report(res, handle), res, handle
+    return evaluate_config(cfg, sim)
 
 
 def test_criterion_4_block_size_cliff():
@@ -201,7 +199,7 @@ def test_criterion_4_block_size_cliff():
 
 def test_criterion_5_timeout_sweep_crossing():
     spec = case_study_specs(3, seed=1, batch_count=10)["cs3"]
-    rows = run_sweep(spec)
+    rows = list(run_sweep(spec))
     t_rates = [r.report.timeout_call_rate for r in rows]
     b_rates = [r.report.block_call_rate for r in rows]
 
@@ -248,7 +246,7 @@ def test_criterion_6_doe_sign_matrix_and_timeout_ranking():
     start = time.time()
     spec = case_study_specs(4, seed=1, batch_count=5)["cs4"]
     responses = [getattr(row.report, spec.doe_response).value
-                 for row in run_sweep(spec)]
+                 for row in list(run_sweep(spec))]
     elapsed = time.time() - start
     # the first term of largest |effect|, in term order
     top = max(effects([name for name, _ in spec.sweep], responses),

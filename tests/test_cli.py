@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hlfspn import cli
+from hlfspn import cli, experiments
 from hlfspn.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
@@ -218,7 +218,7 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
         raise AssertionError("the input should be rejected before a run")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
-    monkeypatch.setattr(cli, "solve_ctmc", no_run)
+    monkeypatch.setattr(experiments, "solve_ctmc", no_run)
     if spec_text is not None:
         spec = tmp_path / "spec.ini"
         spec.write_text(spec_text)
@@ -378,6 +378,32 @@ class TestSolve:
         assert main(["solve", str(spec)]) == EXIT_OK
         assert capsys.readouterr().out == "".join(blocks)
 
+    @pytest.mark.parametrize("sweep,flags,code,sha256,err", [
+        ("", [], EXIT_OK,
+         "b1d6cff331fc6d69a5176342bcd70dfce56257f85b8c35b981ac86576ce66476",
+         ""),
+        ("parameter = arrival_rate_tps\nvalues = 5, 8\n"
+         "parameter2 = cq\nvalues2 = 2, 3\n", [], EXIT_OK,
+         "a9ce86733bce5e22a1319a0990f14d348b31aa67813918b42949a0e5e20c9ec1",
+         ""),
+        ("parameter = cq\nvalues = 2, 4\n", ["--max-states", "400"],
+         EXIT_DIVERGED,
+         "58dcf999c710d05940f9463bf2e6f566e591091d442e813a568a3744f89a42e7",
+         "error: no usable estimate: tangible state space exceeds 400 "
+         "states (reached 401)\n"),
+    ], ids=["single-point", "rate-by-capacity", "second-point-fails"])
+    def test_solve_output_is_pinned(self, tmp_path, capsys, sweep, flags,
+                                    code, sha256, err):
+        # SHA-256 of `hlfspn solve`'s stdout, recorded when solve ran its
+        # own loop over the points; a point that fails stops the run after
+        # the points before it and its own `point:` line
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SOLVE_SPEC + (f"\n[sweep]\n{sweep}" if sweep else ""))
+        assert main(["solve", str(spec), *flags]) == code
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+        assert captured.err == err
+
     def test_one_closed_class_that_fails_numerically(self, tmp_path, capsys):
         spec = tmp_path / "spec.ini"
         spec.write_text(SOLVE_SPEC.replace("arrival_rate_tps = 5",
@@ -473,7 +499,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "solve_ctmc", fail)
+        monkeypatch.setattr(experiments, "solve_ctmc", fail)
         spec = tmp_path / "spec.ini"
         spec.write_text(SOLVE_SPEC)
         assert main(["solve", str(spec)]) == code

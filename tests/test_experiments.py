@@ -1,6 +1,7 @@
 """Experiment specs, sweeps, and the built-in scenarios."""
 
 import csv
+from functools import partial
 
 import pytest
 
@@ -14,13 +15,14 @@ from hlfspn.experiments import (
     parse_experiment,
     run_experiment,
     run_sweep,
+    solve_config,
     write_effects_csv,
     write_interaction_csv,
     write_rows_csv,
 )
-from hlfspn.hlf import HlfConfig
-from hlfspn.metrics import METRIC_NAMES
-from hlfspn.spn import SimConfig
+from hlfspn.hlf import HlfConfig, build_hlf_net
+from hlfspn.metrics import METRIC_NAMES, metric_report, standard_queries
+from hlfspn.spn import SimConfig, ctmc, solve_ctmc
 
 SPEC_TEXT = """
 [base]
@@ -163,7 +165,7 @@ class TestSweeps:
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("arrival_rate_tps", (10.0, 20.0)),
                    ("cp", (2.0, 6.0))))
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         assert [r.point for r in rows] == [
             {"arrival_rate_tps": 10.0, "cp": 2.0},
             {"arrival_rate_tps": 10.0, "cp": 6.0},
@@ -176,8 +178,8 @@ class TestSweeps:
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("arrival_rate_tps", (10.0, 30.0)),))
-        serial = run_sweep(spec, jobs=1)
-        parallel = run_sweep(spec, jobs=2)
+        serial = list(run_sweep(spec, jobs=1))
+        parallel = list(run_sweep(spec, jobs=2))
         assert len(serial) == len(parallel) == 2
         assert serial == parallel
 
@@ -203,15 +205,15 @@ class TestSweeps:
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("arrival_rate_tps", (10.0, 30.0)),))
-        assert run_sweep(spec, jobs=64) == run_sweep(spec, jobs=1)
+        assert list(run_sweep(spec, jobs=64)) == list(run_sweep(spec, jobs=1))
         assert sizes == [2]
 
     def test_parallel_doe_is_equivalent(self):
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("cp", (2, 6)),), doe_response="mrt_s")
-        serial = run_sweep(spec, jobs=1)
-        parallel = run_sweep(spec, jobs=2)
+        serial = list(run_sweep(spec, jobs=1))
+        parallel = list(run_sweep(spec, jobs=2))
         assert len(serial) == len(parallel) == 2
         assert serial == parallel
 
@@ -220,10 +222,10 @@ class TestSweeps:
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("arrival_rate_tps", (10.0, 20.0)),),
             metrics=("tp_tps", "dp_prob"))
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rows_csv(p1, rows, spec.metrics)
-        write_rows_csv(p2, run_sweep(spec), spec.metrics)
+        write_rows_csv(p2, list(run_sweep(spec)), spec.metrics)
         assert p1.read_bytes() == p2.read_bytes()
         with open(p1, newline="") as fh:
             table = list(csv.reader(fh))
@@ -237,7 +239,7 @@ class TestSweeps:
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("cp", (2, 6)),), doe_response="tp_tps")
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         assert len(rows) == 2
         assert rows[0].point == {"cp": 2}
         assert rows[1].point == {"cp": 6}
@@ -266,6 +268,31 @@ metrics = tp_tps
             cells = [row[:2] for row in csv.reader(fh)]
         assert cells == [["a_level", "b_level"], ["6", "1"], ["6", "3"],
                          ["2", "1"], ["2", "3"]]
+
+
+    def test_exact_evaluator_shares_one_chain_across_rates(self,
+                                                           monkeypatch):
+        # the points run in one process in order, so a sweep over rates
+        # compiles and generates its chain once (ctmc._chains)
+        monkeypatch.setattr(ctmc, "_chains", {})
+        compiled = []
+        real = ctmc.compile_net
+        monkeypatch.setattr(ctmc, "compile_net",
+                            lambda net: compiled.append(net) or real(net))
+        spec = ExperimentSpec(
+            base=HlfConfig(arrival_dist="exponential",
+                           timeout_dist="exponential", n_endorsers=1,
+                           n_committers=1, eq=2, oq=2, cq=2, ep=1, op=1,
+                           cp=1).with_arrival_rate(5.0),
+            sim=FAST_SIM, sweep=(("arrival_rate_tps", (5.0, 8.0, 11.0)),))
+        rows = list(run_sweep(spec, evaluate=partial(solve_config,
+                                                     max_states=1000)))
+        assert len(compiled) == 1
+        assert [row.result.n_states for row in rows] == [368] * 3
+        for point, row in zip(spec.points(), rows):
+            handle = build_hlf_net(configure(spec.base, point))
+            result = solve_ctmc(handle.net, standard_queries(handle))
+            assert row.report == metric_report(result, handle)
 
 
 GOLDEN_SPEC = """
