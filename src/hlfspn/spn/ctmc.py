@@ -26,11 +26,12 @@ The normalised system is solved by the module's own restarted GMRES, right
 preconditioned by symmetric Gauss-Seidel, whose two triangular factors,
 masked from the matrix, cost no fill; the complete LU takes its place when
 a triangle is singular (a zero diagonal entry) or GMRES does not converge
-with it. A chain keeps its tangible markings as one integer matrix S, a
-row per state: the expected token counts are pi @ S, and a probability
-sums pi over the distinct values of the places its predicate reads,
-grouped once per chain, testing each value once. Impulse rewards are the
-firing rates, immediates' included.
+with it. Every rate reward is pi times a vector over the tangible states
+(Ciardo et al. 1993): a chain keeps its markings as one integer matrix S,
+a row per state, so the expected token counts are pi @ S, and a
+probability is pi @ h, h its predicate's 0/1 value on each marking, kept
+with the chain once computed. Impulse rewards are the firing rates,
+immediates' included.
 
 scipy is imported by the first solve, not with the module, so that the
 simulator never loads it.
@@ -206,7 +207,20 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     n = len(ch.marks)
     pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs)
 
-    values = _rate_rewards(ch, rate_rewards, reads, pi)
+    # rate rewards: pi @ S for the token counts, pi @ h for a probability
+    expected = pi @ ch.marks
+    values = []
+    for q, places in zip(rate_rewards, reads):
+        if isinstance(q, ExpectedTokens):
+            values.append(float(expected[places[0]]))
+            continue
+        if q not in ch.indicators:
+            holds = cn.rewards([q])
+            h = np.fromiter((holds(row.tolist())[0] for row in ch.marks),
+                            bool, n)
+            h.flags.writeable = False  # later solves share it, as in _generate
+            ch.indicators[q] = h
+        values.append(float(pi @ ch.indicators[q]))
     # impulse rewards: each transition's firing rate
     firing = np.bincount(ch.f_tids,
                          weights=pi[ch.f_rows] * (rate[ch.f_src]
@@ -215,44 +229,6 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     estimates = {q: Estimate(float((values if is_rate else firing)[i]), 0.0)
                  for q, (is_rate, i) in slots.items()}
     return ExactResult(estimates=estimates, n_states=n)
-
-
-def _rate_rewards(ch: _Chain, queries: list[RewardQuery],
-                  reads: list[tuple[int, ...]], pi: np.ndarray
-                  ) -> list[float]:
-    """Each rate reward's expectation under pi over ch's tangible markings,
-    reads[k] being the places queries[k] reads. Every ExpectedTokens comes
-    from the one product pi @ ch.marks. A ProbabilityOf sums pi over the
-    markings' distinct values of the places its predicate reads, grouped
-    once per chain, and evaluates CompiledNet.rewards of that predicate
-    once per such value, on a marking that has it."""
-    expected = None
-    values = []
-    for q, places in zip(queries, reads):
-        if isinstance(q, ExpectedTokens):
-            if expected is None:
-                expected = pi @ ch.marks
-            values.append(float(expected[places[0]]))
-            continue
-        if places not in ch.groups:
-            # number the distinct values of the places read, one place at a
-            # time, so that no group number exceeds the state count
-            group = np.zeros(len(ch.marks), np.int64)
-            for place in places:
-                column = ch.marks[:, place]
-                group = group * (int(column.max()) + 1) + column
-                _, first, group = np.unique(group, return_index=True,
-                                            return_inverse=True)
-            ch.groups[places] = group, ch.marks[first].tolist()
-        group, firsts = ch.groups[places]
-        mass = np.bincount(group, weights=pi, minlength=len(firsts))
-        holds = ch.cn.rewards([q])
-        total = 0.0
-        for m, p in zip(firsts, mass.tolist()):
-            if holds(m)[0]:
-                total += p
-        values.append(total)
-    return values
 
 
 @dataclass(frozen=True)
@@ -279,8 +255,8 @@ class _Chain:
     f_tids: np.ndarray
     f_src: np.ndarray
     f_counts: np.ndarray
-    # by the places a predicate reads, their grouping (`_rate_rewards`)
-    groups: dict = field(default_factory=dict)
+    # by ProbabilityOf query, its predicate's value on each row of marks
+    indicators: dict = field(default_factory=dict)
 
 
 # generated chains, by structure, least recently used first: the newest,
@@ -471,7 +447,7 @@ def _closed_classes(n: int, rows, cols, rates) -> int:
     k, labels = connected_components(graph, directed=True,
                                      connection="strong")
     leaving = labels[rows] != labels[cols]
-    return k - len(np.unique(labels[rows[leaving]]))
+    return k - len(set(labels[rows[leaving]].tolist()))
 
 
 def _symmetric_gauss_seidel(A):

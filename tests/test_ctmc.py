@@ -38,7 +38,7 @@ from hlfspn.spn import (
     solve_ctmc,
 )
 
-from hlfspn.spn import ctmc
+from hlfspn.spn import ctmc, engine
 from hlfspn.spn.ctmc import _resolve_vanishing
 from hlfspn.spn.engine import compile_net
 
@@ -141,19 +141,30 @@ class TestLimits:
         with pytest.raises(ExplosionError):
             solve_ctmc(net, [], max_states=10)
 
-    @pytest.mark.parametrize("query", [
-        ExpectedTokens("NOPE"), FiringRate("NOPE"),
-        ProbabilityOf(Atom("NOPE", "=", 0)), "Q"],
-        ids=["tokens", "rate", "probability", "not-a-query"])
+    @pytest.mark.parametrize("query,cached", [
+        pytest.param(query, cached, id=name + ("-hit" if cached else ""))
+        for cached in (False, True)
+        for name, query in {"tokens": ExpectedTokens("NOPE"),
+                            "rate": FiringRate("NOPE"),
+                            "probability": ProbabilityOf(Atom("NOPE", "=", 0)),
+                            "not-a-query": "Q"}.items()])
     def test_queries_are_checked_before_the_chain_is_generated(
-            self, monkeypatch, chains, query):
-        def generate(*args, **kwargs):
-            raise AssertionError("the chain was generated")
+            self, monkeypatch, chains, query, cached):
+        # on a hit the check runs on the cached chain's compiled net, and
+        # a failed check leaves that chain cached
+        net = mm1k_net(3.0, 4.0, 3)
+        if cached:
+            solve_ctmc(net, [])
 
-        monkeypatch.setattr(ctmc, "_resolve_vanishing", generate)
+        def reached(*args, **kwargs):
+            raise AssertionError("the chain was generated or solved")
+
+        monkeypatch.setattr(ctmc, "_resolve_vanishing", reached)
+        monkeypatch.setattr(ctmc, "_stationary", reached)
         error = TypeError if query == "Q" else ContractViolationError
         with pytest.raises(error):
-            solve_ctmc(mm1k_net(3.0, 4.0, 3), [query])
+            solve_ctmc(net, [query])
+        assert len(chains) == int(cached)
 
     def test_vanishing_initial_marking_is_resolved(self):
         net = PetriNet(
@@ -440,9 +451,9 @@ def test_rate_and_impulse_rewards_agree_by_littles_law(cfg):
 
 def test_compound_predicates_sum_pi_over_the_markings_where_they_hold(
         monkeypatch, chains):
-    # rate rewards are grouped by the values of the places a predicate
-    # reads; the sum must be the per-state one, with the scalar reward
-    # function evaluated on every tangible marking
+    # a probability is pi times the predicate's 0/1 value on each tangible
+    # marking; it must equal the per-state sum of the scalar reward
+    # function, compound predicates and place-to-place atoms included
     queries = [
         ProbabilityOf(And(Atom("Q1", ">", 0),
                           Or(Atom("Q2", "<", 2), Not(Atom("R1", "=", 1))))),
@@ -784,14 +795,28 @@ class TestChainCache:
             solve_ctmc(*hlf_1200(lam))
         assert len(compiled) == 1
 
-    def test_each_set_of_places_read_has_its_own_grouping(self, chains):
-        # a chain keeps the grouping of each set of places a predicate
-        # reads; one kept for Q1 alone would merge markings that Q1 >= Q2
-        # tells apart
+    def test_each_set_of_places_read_has_its_own_indicator(self, chains):
+        # a chain keeps one indicator per predicate; one kept for Q1 > 0
+        # reused for Q1 >= Q2 would misread markings the two tell apart
         net = tandem_net()
         solve_ctmc(net, [ProbabilityOf(Atom("Q1", ">", 0))])
         queries = [ProbabilityOf(Atom("Q1", ">=", "Q2"))]
         hit = solve_ctmc(net, queries)
+        assert hit == solve_cold(net, queries, chains)
+
+    def test_hit_evaluates_no_predicate(self, monkeypatch, chains):
+        # each ProbabilityOf's indicator is built once per chain and query,
+        # so a re-solve at another rate compiles and calls no predicate
+        calls = []
+        real = engine.CompiledNet.rewards
+        monkeypatch.setattr(engine.CompiledNet, "rewards",
+                            lambda cn, qs: calls.append(qs) or real(cn, qs))
+        solve_ctmc(*hlf_1200(20.0))
+        assert calls
+        calls.clear()
+        net, queries = hlf_1200(21.0)
+        hit = solve_ctmc(net, queries)
+        assert not calls
         assert hit == solve_cold(net, queries, chains)
 
     def test_hit_below_max_states_raises_the_cold_error(self, chains):
