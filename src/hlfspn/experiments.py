@@ -46,7 +46,6 @@ from __future__ import annotations
 import configparser
 import csv
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields, replace
 from decimal import Decimal
 from pathlib import Path
@@ -314,6 +313,9 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1,
               replace(spec.sim, seed=spec.sim.seed + i))
              for i, point in enumerate(spec.points())]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool and multiprocessing cost every other
+        # import of the package about 10 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_point_worker, tasks))
     else:

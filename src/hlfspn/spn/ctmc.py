@@ -18,14 +18,17 @@ Markov Chains*, 1994). It yields the tangible states and, for each
 generator and firing-rate triplet, the timed transition t that fired, its
 degree d and the probability or expected count p; a solve computes each
 rate as (d / mean_t) * p, the float a generation with rates would give.
-Generated chains stay in a small LRU keyed on the net's structure, each
-with its compiled net, so a solve at other rates of a structure solved
-before skips compilation and generation and reads only the net's means.
+Generated chains stay in a small LRU keyed on the net's structure, hashed
+once per solve, each with its compiled net, so a solve at other rates of a
+structure solved before skips compilation and generation and reads only
+the net's means.
 
-The normalised system is solved by the module's own restarted GMRES, right
-preconditioned by symmetric Gauss-Seidel, whose two triangular factors,
-masked from the matrix, cost no fill; the complete LU takes its place when
-a triangle is singular (a zero diagonal entry) or GMRES does not converge
+The normalised system's sparsity is rate-free too, so a chain keeps it
+(`_Pattern`), and a solve sums its values into it with one bincount and
+sorts or masks nothing. The system is solved by the module's own
+restarted GMRES, right preconditioned by symmetric Gauss-Seidel, whose two
+triangular factors cost no fill; the complete LU takes its place when a
+triangle is singular (a zero diagonal entry) or GMRES does not converge
 with it. Every rate reward is pi times a vector over the tangible states
 (Ciardo et al. 1993): a chain keeps its markings as one integer matrix S,
 a row per state, so the expected token counts are pi @ S, and a
@@ -186,7 +189,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     of each structure is generated once, and compiled with it (`_chain`);
     each solve assembles its rates from the net's own means.
     """
-    key = _structure(net)
+    key = _Key(net)
     cached = _chains.get(key)
     cn = compile_net(net) if cached is None else cached.cn
     for t in net.transitions:
@@ -197,7 +200,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     rate_rewards, slots = cn.reward_slots(queries)
     # the places each rate reward reads; an unknown one raises here
     reads = [cn.reward_source(q)[1] for q in rate_rewards]
-    ch = _chain(key, cn, max_states)
+    ch = _chain(key, cached, cn, max_states)
 
     # each timed firing's rate d / mean_t, then each triplet's (d / mean_t)
     # * p: the expressions, and so the floats, of a generation with rates
@@ -205,7 +208,8 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                       for t in net.transitions])
     rate = ch.degrees / means[ch.tids]
     n = len(ch.marks)
-    pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs)
+    pi = _stationary(n, ch.rows, ch.cols, rate[ch.src] * ch.probs,
+                     ch.pattern)
 
     # rate rewards: pi @ S for the token counts, pi @ h for a probability
     expected = pi @ ch.marks
@@ -242,7 +246,10 @@ class _Chain:
     the timed firing src or f_src, with probability probs or expected count
     f_counts; its rate is the firing's times that. A timed firing's own
     firing-rate triplet has count 1. Row i of marks is tangible state i's
-    marking, in the smallest integer dtype that holds every token count."""
+    marking, in the smallest integer dtype that holds every token count.
+    pattern is the sparsity of the matrix every solve of the chain
+    assembles (`_pattern`), and key the one the cache holds it under."""
+    key: _Key
     cn: CompiledNet
     marks: np.ndarray
     tids: np.ndarray
@@ -255,18 +262,38 @@ class _Chain:
     f_tids: np.ndarray
     f_src: np.ndarray
     f_counts: np.ndarray
+    pattern: _Pattern
     # by ProbabilityOf query, its predicate's value on each row of marks
     indicators: dict = field(default_factory=dict)
 
 
 # generated chains, by structure, least recently used first: the newest,
 # and older ones while all hold at most _CACHED_STATES states. On the
-# benchmark's HLF nets a chain holds 0.5 kB per state (a 23-byte marking
-# row and about 60 array entries; tracemalloc: 2.9 MB for 5,768 states), so
-# the cache holds about 50 MB at most, or the one chain of a larger
-# structure
+# benchmark's HLF nets a chain holds 0.7 kB per state (a 23-byte marking
+# row, about 60 array entries and 170 bytes of pattern; tracemalloc: 4.0 MB
+# for 5,768 states, 1.0 MB of it the pattern), so the cache holds about
+# 70 MB at most, or the one chain of a larger structure
 _CACHED_STATES = 100_000
-_chains: dict[tuple, _Chain] = {}
+_chains: dict[_Key, _Chain] = {}
+
+
+class _Key:
+    """A net's _structure with its hash, taken once. The structure is
+    frozen dataclasses whose hash and equality run in Python (31 and 35 us
+    on the 5,768-state net), so a solve hashes it once, its cache lookup
+    compares it at most once, and the chain's own key, which the cache
+    finds by identity, moves a hit to the newest end."""
+    __slots__ = ("structure", "hash")
+
+    def __init__(self, net: PetriNet):
+        self.structure = _structure(net)
+        self.hash = hash(self.structure)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self.structure == other.structure
 
 
 def _structure(net: PetriNet) -> tuple:
@@ -280,25 +307,29 @@ def _structure(net: PetriNet) -> tuple:
         for t in net.transitions)
 
 
-def _chain(key: tuple, cn: CompiledNet, max_states: int) -> _Chain:
-    """The chain cached under key, or cn's, generated and cached. A cached
-    chain larger than max_states raises the ExplosionError its generation
-    would have; a generation that raises caches nothing."""
-    ch = _chains.pop(key, None)
+def _chain(key: _Key, ch: _Chain | None, cn: CompiledNet,
+           max_states: int) -> _Chain:
+    """ch, the chain cached under key, or cn's, generated and cached under
+    key when ch is None. A cached chain larger than max_states raises the
+    ExplosionError its generation would have; a generation that raises
+    caches nothing."""
     if ch is None:
-        ch = _generate(cn, max_states)
+        ch = _generate(key, cn, max_states)
         cached = sum(len(c.marks) for c in _chains.values())
         while cached + len(ch.marks) > _CACHED_STATES and _chains:
             cached -= len(_chains.pop(next(iter(_chains))).marks)
-    _chains[key] = ch  # the most recently used last
+    else:
+        del _chains[ch.key]
+    _chains[ch.key] = ch  # the most recently used last
     if len(ch.marks) > max_states:
         raise ExplosionError(max_states + 1, max_states)
     return ch
 
 
-def _generate(cn: CompiledNet, max_states: int) -> _Chain:
+def _generate(key: _Key, cn: CompiledNet, max_states: int) -> _Chain:
     """The tangible reachability graph of cn, from its initial marking,
-    with each timed firing's vanishing markings resolved on the fly."""
+    with each timed firing's vanishing markings resolved on the fly, and
+    the pattern of its generator."""
     timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
               cn.top_after[ct.idx])
              for ct in cn.trans if not ct.immediate]
@@ -371,12 +402,61 @@ def _generate(cn: CompiledNet, max_states: int) -> _Chain:
     marks = frozen(marks, np.min_scalar_type(marks.max(initial=0)))
     firing_rows = np.array(firing_rows, dtype=np.int64)
     src, f_src = frozen(src), frozen(f_src)
-    return _Chain(cn=cn, marks=marks, tids=frozen(tids),
-                  degrees=frozen(degrees, float),
-                  rows=frozen(firing_rows[src]), cols=frozen(cols), src=src,
-                  probs=frozen(probs, float),
+    rows, cols = frozen(firing_rows[src]), frozen(cols)
+    return _Chain(key=key, cn=cn, marks=marks, tids=frozen(tids),
+                  degrees=frozen(degrees, float), rows=rows, cols=cols,
+                  src=src, probs=frozen(probs, float),
                   f_rows=frozen(firing_rows[f_src]), f_tids=frozen(f_tids),
-                  f_src=f_src, f_counts=frozen(f_counts, float))
+                  f_src=f_src, f_counts=frozen(f_counts, float),
+                  pattern=_pattern(len(states), rows, cols))
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """The sparsity of the matrix A that _stationary solves for a chain,
+    Q^T with row 0 replaced by ones, as canonical CSC arrays; it depends on
+    the chain's (rows, cols) alone, never on a rate.
+
+    A solve's values are each off-diagonal triplet's rate, at (col, row) of
+    A, then each state's diagonal entry, then the ones of row 0. slot[k] is
+    the position in A's data that value k is added to; a triplet into
+    state 0 and state 0's diagonal, which the ones replace, go to position
+    nnz, past A's entries. Each triangle of the Gauss-Seidel split is
+    (positions in A's data, row indices, indptr): the lower one keeps row
+    >= col, the upper one row <= col, so each holds the diagonal."""
+    indices: np.ndarray
+    indptr: np.ndarray
+    slot: np.ndarray
+    triangles: tuple
+
+
+def _pattern(n: int, rows: np.ndarray, cols: np.ndarray) -> _Pattern:
+    """The _Pattern of the chain with n states and off-diagonal triplets
+    (rows, cols)."""
+    states = np.arange(n)
+    a_rows = np.concatenate([cols, states, np.zeros(n, np.int64)])
+    a_cols = np.concatenate([rows, states, states])
+    kept = np.concatenate([cols != 0, states != 0, np.ones(n, bool)])
+    # each entry's cell, numbered down the columns: sorted cells are A's
+    # canonical CSC order, and each distinct cell one stored entry
+    cells, inverse = np.unique((a_cols * n + a_rows)[kept],
+                               return_inverse=True)
+    slot = np.full(len(kept), len(cells))
+    slot[kept] = inverse
+    indices = (cells % n).astype(np.intc)
+    indptr = np.searchsorted(cells, np.arange(n + 1) * n).astype(np.intc)
+    col = cells // n
+    triangles = []
+    for keep in (indices >= col, indices <= col):
+        positions = np.flatnonzero(keep)
+        triangles.append((positions, indices[positions],
+                          np.append(0, np.cumsum(keep))[indptr]
+                          .astype(np.intc)))
+    arrays = [indices, indptr, slot, *(a for t in triangles for a in t)]
+    for a in arrays:  # shared by every solve of the chain, as in _generate
+        a.flags.writeable = False
+    return _Pattern(indices=indices, indptr=indptr, slot=slot,
+                    triangles=tuple(triangles))
 
 
 # GMRES settings of the stationary solve: Krylov vectors per restart,
@@ -386,10 +466,11 @@ _RTOL = 1e-14
 _MAX_RESTARTS = 4
 
 
-def _stationary(n: int, rows, cols, rates) -> np.ndarray:
+def _stationary(n: int, rows, cols, rates, pattern: _Pattern) -> np.ndarray:
     """Solve pi Q = 0 with sum(pi) = 1 for the generator built from the
-    off-diagonal rate triplets: Q^T with its first equation, that of the
-    initial state, replaced by the normalisation (Stewart 1994), solved by
+    off-diagonal rate triplets: A = Q^T with its first equation, that of
+    the initial state, replaced by the normalisation (Stewart 1994), its
+    entries summed into the chain's pattern in the triplets' order, solved by
     restarted GMRES (`_gmres`) right preconditioned by symmetric
     Gauss-Seidel (Saad 2003, 9.3 and 10.2). When a triangle of A is exactly
     singular, or GMRES gives no converged solution with it, the same GMRES
@@ -409,20 +490,19 @@ def _stationary(n: int, rows, cols, rates) -> np.ndarray:
     if n == 1:
         return np.ones(1)
     from scipy import sparse
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    rates = np.asarray(rates, dtype=float)
     diag = -np.bincount(rows, weights=rates, minlength=n)
-    states = np.arange(n)
-    # Q^T holds rate (i -> j) at (j, i); row 0 is dropped for the ones
-    keep = cols != 0
-    a_rows = np.concatenate([cols[keep], states[1:], np.zeros(n, np.int64)])
-    a_cols = np.concatenate([rows[keep], states[1:], states])
-    a_vals = np.concatenate([rates[keep], diag[1:], np.ones(n)])
-    A = sparse.csc_matrix((a_vals, (a_rows, a_cols)), shape=(n, n))
+    nnz = len(pattern.indices)
+    values = np.concatenate([rates, diag, np.ones(n)])
+    data = np.bincount(pattern.slot, values, minlength=nnz + 1)[:nnz]
+    A = sparse.csc_matrix((data, pattern.indices, pattern.indptr),
+                          shape=(n, n))
+    lower, upper = (sparse.csc_matrix((data[at], indices, indptr),
+                                      shape=(n, n))
+                    for at, indices, indptr in pattern.triangles)
     b = np.zeros(n)
     b[0] = 1.0
-    for precondition in (_symmetric_gauss_seidel, _complete_lu):
+    for precondition in (
+            lambda A: _symmetric_gauss_seidel(A, lower, upper), _complete_lu):
         pi = _gmres(A, b, precondition)
         if pi is not None:
             pi = np.maximum(pi, 0.0)
@@ -450,9 +530,10 @@ def _closed_classes(n: int, rows, cols, rates) -> int:
     return k - len(set(labels[rows[leaving]].tolist()))
 
 
-def _symmetric_gauss_seidel(A):
+def _symmetric_gauss_seidel(A, lower, upper):
     # A = L + D + U and M = (D + L) D^-1 (D + U): one forward and one
-    # backward sweep, each triangle masked from A's canonical CSC arrays. In
+    # backward sweep through A's triangles lower = D + L and upper = D + U,
+    # which _stationary takes from A's data by the chain's pattern. In
     # natural order each is its own factor, so splu adds no fill. A zero
     # diagonal entry makes a triangle exactly singular. SuperLU's default
     # panel size raised peak RSS by about 5 MB on the benchmark's 1,200- and
@@ -460,14 +541,9 @@ def _symmetric_gauss_seidel(A):
     # on dense blocks, not on 3-4 entries a column: relax=1 took the two
     # factorisations of the 5,768-state chain from 3.2-3.9 to 2.1-2.4 ms
     # and an application from 0.26-0.31 to 0.19-0.24 ms
-    from scipy import sparse
     from scipy.sparse.linalg import splu
-    rows, ptr = A.indices, A.indptr
-    cols = np.repeat(np.arange(len(ptr) - 1, dtype=rows.dtype), np.diff(ptr))
-    lower, upper = (splu(sparse.csc_matrix(
-        (A.data[keep], rows[keep], np.append(0, np.cumsum(keep))[ptr]),
-        shape=A.shape), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-        panel_size=1, relax=1) for keep in (rows >= cols, rows <= cols))
+    lower, upper = (splu(T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         panel_size=1, relax=1) for T in (lower, upper))
     d = A.diagonal()
     return lambda r: upper.solve(d * lower.solve(r))
 

@@ -223,7 +223,7 @@ class TestLimits:
                             lambda *args: got.append(args) or real(*args))
         with pytest.raises(NumericalSolveError) as info:
             solve_ctmc(hlf.build_hlf_net(cfg).net, [])
-        n, rows, cols, rates = got[0]
+        n, rows, cols, rates = got[0][:4]
         assert n == 144
         assert ctmc._closed_classes(n, rows, cols, rates) == 1
         assert (info.value.low, info.value.high) == \
@@ -411,6 +411,12 @@ def benchmark_small_hlf_net() -> PetriNet:
     return hlf.build_hlf_net(benchmark_small_hlf_config()).net
 
 
+def benchmark_large_hlf_net() -> PetriNet:
+    """The 5,768-state HLF net of the benchmark's large CTMC point."""
+    return hlf.build_hlf_net(replace(benchmark_small_hlf_config(), eq=4,
+                                     oq=4, cq=5, op=3)).net
+
+
 @pytest.mark.parametrize("cfg,states", [
     (parse_experiment(SOLVE_SPEC).base, 368),
     (benchmark_small_hlf_config(), 1200),
@@ -482,7 +488,8 @@ def test_compound_predicates_sum_pi_over_the_markings_where_they_hold(
 
 
 def generator_triplets(net: PetriNet) -> tuple:
-    """The (n, rows, cols, rates) that solve_ctmc hands to _stationary."""
+    """The (n, rows, cols, rates, pattern) that solve_ctmc hands to
+    _stationary."""
     got = []
     real = ctmc._stationary
 
@@ -519,8 +526,8 @@ def record_preconditioners(monkeypatch, calls: list) -> None:
     """Append to calls the name of each preconditioner that is built."""
     for name in ("_symmetric_gauss_seidel", "_complete_lu"):
         real = getattr(ctmc, name)
-        monkeypatch.setattr(ctmc, name, lambda A, name=name, real=real: (
-            calls.append(name) or real(A)))
+        monkeypatch.setattr(ctmc, name, lambda *args, name=name, real=real: (
+            calls.append(name) or real(*args)))
 
 
 # M/M/1/100 with equal rates: its first-tier GMRES takes more than
@@ -544,13 +551,52 @@ solved_nets = pytest.mark.parametrize("make", [
         "mm1k-50-x1e3", "mm1k-100-restart"])
 
 
+def coo_assembled(n, rows, cols, rates):
+    """A assembled by scipy from COO triplets, the reference the chain's
+    pattern must reproduce: Q^T with row 0 replaced by ones, its
+    duplicates summed."""
+    from scipy import sparse
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    rates = np.asarray(rates, dtype=float)
+    diag = -np.bincount(rows, weights=rates, minlength=n)
+    states = np.arange(n)
+    # Q^T holds rate (i -> j) at (j, i); row 0 is dropped for the ones
+    keep = cols != 0
+    a_rows = np.concatenate([cols[keep], states[1:], np.zeros(n, np.int64)])
+    a_cols = np.concatenate([rows[keep], states[1:], states])
+    a_vals = np.concatenate([rates[keep], diag[1:], np.ones(n)])
+    return sparse.csc_matrix((a_vals, (a_rows, a_cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("make", [*solved_nets.args[1],
+                                  benchmark_large_hlf_net],
+                         ids=[*solved_nets.kwargs["ids"], "hlf-5768"])
+def test_pattern_assembles_the_coo_matrix(monkeypatch, make):
+    # the chain's pattern sums each solve's values, duplicate pairs and a
+    # self-loop's rate with its diagonal included, into the same matrix,
+    # entry for entry and bit for bit, as the COO assembly did
+    triplets = generator_triplets(make())
+    matrices = []
+    real_gmres = ctmc._gmres
+    monkeypatch.setattr(ctmc, "_gmres", lambda A, b, precondition: (
+        matrices.append(A) or real_gmres(A, b, precondition)))
+    ctmc._stationary(*triplets)
+    got, want = matrices[0], coo_assembled(*triplets[:4])
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    for j in range(0, got.shape[1], 512):  # dense, a block of columns at once
+        assert (got[:, j:j + 512].toarray() == want[:, j:j + 512].toarray()
+                ).all()
+
+
 @pytest.mark.filterwarnings("error")
 class TestStationarySolve:
     @solved_nets
     def test_matches_dense_solve(self, make):
         triplets = generator_triplets(make())
         assert_same_distribution(ctmc._stationary(*triplets),
-                                 dense_stationary(*triplets), 1e-10)
+                                 dense_stationary(*triplets[:4]), 1e-10)
 
     def test_complete_lu_when_a_triangle_is_singular(self, monkeypatch):
         triplets = generator_triplets(benchmark_small_hlf_net())
@@ -615,22 +661,25 @@ class TestStationarySolve:
     def test_preconditioner_is_symmetric_gauss_seidel(self, monkeypatch,
                                                       make):
         # GMRES converges under a mis-sliced M too, only more slowly, so
-        # the dense-pi tests cannot catch a slicing error: one application
-        # must be (D + U)^-1 D (D + L)^-1 r with the triangles taken densely,
-        # the upper one holding row 0's ones and both the diagonal
+        # the dense-pi tests cannot catch a slicing error: the triangles the
+        # pattern takes from A must be A's own, taken densely, the upper one
+        # holding row 0's ones and both the diagonal, and one application
+        # must be (D + U)^-1 D (D + L)^-1 r
         triplets = generator_triplets(make())
-        matrices = []
-        real_gmres = ctmc._gmres
-        monkeypatch.setattr(ctmc, "_gmres", lambda A, b, precondition: (
-            matrices.append(A) or real_gmres(A, b, precondition)))
+        splits = []
+        real = ctmc._symmetric_gauss_seidel
+        monkeypatch.setattr(ctmc, "_symmetric_gauss_seidel", lambda *args: (
+            splits.append(args) or real(*args)))
         ctmc._stationary(*triplets)
-        A = matrices[0]
+        A, lower, upper = splits[0]
         dense = A.toarray()
         assert (dense[0] == 1.0).all()
+        assert (lower.toarray() == np.tril(dense)).all()
+        assert (upper.toarray() == np.triu(dense)).all()
         r = np.random.default_rng(2700).random(A.shape[0])
         forward = solve_triangular(np.tril(dense), r, lower=True)
         want = solve_triangular(np.triu(dense), np.diag(dense) * forward)
-        got = ctmc._symmetric_gauss_seidel(A)(r)
+        got = real(A, lower, upper)(r)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("lam,mu,K", [(3.9, 4.0, 200), (4.0, 4.0, 300)])
@@ -654,8 +703,8 @@ class TestStationarySolve:
         real = ctmc._symmetric_gauss_seidel
         applied = []
 
-        def counted(A):
-            solve = real(A)
+        def counted(*args):
+            solve = real(*args)
             return lambda r: applied.append(1) or solve(r)
 
         monkeypatch.setattr(ctmc, "_symmetric_gauss_seidel", counted)
@@ -676,7 +725,7 @@ class TestStationarySolve:
                 Transition("Y_X", Exponential(2.0), input_arcs=(Arc("Y"),),
                            output_arcs=(Arc("X"),)),
             ))
-        n, rows, cols, rates = generator_triplets(net)
+        n, rows, cols, rates = generator_triplets(net)[:4]
         assert n == 3
         assert not np.isin(1, rows)  # X, state 1, has no outgoing rate
         queries = [ExpectedTokens("X"), ExpectedTokens("Y"), FiringRate("Y_X")]
@@ -743,7 +792,7 @@ class TestChainCache:
         assert len(chains) == 1
         cold = solve_cold(net, queries, chains)
         assert hit == cold
-        (n, *triplets), (n_cold, *triplets_cold) = args
+        (n, *triplets), (n_cold, *triplets_cold) = (a[:4] for a in args)
         assert n == n_cold == 1200
         for got, want in zip(triplets, triplets_cold):
             assert np.array_equal(got, want)
@@ -794,6 +843,43 @@ class TestChainCache:
         for lam in (20.0, 21.0):
             solve_ctmc(*hlf_1200(lam))
         assert len(compiled) == 1
+
+    def test_the_pattern_is_built_once_per_chain(self, monkeypatch, chains):
+        # the generator's sparsity is the chain's, so a re-solve at another
+        # rate builds none
+        built = []
+        real = ctmc._pattern
+        monkeypatch.setattr(ctmc, "_pattern",
+                            lambda n, *args: built.append(n) or real(n, *args))
+        for lam in (19.0, 20.0, 21.0):
+            solve_ctmc(*hlf_1200(lam))
+        assert built == [1200]
+
+    def test_hit_hashes_and_compares_the_structure_once(self, monkeypatch,
+                                                         chains):
+        # the structure key is frozen dataclasses hashed and compared in
+        # Python: a hit hashes it once, and its lookup compares it once
+        counts = {"hash": 0, "eq": 0}
+
+        class Spy(tuple):
+            def __hash__(self):
+                counts["hash"] += 1
+                return super().__hash__()
+
+            def __eq__(self, other):
+                counts["eq"] += 1
+                return super().__eq__(other)
+
+        real = ctmc._structure
+        monkeypatch.setattr(ctmc, "_structure", lambda net: Spy(real(net)))
+        solve_ctmc(*hlf_1200(20.0))
+        assert counts == {"hash": 1, "eq": 0}
+        counts.update(hash=0, eq=0)
+        net, queries = hlf_1200(21.0)
+        hit = solve_ctmc(net, queries)
+        assert counts["hash"] == 1 and counts["eq"] <= 1
+        assert len(chains) == 1
+        assert hit == solve_cold(net, queries, chains)
 
     def test_each_set_of_places_read_has_its_own_indicator(self, chains):
         # a chain keeps one indicator per predicate; one kept for Q1 > 0

@@ -1,11 +1,11 @@
 """Experiment specs, sweeps, and the built-in scenarios."""
 
+import concurrent.futures
 import csv
 from functools import partial
 
 import pytest
 
-from hlfspn import experiments
 from hlfspn.experiments import (
     CASE_STUDY_IDS,
     ExperimentSpec,
@@ -201,7 +201,8 @@ class TestSweeps:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         spec = ExperimentSpec(
             base=HlfConfig().with_arrival_rate(20.0), sim=FAST_SIM,
             sweep=(("arrival_rate_tps", (10.0, 30.0)),))
