@@ -174,13 +174,15 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# the sections of a spec and their keys; [base] takes HlfConfig fields
+# the sections of a spec and their keys; [base] takes HlfConfig fields, and
+# each [outputs] key but metrics names a file, by default the one given here
+_OUTPUT_FILES = {"results": "results.csv", "effects": "effects.csv",
+                 "runs": "doe_runs.csv", "interactions_prefix": "interaction"}
 _SECTION_KEYS = {
     "base": None, "sim": tuple(f.name for f in fields(SimConfig)),
     "doe": ("factors", "response"),
     "sweep": ("parameter", "values", "parameter2", "values2"),
-    "outputs": ("results", "metrics", "effects", "runs",
-                "interactions_prefix")}
+    "outputs": ("metrics", *_OUTPUT_FILES)}
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -392,23 +394,23 @@ def write_interaction_csv(path, points, responses, a: str, b: str) -> None:
 def run_experiment(spec: ExperimentSpec, out_dir, jobs: int = 1) -> list[Path]:
     """Execute a parsed spec, writing its CSV artifacts; returns the paths."""
     out_dir = Path(out_dir)
+    files = {**_OUTPUT_FILES, **spec.outputs}
     rows = list(run_sweep(spec, jobs=jobs))
     if spec.doe_response is None:
-        path = out_dir / spec.outputs.get("results", "results.csv")
+        path = out_dir / files["results"]
         write_rows_csv(path, rows, spec.metrics)
         return [path]
     names = [name for name, _ in spec.sweep]
     points = [row.point for row in rows]
     responses = [getattr(row.report, spec.doe_response).value
                  for row in rows]
-    eff_path = out_dir / spec.outputs.get("effects", "effects.csv")
+    eff_path = out_dir / files["effects"]
     write_effects_csv(eff_path, names, responses)
-    runs_path = out_dir / spec.outputs.get("runs", "doe_runs.csv")
+    runs_path = out_dir / files["runs"]
     write_rows_csv(runs_path, rows, spec.metrics)
     written = [eff_path, runs_path]
-    prefix = spec.outputs.get("interactions_prefix", "interaction")
     for a, b in itertools.combinations(names, 2):
-        p = out_dir / f"{prefix}_{a}_{b}.csv"
+        p = out_dir / f"{files['interactions_prefix']}_{a}_{b}.csv"
         write_interaction_csv(p, points, responses, a, b)
         written.append(p)
     return written

@@ -18,8 +18,8 @@ Markov Chains*, 1994). It yields the tangible states and, for each
 generator and firing-rate triplet, the timed transition t that fired, its
 degree d and the probability or expected count p; a solve computes each
 rate as (d / mean_t) * p, the float a generation with rates would give.
-Generated chains stay in a small LRU keyed on the net's structure, hashed
-once per solve, each with its compiled net, so a solve at other rates of a
+Generated chains stay in a small cache keyed on the net's structure, oldest
+first, each with its compiled net, so a solve at other rates of a
 structure solved before skips compilation and generation and reads only
 the net's means.
 
@@ -186,12 +186,14 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     ExplosionError when the tangible state space exceeds max_states. The
     queries' targets are looked up before the chain is generated, so a
     query naming an unknown place or transition fails at once. The chain
-    of each structure is generated once, and compiled with it (`_chain`);
-    each solve assembles its rates from the net's own means.
+    of each structure is generated once, and compiled with it (`_chains`);
+    each solve assembles its rates from the net's own means. A cached chain
+    larger than max_states raises the ExplosionError its generation would
+    have; a generation that raises caches nothing.
     """
-    key = _Key(net)
-    cached = _chains.get(key)
-    cn = compile_net(net) if cached is None else cached.cn
+    structure = _structure(net)
+    ch = _chains.get(structure)
+    cn = compile_net(net) if ch is None else ch.cn
     for t in net.transitions:
         if isinstance(t.kind, Deterministic):
             raise UnsupportedModelError(
@@ -200,7 +202,14 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     rate_rewards, slots = cn.reward_slots(queries)
     # the places each rate reward reads; an unknown one raises here
     reads = [cn.reward_source(q)[1] for q in rate_rewards]
-    ch = _chain(key, cached, cn, max_states)
+    if ch is None:
+        ch = _generate(cn, max_states)
+        cached = sum(len(c.marks) for c in _chains.values())
+        while cached + len(ch.marks) > _CACHED_STATES and _chains:
+            cached -= len(_chains.pop(next(iter(_chains))).marks)
+        _chains[structure] = ch
+    elif len(ch.marks) > max_states:
+        raise ExplosionError(max_states + 1, max_states)
 
     # each timed firing's rate d / mean_t, then each triplet's (d / mean_t)
     # * p: the expressions, and so the floats, of a generation with rates
@@ -248,8 +257,7 @@ class _Chain:
     firing-rate triplet has count 1. Row i of marks is tangible state i's
     marking, in the smallest integer dtype that holds every token count.
     pattern is the sparsity of the matrix every solve of the chain
-    assembles (`_pattern`), and key the one the cache holds it under."""
-    key: _Key
+    assembles (`_pattern`)."""
     cn: CompiledNet
     marks: np.ndarray
     tids: np.ndarray
@@ -267,33 +275,16 @@ class _Chain:
     indicators: dict = field(default_factory=dict)
 
 
-# generated chains, by structure, least recently used first: the newest,
-# and older ones while all hold at most _CACHED_STATES states. On the
-# benchmark's HLF nets a chain holds 0.7 kB per state (a 23-byte marking
+# generated chains, by structure, oldest first: a miss drops the oldest
+# while they and its chain would hold more than _CACHED_STATES states, and a
+# hit moves none, since a sweep reuses a structure on consecutive points or
+# cycles through structures, where recency order evicts the same chains. On
+# the benchmark's HLF nets a chain holds 0.7 kB per state (a 23-byte marking
 # row, about 60 array entries and 170 bytes of pattern; tracemalloc: 4.0 MB
 # for 5,768 states, 1.0 MB of it the pattern), so the cache holds about
 # 70 MB at most, or the one chain of a larger structure
 _CACHED_STATES = 100_000
-_chains: dict[_Key, _Chain] = {}
-
-
-class _Key:
-    """A net's _structure with its hash, taken once. The structure is
-    frozen dataclasses whose hash and equality run in Python (31 and 35 us
-    on the 5,768-state net), so a solve hashes it once, its cache lookup
-    compares it at most once, and the chain's own key, which the cache
-    finds by identity, moves a hit to the newest end."""
-    __slots__ = ("structure", "hash")
-
-    def __init__(self, net: PetriNet):
-        self.structure = _structure(net)
-        self.hash = hash(self.structure)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other) -> bool:
-        return self.structure == other.structure
+_chains: dict[tuple, _Chain] = {}
 
 
 def _structure(net: PetriNet) -> tuple:
@@ -307,26 +298,7 @@ def _structure(net: PetriNet) -> tuple:
         for t in net.transitions)
 
 
-def _chain(key: _Key, ch: _Chain | None, cn: CompiledNet,
-           max_states: int) -> _Chain:
-    """ch, the chain cached under key, or cn's, generated and cached under
-    key when ch is None. A cached chain larger than max_states raises the
-    ExplosionError its generation would have; a generation that raises
-    caches nothing."""
-    if ch is None:
-        ch = _generate(key, cn, max_states)
-        cached = sum(len(c.marks) for c in _chains.values())
-        while cached + len(ch.marks) > _CACHED_STATES and _chains:
-            cached -= len(_chains.pop(next(iter(_chains))).marks)
-    else:
-        del _chains[ch.key]
-    _chains[ch.key] = ch  # the most recently used last
-    if len(ch.marks) > max_states:
-        raise ExplosionError(max_states + 1, max_states)
-    return ch
-
-
-def _generate(key: _Key, cn: CompiledNet, max_states: int) -> _Chain:
+def _generate(cn: CompiledNet, max_states: int) -> _Chain:
     """The tangible reachability graph of cn, from its initial marking,
     with each timed firing's vanishing markings resolved on the fly, and
     the pattern of its generator."""
@@ -403,7 +375,7 @@ def _generate(key: _Key, cn: CompiledNet, max_states: int) -> _Chain:
     firing_rows = np.array(firing_rows, dtype=np.int64)
     src, f_src = frozen(src), frozen(f_src)
     rows, cols = frozen(firing_rows[src]), frozen(cols)
-    return _Chain(key=key, cn=cn, marks=marks, tids=frozen(tids),
+    return _Chain(cn=cn, marks=marks, tids=frozen(tids),
                   degrees=frozen(degrees, float), rows=rows, cols=cols,
                   src=src, probs=frozen(probs, float),
                   f_rows=frozen(firing_rows[f_src]), f_tids=frozen(f_tids),

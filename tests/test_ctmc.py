@@ -858,7 +858,8 @@ class TestChainCache:
     def test_hit_hashes_and_compares_the_structure_once(self, monkeypatch,
                                                          chains):
         # the structure key is frozen dataclasses hashed and compared in
-        # Python: a hit hashes it once, and its lookup compares it once
+        # Python: a hit hashes it once, and its lookup compares it once; a
+        # miss hashes it for its lookup and again to cache its chain
         counts = {"hash": 0, "eq": 0}
 
         class Spy(tuple):
@@ -873,7 +874,7 @@ class TestChainCache:
         real = ctmc._structure
         monkeypatch.setattr(ctmc, "_structure", lambda net: Spy(real(net)))
         solve_ctmc(*hlf_1200(20.0))
-        assert counts == {"hash": 1, "eq": 0}
+        assert counts == {"hash": 2, "eq": 0}
         counts.update(hash=0, eq=0)
         net, queries = hlf_1200(21.0)
         hit = solve_ctmc(net, queries)
@@ -933,14 +934,14 @@ class TestChainCache:
             solve_ctmc(mm1k_net(3.0, 4.0, 50), [], max_states=10)
         assert not chains
 
-    def test_least_recently_used_chains_leave_past_the_state_budget(
-            self, monkeypatch, chains):
+    def test_oldest_chains_leave_past_the_state_budget(self, monkeypatch,
+                                                       chains):
         monkeypatch.setattr(ctmc, "_CACHED_STATES", 100)
         for k in (40, 30, 20):  # 41 + 31 + 21 states: within the budget
             solve_ctmc(mm1k_net(3.0, 4.0, k), [])
-        solve_ctmc(mm1k_net(3.0, 4.0, 40), [])  # a hit: now the newest
-        assert [len(c.marks) for c in chains.values()] == [31, 21, 41]
+        solve_ctmc(mm1k_net(3.0, 4.0, 40), [])  # a hit moves nothing
+        assert [len(c.marks) for c in chains.values()] == [41, 31, 21]
         solve_ctmc(mm1k_net(3.0, 4.0, 10), [])
-        assert [len(c.marks) for c in chains.values()] == [21, 41, 11]
+        assert [len(c.marks) for c in chains.values()] == [31, 21, 11]
         solve_ctmc(mm1k_net(3.0, 4.0, 200), [])  # alone past the budget
         assert [len(c.marks) for c in chains.values()] == [201]

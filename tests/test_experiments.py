@@ -295,6 +295,39 @@ metrics = tp_tps
             result = solve_ctmc(handle.net, standard_queries(handle))
             assert row.report == metric_report(result, handle)
 
+    def test_structural_axis_inside_rates_generates_each_chain_once(
+            self, monkeypatch):
+        # the points cycle through two structures whose chains, 1,200 and
+        # 1,110 states, both fit the cache, so each is generated once
+        monkeypatch.setattr(ctmc, "_chains", {})
+        generated = []
+        real = ctmc._generate
+        monkeypatch.setattr(ctmc, "_generate",
+                            lambda cn, *a: generated.append(cn) or real(cn, *a))
+        spec = parse_experiment("""
+[base]
+n_endorsers = 1
+n_committers = 1
+timeout_s = 0.5
+eq = 2
+oq = 2
+cq = 3
+ep = 2
+op = 2
+cp = 2
+arrival_dist = exponential
+timeout_dist = exponential
+[sweep]
+parameter = arrival_rate_tps
+values = 19, 20, 21
+parameter2 = block_size
+values2 = 2, 3
+""")
+        rows = list(run_sweep(spec, evaluate=partial(solve_config,
+                                                     max_states=2000)))
+        assert len(generated) == 2
+        assert [row.result.n_states for row in rows] == [1200, 1110] * 3
+
 
 GOLDEN_SPEC = """
 [base]
