@@ -104,10 +104,11 @@ def configure(cfg, items, where: str = ""):
         except ValueError as exc:
             raise SpecError(f"{where}{name}: {exc}") from None
         if kinds[field] == "int":
-            if not v.is_integer():
+            exact = Decimal(str(value).strip())  # exact past 2**53
+            if not v.is_integer() or exact != exact.to_integral_value():
                 raise SpecError(f"{where}{name} must be an integer, "
                                 f"got {value}")
-            v = int(Decimal(str(value).strip()))  # exact past 2**53
+            v = int(exact)
         elif name == "arrival_rate_tps":
             try:
                 v = arrival_delay(v)

@@ -182,23 +182,24 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                max_states: int = 50_000) -> ExactResult:
     """Exact stationary rewards for an exponential-only net.
 
-    Raises UnsupportedModelError on deterministic transitions and
-    ExplosionError when the tangible state space exceeds max_states. The
-    queries' targets are looked up before the chain is generated, so a
-    query naming an unknown place or transition fails at once. The chain
-    of each structure is generated once, and compiled with it (`_chains`);
-    each solve assembles its rates from the net's own means. A cached chain
-    larger than max_states raises the ExplosionError its generation would
-    have; a generation that raises caches nothing.
+    Raises UnsupportedModelError on deterministic transitions, before the
+    net is compiled, and ExplosionError when the tangible state space
+    exceeds max_states. The queries' targets are looked up before the chain
+    is generated, so a query naming an unknown place or transition fails at
+    once. The chain of each structure is generated once, and compiled with
+    it (`_chains`); each solve assembles its rates from the net's own means.
+    A cached chain larger than max_states raises the ExplosionError its
+    generation would have; a generation that raises caches nothing.
     """
     structure = _structure(net)
     ch = _chains.get(structure)
+    if ch is None:  # a hit's key holds each timed kind's class: exponential
+        for t in net.transitions:
+            if isinstance(t.kind, Deterministic):
+                raise UnsupportedModelError(
+                    f"deterministic transition {t.name!r} is not supported "
+                    "by the CTMC solver")
     cn = compile_net(net) if ch is None else ch.cn
-    for t in net.transitions:
-        if isinstance(t.kind, Deterministic):
-            raise UnsupportedModelError(
-                f"deterministic transition {t.name!r} is not supported by "
-                "the CTMC solver")
     rate_rewards, slots = cn.reward_slots(queries)
     # the places each rate reward reads; an unknown one raises here
     reads = [cn.reward_source(q)[1] for q in rate_rewards]
@@ -247,7 +248,7 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
 @dataclass(frozen=True)
 class _Chain:
     """The tangible chain of one net structure, free of rates, and its
-    CompiledNet, whose means no solve reads.
+    CompiledNet.
 
     Timed firing k, of transition tids[k] with degree degrees[k] (1 for a
     single server), has rate degrees[k] / mean. Each generator triplet

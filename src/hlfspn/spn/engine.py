@@ -30,10 +30,11 @@ sets from these scans.
 The simulator generates, per transition, the whole step that follows its
 pick: fire it, reconcile the schedule of each timed transition its firing
 affects (the dependency graph compiled into straight-line code), and return
-the next conflict set from the shared scan. Rates and delays are bound in
-the generated code's namespace, never written into its source, so nets and
-simulators of the same structure share one compiled copy of the code: a
-sweep over rates, delays or seeds compiles once per structure.
+the next conflict set from the shared scan. Rates and delays are read from
+the net and bound in the generated code's namespace, never written into its
+source or kept in the compiled net, so nets and simulators of the same
+structure share one compiled copy of the code: a sweep over rates, delays or
+seeds compiles once per structure.
 
 Queries are Markov rewards of two kinds (Ciardo, Blakemore, Chimento,
 Muppala & Trivedi, 1993). A rate reward, ExpectedTokens or ProbabilityOf, is
@@ -59,7 +60,6 @@ from zlib import crc32
 from .net import (
     And,
     Atom,
-    Deterministic,
     Exponential,
     ExpectedTokens,
     FiringRate,
@@ -136,11 +136,7 @@ def _compiled(functions: tuple[str, ...]) -> tuple:
 class _CTrans:
     __slots__ = ("idx", "name", "const_in", "flush_in", "const_out",
                  "flushed_out", "guard", "immediate", "priority",
-                 "exponential", "mean", "det_delay", "infinite", "touched")
-
-    def __init__(self):
-        self.guard = None
-        self.det_delay = None
+                 "exponential", "infinite", "touched")
 
 
 def _enabled_source(ct: _CTrans) -> str:
@@ -245,9 +241,9 @@ def _reconcile_body(ct: _CTrans) -> list[str]:
 
 
 class CompiledNet:
-    """Index-based form of a PetriNet, its enabling and firing code and its
-    conflict scans generated per transition, and its dependency graph
-    precomputed."""
+    """Index-based form of a PetriNet's structure, holding no rate or delay:
+    its enabling and firing code and its conflict scans generated per
+    transition, and its dependency graph precomputed."""
 
     def __init__(self, net: PetriNet):
         diags = validate_net(net)
@@ -281,8 +277,8 @@ class CompiledNet:
                     ct.flushed_out.append(p)
                 else:
                     ct.const_out.append((p, arc.count))
-            if t.guard is not None:
-                ct.guard = self._predicate_source(t.guard)
+            ct.guard = (None if t.guard is None
+                        else self._predicate_source(t.guard))
             ct.immediate = t.is_immediate
             if isinstance(t.kind, Immediate):
                 ct.priority = t.kind.priority
@@ -291,9 +287,6 @@ class CompiledNet:
             else:
                 ct.priority = 0
                 ct.exponential = isinstance(t.kind, Exponential)
-                ct.mean = t.kind.mean_delay if ct.exponential else 0.0
-                if isinstance(t.kind, Deterministic):
-                    ct.det_delay = t.kind.delay
                 ct.infinite = t.server_semantics is ServerSemantics.INFINITE
             touched = {p for p, _ in ct.const_in} | set(ct.flush_in) \
                 | {p for p, _ in ct.const_out} | set(ct.flushed_out)
@@ -643,15 +636,13 @@ def simulate_stationary(net: PetriNet, queries: Sequence[RewardQuery],
     every firing, immediate steps included, with the marking as a tuple in
     the order of `net.places`; it is called `event_count` times.
     """
-    cn = compile_net(net)
-    sim = _Simulator(cn, list(queries), cfg, on_fire)
-    return sim.run()
+    return _Simulator(net, queries, cfg, on_fire).run()
 
 
 class _Simulator:
-    def __init__(self, cn: CompiledNet, queries: list[RewardQuery],
+    def __init__(self, net: PetriNet, queries: Sequence[RewardQuery],
                  cfg: SimConfig, on_fire: Optional[Callable] = None):
-        self.cn = cn
+        self.cn = cn = compile_net(net)
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.on_fire = on_fire
@@ -672,9 +663,9 @@ class _Simulator:
         # next batch boundary, [time, -1, -1, True], is in the heap too
         self.heap: list[list] = []
         self.sched: list[list[list]] = [[] for _ in cn.trans]
-        self.start, self.steps = self._generate_steps(rates)
+        self.start, self.steps = self._generate_steps(net, rates)
 
-    def _generate_steps(self, rates: list[RewardQuery]
+    def _generate_steps(self, net: PetriNet, rates: list[RewardQuery]
                         ) -> tuple[Callable, list[Callable]]:
         """`_S(m, now)`, which schedules every timed transition at the
         start, and one `_S<i>(m, now)` per transition i: the whole step
@@ -689,9 +680,10 @@ class _Simulator:
         draws). Both return the next conflict set from the shared scan:
         `top_all` at the start and `top_after[i]` after i.
 
-        Rates and delays are names in the namespace, so the source, and its
-        compiled code, depends only on the net's structure, the queries and
-        whether a hook is set."""
+        Rates and delays are names in the namespace, bound from the kinds of
+        net's transitions, so the source, and its compiled code, depends
+        only on the net's structure, the queries and whether a hook is
+        set."""
         cn = self.cn
         names = cn.place_names
         tnames = [ct.name for ct in cn.trans]
@@ -707,12 +699,12 @@ class _Simulator:
         for f in (*cn.degrees, *cn.top_after, cn.top_all):
             ns[f.__name__] = f
         for j in cn.timed:
-            ct = cn.trans[j]
+            kind = net.transitions[j].kind
             ns[f"s{j:d}"] = self.sched[j]
-            if ct.exponential:
-                ns[f"L{j:d}"] = 1.0 / ct.mean
+            if cn.trans[j].exponential:
+                ns[f"L{j:d}"] = 1.0 / kind.mean_delay
             else:
-                ns[f"W{j:d}"] = ct.det_delay
+                ns[f"W{j:d}"] = kind.delay
         exprs = []
         readers: list[list[int]] = [[] for _ in range(cn.n_places)]
         for k, q in enumerate(rates):

@@ -835,6 +835,15 @@ class TestChainCache:
                                        kind=Deterministic(0.25)), [])
         assert len(chains) == 1
 
+    def test_deterministic_net_is_rejected_before_compiling(
+            self, monkeypatch, chains):
+        compiled = []
+        monkeypatch.setattr(ctmc, "compile_net", compiled.append)
+        with pytest.raises(UnsupportedModelError, match="'SERVE'"):
+            solve_ctmc(with_transition(mm1k_net(3.0, 4.0, 3), "SERVE",
+                                       kind=Deterministic(0.25)), [])
+        assert compiled == [] and chains == {}
+
     def test_hit_compiles_nothing(self, monkeypatch, chains):
         compiled = []
         real = ctmc.compile_net

@@ -893,8 +893,8 @@ def generated_code(cfg):
     """The code objects of a configuration's compiled net and of its
     simulator's steps, with the standard queries."""
     handle = build_hlf_net(cfg)
-    cn = compile_net(handle.net)
-    sim = engine._Simulator(cn, standard_queries(handle), SimConfig())
+    sim = engine._Simulator(handle.net, standard_queries(handle), SimConfig())
+    cn = sim.cn
     return [f.__code__ for f in (*cn.degrees, *cn.fires, *cn.top_after,
                                  cn.top_all, sim.start, *sim.steps)]
 
@@ -919,6 +919,32 @@ def test_generated_code_is_shared_only_by_one_structure():
     files = [x.co_filename for x in a]
     assert files == [x.co_filename for x in b]
     assert not set(files) & {x.co_filename for x in c}
+
+
+@pytest.mark.parametrize("dist,kind", [("exponential", Exponential),
+                                       ("deterministic", Deterministic)])
+def test_a_compiled_net_holds_structure_only(dist, kind):
+    # two nets of one structure whose timed kinds differ only in their
+    # means or delays compile alike: the simulator reads those from the net
+    base = HlfConfig(block_size=2, arrival_dist=dist, timeout_dist=dist)
+    other = (dataclasses.replace(base, te1=0.004, te6=0.02, te8=0.09)
+             if kind is Exponential else
+             dataclasses.replace(base, timeout_s=0.3))
+    nets = [build_hlf_net(base.with_arrival_rate(20.0)).net,
+            build_hlf_net(other.with_arrival_rate(35.0)).net]
+    assert ctmc._structure(nets[0]) == ctmc._structure(nets[1])
+    differ = [(s.kind, t.kind) for s, t in zip(*(n.transitions for n in nets))
+              if s.kind != t.kind]
+    assert len(differ) >= 2
+    assert all(type(k) is kind for pair in differ for k in pair)
+    a, b = map(compile_net, nets)
+    for x, y in zip(a.trans, b.trans, strict=True):
+        assert ([getattr(x, slot) for slot in x.__slots__]
+                == [getattr(y, slot) for slot in y.__slots__])
+    for fa, fb in zip((*a.degrees, *a.fires, *a.top_after, a.top_all),
+                      (*b.degrees, *b.fires, *b.top_after, b.top_all),
+                      strict=True):
+        assert fa.__code__ is fb.__code__
 
 
 def test_the_schedule_is_released_when_a_run_ends(monkeypatch):
@@ -952,12 +978,104 @@ def test_a_timed_step_rejects_a_disabled_transition(places):
         places=(Place("A", 1), *(Place(g) for g in names)),
         transitions=(Transition("SERVE", Exponential(1.0),
                                 input_arcs=(Arc("A"),), guard=guard),))
-    cn = compile_net(net)
-    sim = engine._Simulator(cn, [], SimConfig())
+    sim = engine._Simulator(net, [], SimConfig())
     for m in ([0] + [0] * places, [1, 1] + [0] * (places - 1)):
         with pytest.raises(AssertionError, match="'SERVE' is disabled; "
                            "schedule reconciliation bug"):
             sim.steps[0](m, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Property test: P-invariants hold at every firing
+
+@st.composite
+def conservative_nets(draw):
+    """Nets whose every transition moves k tokens from one place to another,
+    or flushes one place into another, so the token sum of each connected
+    component of places is a P-invariant. The places form one or two blocks
+    of consecutive indices. A ring of unguarded timed transitions through
+    each block of two or more places keeps its tokens moving, and every
+    other transition joins two places of one block. An immediate moves
+    tokens only to a higher-index place, so no sequence of immediate
+    firings loops."""
+    n = draw(st.integers(2, 5))
+    split = draw(st.sampled_from([0, *range(2, n - 1)]))
+    blocks = [b for b in (range(split), range(split, n)) if len(b) > 1]
+    places = tuple(Place(f"P{i}", draw(st.integers(0, 4))) for i in range(n))
+
+    def transition(name, kind, a, b, guard=None):
+        if draw(st.booleans()):
+            arcs = (Arc(f"P{a}", FlushAll()),), (Arc(f"P{b}", Flushed()),)
+        else:
+            k = draw(st.integers(1, 2))
+            arcs = (Arc(f"P{a}", k),), (Arc(f"P{b}", k),)
+        return Transition(
+            name, kind, *arcs, guard=guard,
+            server_semantics=draw(st.sampled_from(ServerSemantics)))
+
+    def timed():
+        kind = draw(st.sampled_from((Exponential, Deterministic)))
+        return kind(draw(st.floats(0.5, 2.0)))
+
+    transitions = [transition(f"R{a}", timed(), a, b[(i + 1) % len(b)])
+                   for b in blocks for i, a in enumerate(b)]
+    for i in range(draw(st.integers(0, 4))):
+        a, b = draw(st.permutations(draw(st.sampled_from(blocks))))[:2]
+        if draw(st.booleans()):
+            a, b = min(a, b), max(a, b)
+            kind = Immediate(draw(st.integers(1, 3)),
+                             draw(st.sampled_from((0.5, 1.0, 3.0))))
+        else:
+            kind = timed()
+        guard = None
+        if draw(st.booleans()):
+            guard = Atom(f"P{draw(st.integers(0, n - 1))}",
+                         draw(st.sampled_from(("=", "<", ">=", "!="))),
+                         draw(st.integers(0, 3)))
+        transitions.append(transition(f"T{i}", kind, a, b, guard))
+    return PetriNet(places=places, transitions=tuple(transitions))
+
+
+def components(net) -> list[int]:
+    """Each place's connected component, as a representative place index:
+    places are joined by the arcs of a transition."""
+    index = {p.name: i for i, p in enumerate(net.places)}
+    parent = list(range(len(net.places)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for t in net.transitions:
+        a, b = (find(index[arc.place])
+                for arc in (*t.input_arcs, *t.output_arcs))
+        parent[a] = b
+    return [find(i) for i in range(len(parent))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=conservative_nets(), seed=st.integers(0, 2 ** 16))
+def test_p_invariants_hold_at_every_firing(net, seed):
+    label = components(net)
+
+    def sums(marking) -> dict[int, int]:
+        total = dict.fromkeys(label, 0)
+        for c, v in zip(label, marking):
+            total[c] += v
+        return total
+
+    want = sums(p.initial_tokens for p in net.places)
+    fired = []
+
+    def check(name, marking, now):
+        assert sums(marking) == want, (name, marking, now)
+        fired.append(name)
+
+    result = simulate_stationary(
+        net, [], SimConfig(batch_count=2, batch_length=10.0, seed=seed),
+        on_fire=check)
+    assert len(fired) == result.event_count
 
 
 # ---------------------------------------------------------------------------

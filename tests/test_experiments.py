@@ -128,6 +128,18 @@ metrics = mrt_s, tp_tps  # optional; default: all
         assert type(spec.sim.max_events) is int
         assert spec.sim.seed == 12345678901234567891  # not rounded to a float
 
+    def test_integrality_is_tested_on_the_exact_decimal(self):
+        # both parse to an integral float, and truncation would accept them
+        for cfg, key, value in (
+                (HlfConfig(), "block_size", "6.9999999999999999"),
+                (SimConfig(), "seed", "9007199254740993.5")):
+            with pytest.raises(SpecError, match=f"^{key} must be an integer"):
+                configure(cfg, [(key, value)])
+        for value, want in (("6", 6), ("6.0", 6), ("6e0", 6),
+                            ("9007199254740993", 9007199254740993)):
+            seed = configure(SimConfig(), [("seed", value)]).seed
+            assert seed == want and type(seed) is int
+
     def test_sweep_and_doe_are_exclusive(self):
         text = SPEC_TEXT + "\n[doe]\nfactors = block_size:1:10\n"
         with pytest.raises(SpecError):
