@@ -138,8 +138,8 @@ class ExperimentSpec:
         if self.doe_response is not None:
             where = "[doe] "
             if self.doe_response not in METRIC_NAMES:
-                raise SpecError(
-                    f"unknown response metric {self.doe_response!r}")
+                raise SpecError("[doe] unknown response metric "
+                                f"{self.doe_response!r}")
             # checked before points() lists 2^k corners
             if not 1 <= len(self.sweep) <= 12:
                 raise SpecError(f"[doe] factors: factor count "
@@ -156,7 +156,7 @@ class ExperimentSpec:
             raise SpecError("[outputs] metrics is empty")
         for i, m in enumerate(self.metrics):
             if m not in METRIC_NAMES:
-                raise SpecError(f"unknown metric {m!r}")
+                raise SpecError(f"[outputs] unknown metric {m!r}")
             if m in self.metrics[:i]:
                 raise SpecError(f"[outputs] metrics lists {m!r} twice")
         for key, name in self.outputs.items():

@@ -1,15 +1,12 @@
 """Exact steady-state analysis of exponential-only nets.
 
 Builds the tangible reachability graph, assembles the CTMC generator, and
-solves pi Q = 0, sum(pi) = 1. Vanishing markings are eliminated on the fly
-(Ajmone Marsan et al., *Modelling with GSPNs*, 1995): after each timed
-firing, a depth-first search over the vanishing markings it leads to
-resolves each of them once, by priority and weight, into a distribution
-over tangible markings and the expected number of firings of each
-immediate transition on the way. Each conflict set comes from a scan the
-compiled net generates: the timed transition's own scan for the first
-step, the scan over all immediates after that. A vanishing loop raises
-LivelockError, even one that is left with probability 1.
+solves pi Q = 0, sum(pi) = 1. Vanishing markings are eliminated on the fly:
+after each timed firing, the engine's resolver (`engine._resolve_vanishing`,
+which the simulator's livelock check uses too), started from that
+transition's own conflict scan, turns the vanishing markings it leads to
+into a distribution over tangible markings and the expected number of
+firings of each immediate on the way. A vanishing loop raises LivelockError.
 
 Generation reads no rate: in an exponential net the means change neither
 the reachable markings nor the immediate branching, so Q = sum over timed
@@ -46,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (CompiledNet, Estimate, LivelockError, Result,
+from .engine import (CompiledNet, Estimate, Result, _resolve_vanishing,
                      compile_net)
 from .net import (Deterministic, ExpectedTokens, Immediate, PetriNet,
                   RewardQuery, SpnError)
@@ -93,89 +90,6 @@ class ExplosionError(SpnError):
 class ExactResult(Result):
     """Each query's exact value, as an Estimate with CI 0."""
     n_states: int
-
-
-# distinct vanishing markings one resolution may visit
-_MAX_VANISHING = 100_000
-
-
-def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
-    """Resolve the vanishing markings reached from m0, each one once.
-
-    Returns (dist, counts): dist maps each tangible marking reached to its
-    probability, counts each immediate transition index to its expected
-    number of firings on the way. `scan` gives m0's conflict set: the
-    `CompiledNet.top_after` entry of the timed transition that led to m0,
-    or `top_all` when None; every later marking is scanned by `top_all`.
-
-    An iterative depth-first search stores each vanishing marking's
-    resolution once it has resolved all its successors, so a marking that
-    many firing orders reach is resolved once. Raises LivelockError, naming
-    the transitions on the loop, when the search reaches a marking it is
-    still expanding, and when it visits more than _MAX_VANISHING distinct
-    vanishing markings."""
-    top_all = cn.top_all
-    key = tuple(m0)
-    cands = (top_all if scan is None else scan)(m0)
-    if not cands:
-        return {key: 1.0}, {}
-    fires = cn.fires
-    weights = cn.weights
-    tangible: set[tuple] = set()
-    memo: dict[tuple, tuple[dict, dict]] = {}
-    # the markings being expanded: [marking, conflict set, total weight,
-    # branches taken, dist, counts], and each one's depth in `path`
-    path = [[key, cands, sum(weights[t] for t in cands), 0, {}, {}]]
-    depth = {key: 0}
-    while True:
-        frame = path[-1]
-        key, cands, total, i, dist, counts = frame
-        if i == len(cands):
-            path.pop()
-            del depth[key]
-            memo[key] = dist, counts
-            if not path:
-                return dist, counts
-            parent = path[-1]
-            tid = parent[1][parent[3] - 1]
-            _add(parent[4], parent[5], weights[tid] / parent[2], dist, counts)
-            continue
-        tid = cands[i]
-        frame[3] = i + 1
-        p = weights[tid] / total
-        counts[tid] = counts.get(tid, 0.0) + p
-        m = list(key)
-        fires[tid](m)
-        key = tuple(m)
-        if key in tangible:
-            dist[key] = dist.get(key, 0.0) + p
-            continue
-        done = memo.get(key)
-        if done is not None:
-            _add(dist, counts, p, *done)
-            continue
-        if key in depth:
-            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
-                                 for f in path[depth[key]:]])
-        cands = top_all(m)
-        if not cands:
-            tangible.add(key)
-            dist[key] = dist.get(key, 0.0) + p
-            continue
-        if len(memo) + len(path) >= _MAX_VANISHING:
-            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
-                                 for f in path])
-        depth[key] = len(path)
-        path.append([key, cands, sum(weights[t] for t in cands), 0, {}, {}])
-
-
-def _add(dist: dict, counts: dict, p: float, sub_dist: dict,
-         sub_counts: dict) -> None:
-    """Add p times a successor's resolution to a marking's."""
-    for mt, q in sub_dist.items():
-        dist[mt] = dist.get(mt, 0.0) + p * q
-    for tid, c in sub_counts.items():
-        counts[tid] = counts.get(tid, 0.0) + p * c
 
 
 def solve_ctmc(net: PetriNet, queries: list[RewardQuery],

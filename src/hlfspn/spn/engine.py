@@ -8,11 +8,10 @@ or a full deterministic delay, per degree unit).
 
 Every firing takes one path through the event loop, from t = 0 on: an
 enabled immediate of highest priority, picked by weight, fires before the
-next timed event, so a vanishing start marking resolves like any other, its
-firings count toward the event cap, and LivelockError names a cycle's
-transitions. The next batch boundary is an entry of the same heap as the
-pending firings; it pops before a firing at the same time, so that firing
-belongs to the next batch.
+next timed event, so a vanishing start marking resolves like any other and
+its firings count toward the event cap. The next batch boundary is an entry
+of the same heap as the pending firings; it pops before a firing at the same
+time, so that firing belongs to the next batch.
 
 Compiling a net does once the work that would otherwise repeat on every
 firing: each transition gets generated enabling-degree and firing code
@@ -26,6 +25,18 @@ immediates its firing can enable when it is timed, since it fires only
 where no immediate is enabled, and over all immediates when it is
 immediate. The simulator and the CTMC generator both take their conflict
 sets from these scans.
+
+Vanishing markings are resolved here for both evaluators (Ajmone Marsan et
+al., *Modelling with GSPNs*, 1995): a depth-first search over the vanishing
+markings reached from a marking resolves each of them once, by priority and
+weight, into a distribution over tangible markings and the expected number
+of firings of each immediate transition on the way. The first conflict set
+comes from the scan it is given, every later one from the scan over all
+immediates. A vanishing loop raises LivelockError, naming the transitions on
+it, even one that is left with probability 1. The CTMC generator resolves
+each timed firing's markings so; the simulator resolves its current marking
+once it has fired _MAX_IMMEDIATE_STEPS immediates in a row, so it reports a
+loop whole, and a finite cascade, however long, runs to its end.
 
 The simulator generates, per transition, the whole step that follows its
 pick: fire it, reconcile the schedule of each timed transition its firing
@@ -79,8 +90,8 @@ from .net import (
 )
 
 _TOKEN_LIMIT = 10 ** 9
-# immediate firings in a row, with no timed firing between them, that count
-# as a livelock
+# immediate firings in a row, with no timed firing between them, after which
+# the simulator checks its marking for a livelock with _resolve_vanishing
 _MAX_IMMEDIATE_STEPS = 10 ** 6
 
 
@@ -446,21 +457,6 @@ def compile_net(net: PetriNet) -> CompiledNet:
     return CompiledNet(net)
 
 
-def _cycle(cn: CompiledNet, m: list[int], rng: random.Random) -> list[str]:
-    """The names of up to 64 immediate firings played from m on a copy of
-    it, with no step, hook or reward: the cycle of a livelock."""
-    m = list(m)
-    names = []
-    for _ in range(64):
-        top = cn.top_all(m)
-        if not top:
-            break
-        tid = _pick(top, cn.weights, rng)
-        cn.fires[tid](m)
-        names.append(cn.trans[tid].name)
-    return names
-
-
 def _pick(top: tuple[int, ...], weights: list[float],
           rng: random.Random) -> int:
     """One transition of the conflict set top, with probability
@@ -475,6 +471,89 @@ def _pick(top: tuple[int, ...], weights: list[float],
         if x < 0.0:
             return tid
     return top[-1]
+
+
+# distinct vanishing markings one resolution may visit
+_MAX_VANISHING = 100_000
+
+
+def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
+    """Resolve the vanishing markings reached from m0, each one once.
+
+    Returns (dist, counts): dist maps each tangible marking reached to its
+    probability, counts each immediate transition index to its expected
+    number of firings on the way. `scan` gives m0's conflict set: the
+    `CompiledNet.top_after` entry of the timed transition that led to m0,
+    or `top_all` when None; every later marking is scanned by `top_all`.
+
+    An iterative depth-first search stores each vanishing marking's
+    resolution once it has resolved all its successors, so a marking that
+    many firing orders reach is resolved once. Raises LivelockError, naming
+    the transitions on the loop, when the search reaches a marking it is
+    still expanding, and when it visits more than _MAX_VANISHING distinct
+    vanishing markings."""
+    top_all = cn.top_all
+    key = tuple(m0)
+    cands = (top_all if scan is None else scan)(m0)
+    if not cands:
+        return {key: 1.0}, {}
+    fires = cn.fires
+    weights = cn.weights
+    tangible: set[tuple] = set()
+    memo: dict[tuple, tuple[dict, dict]] = {}
+    # the markings being expanded: [marking, conflict set, total weight,
+    # branches taken, dist, counts], and each one's depth in `path`
+    path = [[key, cands, sum(weights[t] for t in cands), 0, {}, {}]]
+    depth = {key: 0}
+    while True:
+        frame = path[-1]
+        key, cands, total, i, dist, counts = frame
+        if i == len(cands):
+            path.pop()
+            del depth[key]
+            memo[key] = dist, counts
+            if not path:
+                return dist, counts
+            parent = path[-1]
+            tid = parent[1][parent[3] - 1]
+            _add(parent[4], parent[5], weights[tid] / parent[2], dist, counts)
+            continue
+        tid = cands[i]
+        frame[3] = i + 1
+        p = weights[tid] / total
+        counts[tid] = counts.get(tid, 0.0) + p
+        m = list(key)
+        fires[tid](m)
+        key = tuple(m)
+        if key in tangible:
+            dist[key] = dist.get(key, 0.0) + p
+            continue
+        done = memo.get(key)
+        if done is not None:
+            _add(dist, counts, p, *done)
+            continue
+        if key in depth:
+            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
+                                 for f in path[depth[key]:]])
+        cands = top_all(m)
+        if not cands:
+            tangible.add(key)
+            dist[key] = dist.get(key, 0.0) + p
+            continue
+        if len(memo) + len(path) >= _MAX_VANISHING:
+            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
+                                 for f in path])
+        depth[key] = len(path)
+        path.append([key, cands, sum(weights[t] for t in cands), 0, {}, {}])
+
+
+def _add(dist: dict, counts: dict, p: float, sub_dist: dict,
+         sub_counts: dict) -> None:
+    """Add p times a successor's resolution to a marking's."""
+    for mt, q in sub_dist.items():
+        dist[mt] = dist.get(mt, 0.0) + p * q
+    for tid, c in sub_counts.items():
+        counts[tid] = counts.get(tid, 0.0) + p * c
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +853,10 @@ class _Simulator:
                 tid = top[0] if len(top) == 1 else _pick(top, weights, rng)
                 imm_steps += 1
                 if imm_steps > max_imm:
-                    raise LivelockError(_cycle(cn, m, rng))
+                    # raises LivelockError on a loop; otherwise the cascade
+                    # is acyclic, so it ends within its distinct markings
+                    _resolve_vanishing(cn, m)
+                    imm_steps = 0
             else:
                 # the next live heap entry: a batch boundary or a firing
                 e = pop(heap)

@@ -201,6 +201,16 @@ class TestRun:
      "[sweep] arrival_rate_tps must be finite and positive"),
     ("[base]\narrival_rate_tps = 1e-320\n", ["run"],
      "[base] arrival_rate_tps must be finite and positive"),
+    ("[base]\narrival_rate_tps = 20\n\n[doe]\nfactors = cp:1:2\n"
+     "response = nope\n", ["run"], "[doe] unknown response metric 'nope'"),
+    (TINY_SPEC.replace("metrics = tp_tps, dp_prob", "metrics = mrt_s, nope"),
+     ["run"], "[outputs] unknown metric 'nope'"),
+    (TINY_SPEC.replace("values = 10, 20", "values = 2, x"), ["run"],
+     "[sweep] values: could not convert"),
+    ("[base]\narrival_rate_tps = 20\n\n[doe]\nfactors = cp:2:x\n", ["run"],
+     "[doe] factor 'cp:2:x'"),
+    ("[base]\narrival_rate_tps = 20\n\n[sim]\nmax_events = 0\n", ["run"],
+     "[sim] max_events must be positive"),
 ], ids=["sim-int", "doe-duplicate", "doe-13-factors", "batches",
         "confidence", "sim-nan-length", "sim-nan-warmup", "jobs-0",
         "jobs-negative", "max-states-0", "unknown-section", "unknown-key",
@@ -210,7 +220,8 @@ class TestRun:
         "exponential-inf-timeout", "default-section",
         "default-section-with-sim", "empty-default-section", "no-metrics",
         "repeated-metric", "empty-results", "sweep-inf-rate",
-        "base-tiny-rate"])
+        "base-tiny-rate", "doe-unknown-response", "unknown-metric",
+        "sweep-non-number", "doe-non-number", "sim-max-events-0"])
 def test_malformed_input_exits_with_one_error_line(tmp_path, capsys,
                                                    monkeypatch, spec_text,
                                                    argv, key):

@@ -293,7 +293,7 @@ class TestVanishingResolution:
     def test_unbounded_vanishing_growth_is_capped(self, monkeypatch,
                                                   chains):
         # GROW keeps A and adds a token to B: every marking is new
-        monkeypatch.setattr(ctmc, "_MAX_VANISHING", 1000)
+        monkeypatch.setattr(engine, "_MAX_VANISHING", 1000)
         net = PetriNet(
             places=(Place("S", 1), Place("A", 0), Place("B", 0)),
             transitions=(

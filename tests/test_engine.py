@@ -144,6 +144,19 @@ class TestFire:
         with pytest.raises(ContractViolationError, match="negative"):
             compiled_fire(net, {"A": 0}, "T")
 
+    def test_compiling_an_invalid_net_lists_each_problem(self):
+        net = PetriNet(
+            places=(Place("A", 1),),
+            transitions=(Transition("T", Immediate(),
+                                    input_arcs=(Arc("A"), Arc("A")),
+                                    output_arcs=(Arc("NOPE"),)),))
+        with pytest.raises(ContractViolationError) as exc_info:
+            compile_net(net)
+        message = str(exc_info.value)
+        assert message.startswith("net fails validation: ")
+        assert "multiple input arcs from place 'A'" in message
+        assert "output arc references unknown place 'NOPE'" in message
+
 
 def firings(net, seed=0, batch_length=1.0):
     """The names of the transitions simulate_stationary fires, in order."""
@@ -289,6 +302,53 @@ def test_livelock_names_its_cycle(monkeypatch, start):
         firings(net, batch_length=100.0)
     assert set(exc_info.value.transitions) == {"AB", "BA"}
     assert "cycling transitions: AB, BA" in str(exc_info.value)
+
+
+def test_livelock_names_every_transition_of_a_long_loop(monkeypatch):
+    # a token circles a ring of 70 immediates
+    monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
+    n = 70
+    net = PetriNet(
+        places=tuple(Place(f"P{i}", int(i == 0)) for i in range(n)),
+        transitions=tuple(
+            Transition(f"R{i}", Immediate(), input_arcs=(Arc(f"P{i}"),),
+                       output_arcs=(Arc(f"P{(i + 1) % n}"),))
+            for i in range(n)))
+    with pytest.raises(LivelockError) as exc_info:
+        firings(net)
+    assert sorted(exc_info.value.transitions) == sorted(
+        f"R{i}" for i in range(n))
+
+
+def test_finite_cascade_longer_than_the_check_runs_to_its_end(monkeypatch):
+    # 150 DRAIN firings in a row at t = 0, past a check after 100
+    monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
+    net = PetriNet(
+        places=(Place("A", 150), Place("B", 0)),
+        transitions=(
+            Transition("DRAIN", Immediate(), input_arcs=(Arc("A"),),
+                       output_arcs=(Arc("B"),)),
+        ))
+    queries = [ExpectedTokens("A"), ExpectedTokens("B")]
+    res = simulate_stationary(net, queries, SimConfig(batch_count=2))
+    assert res.event_count == 150
+    assert [res.value(q) for q in queries] == [0.0, 150.0]
+
+
+def test_unbounded_immediate_growth_is_a_livelock(monkeypatch):
+    # GROW keeps A and adds a token to B: every marking is new, so the
+    # check stops at the resolver's cap on distinct markings
+    monkeypatch.setattr(engine, "_MAX_IMMEDIATE_STEPS", 100)
+    monkeypatch.setattr(engine, "_MAX_VANISHING", 1000)
+    net = PetriNet(
+        places=(Place("A", 1), Place("B", 0)),
+        transitions=(
+            Transition("GROW", Immediate(), input_arcs=(Arc("A"),),
+                       output_arcs=(Arc("A"), Arc("B"))),
+        ))
+    with pytest.raises(LivelockError) as exc_info:
+        firings(net)
+    assert set(exc_info.value.transitions) == {"GROW"}
 
 
 def test_vanishing_start_marking_matches_the_exact_solution():
@@ -1113,7 +1173,8 @@ handle = build_hlf_net(HlfConfig(block_size=2).with_arrival_rate(20.0))
 res = simulate_stationary(handle.net, standard_queries(handle), SimConfig(
     warmup_time=1.0, batch_count=3, batch_length=2.0, seed=1))
 metric_report(res, handle)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0]
+             in ("scipy", "multiprocessing", "concurrent")))
 sys.path.insert(0, {tests!r})
 from refnets import mm1k_net
 from hlfspn.spn import ExpectedTokens
@@ -1123,6 +1184,7 @@ print("scipy" in sys.modules)
 
 
 def test_simulation_path_does_not_import_scipy():
+    # nor the process pool that only a parallel sweep uses
     code = _SIMULATE_WITHOUT_SCIPY.format(tests=str(Path(__file__).parent))
     src = str(Path(engine.__file__).resolve().parents[2])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

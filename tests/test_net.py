@@ -181,10 +181,11 @@ class TestValidation:
         assert any("'X'" in msg for msg in messages)
 
     def test_multiple_arcs_between_same_pair(self):
-        net = two_place_net(
-            Transition("T", Immediate(),
-                       input_arcs=(Arc("A"), Arc("A", 2))))
-        assert any("multiple input arcs" in d for d in validate_net(net))
+        for side in ("input", "output"):
+            arcs = {f"{side}_arcs": (Arc("A"), Arc("A", 2))}
+            net = two_place_net(Transition("T", Immediate(), **arcs))
+            assert any(f"multiple {side} arcs" in d
+                       for d in validate_net(net)), side
 
     def test_flushed_output_requires_flush_all_input(self):
         net = two_place_net(
