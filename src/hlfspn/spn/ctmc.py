@@ -114,9 +114,8 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
                     f"deterministic transition {t.name!r} is not supported "
                     "by the CTMC solver")
     cn = compile_net(net) if ch is None else ch.cn
-    rate_rewards, slots = cn.reward_slots(queries)
-    # the places each rate reward reads; an unknown one raises here
-    reads = [cn.reward_source(q)[1] for q in rate_rewards]
+    # every query compiled once; an unknown place or transition raises here
+    rates, slots = cn.reward_plan(queries)
     if ch is None:
         ch = _generate(cn, max_states)
         cached = sum(len(c.marks) for c in _chains.values())
@@ -138,12 +137,12 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
     # rate rewards: pi @ S for the token counts, pi @ h for a probability
     expected = pi @ ch.marks
     values = []
-    for q, places in zip(rate_rewards, reads):
+    for q, expr, places in rates:
         if isinstance(q, ExpectedTokens):
             values.append(float(expected[places[0]]))
             continue
         if q not in ch.indicators:
-            holds = cn.rewards([q])
+            holds = cn.rewards([(q, expr, places)])
             h = np.fromiter((holds(row.tolist())[0] for row in ch.marks),
                             bool, n)
             h.flags.writeable = False  # later solves share it, as in _generate

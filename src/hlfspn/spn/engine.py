@@ -32,11 +32,12 @@ markings reached from a marking resolves each of them once, by priority and
 weight, into a distribution over tangible markings and the expected number
 of firings of each immediate transition on the way. The first conflict set
 comes from the scan it is given, every later one from the scan over all
-immediates. A vanishing loop raises LivelockError, naming the transitions on
-it, even one that is left with probability 1. The CTMC generator resolves
-each timed firing's markings so; the simulator resolves its current marking
-once it has fired _MAX_IMMEDIATE_STEPS immediates in a row, so it reports a
-loop whole, and a finite cascade, however long, runs to its end.
+immediates. A vanishing loop raises LivelockError, naming each transition on
+it once, even one that is left with probability 1; so does a search past
+_MAX_VANISHING distinct vanishing markings, even of a finite cascade. The
+CTMC generator resolves each timed firing's markings so; the simulator its
+current marking once it has fired _MAX_IMMEDIATE_STEPS immediates in a row,
+so it reports a loop whole.
 
 The simulator generates, per transition, the whole step that follows its
 pick: fire it, reconcile the schedule of each timed transition its firing
@@ -102,10 +103,10 @@ class ContractViolationError(SpnError):
 
 class LivelockError(SpnError):
     def __init__(self, transitions: Sequence[str]):
-        self.transitions = list(transitions)
+        self.transitions = list(dict.fromkeys(transitions))
         super().__init__(
             "immediate-transition livelock; cycling transitions: "
-            + ", ".join(sorted(set(self.transitions))))
+            + ", ".join(sorted(self.transitions)))
 
 
 class DivergenceError(SpnError):
@@ -406,49 +407,43 @@ class CompiledNet:
             return f"(not {self._predicate_source(pred.operand)})"
         raise TypeError(f"not a predicate: {pred!r}")
 
-    def reward_source(self, query: RewardQuery
-                      ) -> tuple[str, tuple[int, ...]]:
-        """A rate reward as a Python expression over the marking m, and the
-        places it reads: `m[i]` for ExpectedTokens, and for ProbabilityOf 1
-        or 0 as its predicate holds or not, an int so that the time
-        integrals stay Python floats. Raises ContractViolationError for an
-        unknown place and TypeError for anything else, a FiringRate (an
-        impulse reward) included."""
-        if isinstance(query, ExpectedTokens):
-            p = self.place_id(query.place)
-            return f"m[{p:d}]", (p,)
-        if isinstance(query, ProbabilityOf):
-            pred = query.predicate
-            return (f"(1 if {self._predicate_source(pred)} else 0)",
-                    tuple(sorted(map(self.place_id, predicate_places(pred)))))
-        raise TypeError(f"not a rate reward query: {query!r}")
-
-    def rewards(self, queries: Sequence[RewardQuery]
-                ) -> Callable[[list[int]], tuple]:
-        """Rate rewards compiled to one function of the marking m that
-        returns their values, in order."""
-        body = "".join(self.reward_source(q)[0] + ", " for q in queries)
-        return eval(f"lambda m: ({body})", {})
-
-    def reward_slots(self, queries: Sequence[RewardQuery]
-                     ) -> tuple[list[RewardQuery],
-                                dict[RewardQuery, tuple[bool, int]]]:
-        """The distinct queries, each with its slot (is_rate, index): a
-        FiringRate is an impulse reward, indexed by its transition; any
-        other query is a rate reward, indexed by its place in the returned
-        list of rate rewards. Raises ContractViolationError for an unknown
-        transition."""
-        rates: list[RewardQuery] = []
+    def reward_plan(self, queries: Sequence[RewardQuery]
+                    ) -> tuple[list[tuple], dict[RewardQuery, tuple]]:
+        """The distinct queries, each compiled once: the rate rewards as a
+        list of (query, expression, places), the expression over the
+        marking m reading those places (`m[i]` for ExpectedTokens; for
+        ProbabilityOf 1 or 0 as its predicate holds, an int so that time
+        integrals stay Python floats), and each query's slot (is_rate,
+        index): its place in that list, or a FiringRate's transition.
+        Raises ContractViolationError for an unknown place or transition
+        and TypeError for anything that is not a query."""
+        rates: list[tuple[RewardQuery, str, tuple[int, ...]]] = []
         slots: dict[RewardQuery, tuple[bool, int]] = {}
         for q in queries:
             if q in slots:
                 continue
             if isinstance(q, FiringRate):
                 slots[q] = (False, self.transition_id(q.transition))
+                continue
+            if isinstance(q, ExpectedTokens):
+                p = self.place_id(q.place)
+                expr, places = f"m[{p:d}]", (p,)
+            elif isinstance(q, ProbabilityOf):
+                pred = q.predicate
+                expr = f"(1 if {self._predicate_source(pred)} else 0)"
+                places = tuple(sorted(map(self.place_id,
+                                          predicate_places(pred))))
             else:
-                slots[q] = (True, len(rates))
-                rates.append(q)
+                raise TypeError(f"not a reward query: {q!r}")
+            slots[q] = (True, len(rates))
+            rates.append((q, expr, places))
         return rates, slots
+
+    def rewards(self, rates: Sequence[tuple]) -> Callable[[list], tuple]:
+        """The rate rewards of a plan (`reward_plan`) compiled to one
+        function of the marking m that returns their values, in order."""
+        body = "".join(expr + ", " for _, expr, _ in rates)
+        return eval(f"lambda m: ({body})", {})
 
 
 def compile_net(net: PetriNet) -> CompiledNet:
@@ -488,10 +483,10 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
 
     An iterative depth-first search stores each vanishing marking's
     resolution once it has resolved all its successors, so a marking that
-    many firing orders reach is resolved once. Raises LivelockError, naming
-    the transitions on the loop, when the search reaches a marking it is
-    still expanding, and when it visits more than _MAX_VANISHING distinct
-    vanishing markings."""
+    many firing orders reach is resolved once. Raises LivelockError from
+    one site: naming the transitions on the loop when the search reaches a
+    marking it is still expanding, and those on its path when it visits
+    more than _MAX_VANISHING distinct vanishing markings."""
     top_all = cn.top_all
     key = tuple(m0)
     cands = (top_all if scan is None else scan)(m0)
@@ -532,19 +527,20 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
         if done is not None:
             _add(dist, counts, p, *done)
             continue
-        if key in depth:
-            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
-                                 for f in path[depth[key]:]])
-        cands = top_all(m)
-        if not cands:
-            tangible.add(key)
-            dist[key] = dist.get(key, 0.0) + p
-            continue
-        if len(memo) + len(path) >= _MAX_VANISHING:
-            raise LivelockError([cn.trans[f[1][f[3] - 1]].name
-                                 for f in path])
-        depth[key] = len(path)
-        path.append([key, cands, sum(weights[t] for t in cands), 0, {}, {}])
+        at = depth.get(key)  # where a loop closes on the path
+        if at is None:
+            cands = top_all(m)
+            if not cands:
+                tangible.add(key)
+                dist[key] = dist.get(key, 0.0) + p
+                continue
+            if len(memo) + len(path) < _MAX_VANISHING:
+                depth[key] = len(path)
+                path.append([key, cands, sum(weights[t] for t in cands), 0,
+                             {}, {}])
+                continue
+            at = 0
+        raise LivelockError([cn.trans[f[1][f[3] - 1]].name for f in path[at:]])
 
 
 def _add(dist: dict, counts: dict, p: float, sub_dist: dict,
@@ -729,7 +725,7 @@ class _Simulator:
         # a rate reward's time integral since the batch began and the time
         # it was last settled, both indexed as in `rates`; the firings of
         # each transition with an impulse reward
-        rates, self.slots = cn.reward_slots(queries)
+        rates, self.slots = cn.reward_plan(queries)
         self.rewards = cn.rewards(rates)
         self.ra = [0.0] * len(rates)
         self.rl = [0.0] * len(rates)
@@ -744,7 +740,7 @@ class _Simulator:
         self.sched: list[list[list]] = [[] for _ in cn.trans]
         self.start, self.steps = self._generate_steps(net, rates)
 
-    def _generate_steps(self, net: PetriNet, rates: list[RewardQuery]
+    def _generate_steps(self, net: PetriNet, rates: list[tuple]
                         ) -> tuple[Callable, list[Callable]]:
         """`_S(m, now)`, which schedules every timed transition at the
         start, and one `_S<i>(m, now)` per transition i: the whole step
@@ -784,11 +780,8 @@ class _Simulator:
                 ns[f"L{j:d}"] = 1.0 / kind.mean_delay
             else:
                 ns[f"W{j:d}"] = kind.delay
-        exprs = []
         readers: list[list[int]] = [[] for _ in range(cn.n_places)]
-        for k, q in enumerate(rates):
-            expr, places = cn.reward_source(q)
-            exprs.append(expr)
+        for k, (_, _, places) in enumerate(rates):
             for p in places:
                 readers[p].append(k)
         counted = {i for is_rate, i in self.slots.values() if not is_rate}
@@ -804,7 +797,7 @@ class _Simulator:
                 body.append(f"if not ({_enabled_source(ct)}): "
                             f"raise _unsound({i:d})")
             for k in dict.fromkeys(k for p in ct.touched for k in readers[p]):
-                body += [f"ra[{k:d}] += {exprs[k]} * (now - rl[{k:d}])",
+                body += [f"ra[{k:d}] += {rates[k][1]} * (now - rl[{k:d}])",
                          f"rl[{k:d}] = now"]
             body += _fire_body(ct)
             for p in ct.touched:
@@ -853,8 +846,8 @@ class _Simulator:
                 tid = top[0] if len(top) == 1 else _pick(top, weights, rng)
                 imm_steps += 1
                 if imm_steps > max_imm:
-                    # raises LivelockError on a loop; otherwise the cascade
-                    # is acyclic, so it ends within its distinct markings
+                    # raises LivelockError on a loop or past _MAX_VANISHING
+                    # markings; otherwise the cascade ends within them
                     _resolve_vanishing(cn, m)
                     imm_steps = 0
             else:

@@ -128,6 +128,10 @@ class Immediate:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not self.priority % 1 == 0:  # NaN and inf fail too
+            raise ValueError(f"immediate priority must be an integer, "
+                             f"got {self.priority}")
+        object.__setattr__(self, "priority", int(self.priority))
         if not 0 < self.weight < math.inf:  # NaN fails too
             raise ValueError("immediate weight must be finite and positive")
 

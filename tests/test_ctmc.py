@@ -304,7 +304,7 @@ class TestVanishingResolution:
             ))
         with pytest.raises(LivelockError) as info:
             solve_ctmc(net, [])
-        assert set(info.value.transitions) == {"GROW"}
+        assert info.value.transitions == ["GROW"]
 
 
 def naive_resolve(cn, m0: list[int], max_steps: int = 10 ** 6):
@@ -477,7 +477,8 @@ def test_compound_predicates_sum_pi_over_the_markings_where_they_hold(
                         lambda *a: solved.append(real(*a)) or solved[-1])
     res = solve_ctmc(net, queries)
     (ch,), (pi,) = chains.values(), solved
-    reward = compile_net(net).rewards(queries)
+    cn = compile_net(net)
+    reward = cn.rewards(cn.reward_plan(queries)[0])
     want = [sum(p * v[k] for p, v in zip(pi.tolist(),
                                          map(reward, ch.marks.tolist())))
             for k in range(len(queries))]

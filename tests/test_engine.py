@@ -348,7 +348,7 @@ def test_unbounded_immediate_growth_is_a_livelock(monkeypatch):
         ))
     with pytest.raises(LivelockError) as exc_info:
         firings(net)
-    assert set(exc_info.value.transitions) == {"GROW"}
+    assert exc_info.value.transitions == ["GROW"]
 
 
 def test_vanishing_start_marking_matches_the_exact_solution():
@@ -560,7 +560,8 @@ def test_compiled_predicate_matches_eval_predicate(pred, tokens):
     cn = compile_net(net)
     m = tokens + [1]
     want = eval_predicate(pred, dict(zip(place_names, tokens)))
-    assert cn.rewards([ProbabilityOf(pred)])(m) == (int(want),)
+    rates, _ = cn.reward_plan([ProbabilityOf(pred)])
+    assert cn.rewards(rates)(m) == (int(want),)
     assert [d(m) for d in cn.degrees] == [int(want)] * 2
 
 
@@ -570,8 +571,9 @@ def test_guard_and_reward_source_hold_literals_and_place_indices():
                                                Atom("B", "<", "A"))),))
     cn = compile_net(net)
     assert cn.trans[0].guard == "(m[0] >= 4 and m[1] < m[0])"
-    assert cn.reward_source(ProbabilityOf(Atom("B", "=", 2.0))) == \
-        ("(1 if m[1] == 2 else 0)", (1,))
+    ((_, expr, places),), _ = cn.reward_plan(
+        [ProbabilityOf(Atom("B", "=", 2.0))])
+    assert (expr, places) == ("(1 if m[1] == 2 else 0)", (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -808,12 +810,13 @@ class TestStationarySimulation:
 
     @pytest.mark.parametrize("query", [
         ExpectedTokens("NOPE"), FiringRate("NOPE"),
-        ProbabilityOf(Atom("NOPE", "=", 0))],
-        ids=["tokens", "rate", "probability"])
+        ProbabilityOf(Atom("NOPE", "=", 0)), "Q"],
+        ids=["tokens", "rate", "probability", "not-a-query"])
     @pytest.mark.parametrize("evaluator", ["simulate", "solve"])
     def test_unknown_query_targets_raise(self, evaluator, query):
         net = mm1k_net(8.0, 10.0, 5)
-        with pytest.raises(ContractViolationError):
+        error = TypeError if query == "Q" else ContractViolationError
+        with pytest.raises(error):
             if evaluator == "simulate":
                 run(net, [query], batch_count=2, batch_length=1.0)
             else:
@@ -867,6 +870,24 @@ class TestQuerySets:
             assert res.value(FiringRate("T")) == pytest.approx(2.0, rel=0.15)
         for q in rates if kinds == "all" else []:
             assert res.value(q) == pytest.approx(1.0, rel=1e-12)
+
+    def test_a_predicate_is_compiled_once_per_evaluation(self, evaluator,
+                                                         monkeypatch):
+        # the one reward plan compiles each query once: per simulation, per
+        # cold solve and per cached solve (whose indicator is kept)
+        pred = Atom("Q", ">=", 2)
+        seen = []
+        real = engine.CompiledNet._predicate_source
+        monkeypatch.setattr(engine.CompiledNet, "_predicate_source",
+                            lambda cn, p: seen.append(p) or real(cn, p))
+        monkeypatch.setattr(ctmc, "_chains", {})
+        net = mm1k_net(8.0, 10.0, 5)
+        queries = [ExpectedTokens("Q"), ProbabilityOf(pred),
+                   FiringRate("SERVE")]
+        for _ in range(2):
+            evaluate(evaluator, net, queries)
+            assert seen.count(pred) == 1
+            seen.clear()
 
 
 # simulate_stationary on the exponential-arrival criterion-1 configuration,

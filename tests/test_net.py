@@ -95,6 +95,18 @@ class TestConstruction:
             Deterministic(math.nan)
         assert Deterministic(math.inf).delay == math.inf  # never fires
 
+    def test_non_integral_priority_rejected(self):
+        # a NaN priority compares false with every other, so the conflict
+        # set it joined depended on which transition the net listed first
+        for priority in (math.nan, math.inf, 1.5):
+            with pytest.raises(ValueError, match="immediate priority"):
+                Immediate(priority=priority)
+        # stored as an int, as a guard threshold is
+        for priority in (2.0, np.int64(2)):
+            kind = Immediate(priority=priority)
+            assert type(kind.priority) is int
+            assert kind == Immediate(priority=2)
+
     def test_initial_marking(self):
         cn = CompiledNet(two_place_net())
         assert cn.place_names == ["A", "B"]
@@ -107,7 +119,8 @@ def holds(pred, tokens) -> int:
     cn = CompiledNet(PetriNet(
         places=tuple(Place(name, k) for name, k in tokens.items()),
         transitions=()))
-    (value,) = cn.rewards([ProbabilityOf(pred)])(cn.initial)
+    (value,) = cn.rewards(cn.reward_plan([ProbabilityOf(pred)])[0])(
+        cn.initial)
     return value
 
 
