@@ -11,10 +11,12 @@ firings of each immediate on the way. A vanishing loop raises LivelockError.
 Generation reads no rate: in an exponential net the means change neither
 the reachable markings nor the immediate branching, so Q = sum over timed
 t of (1 / mean_t) B_t (Stewart, *Introduction to the Numerical Solution of
-Markov Chains*, 1994). It yields the tangible states and, for each
-generator and firing-rate triplet, the timed transition t that fired, its
-degree d and the probability or expected count p; a solve computes each
-rate as (d / mean_t) * p, the float a generation with rates would give.
+Markov Chains*, 1994). It yields the tangible states, each timed firing's
+transition t and degree d, and, for each generator triplet and each
+immediate's firing-rate triplet, the firing it stems from and the
+probability or expected count p; a solve computes each rate as
+(d / mean_t) * p, the float a generation with rates would give. Its
+triplets go to typed buffers that numpy reads in place.
 Generated chains stay in a small cache keyed on the net's structure, oldest
 first, each with its compiled net, so a solve at other rates of a
 structure solved before skips compilation and generation and reads only
@@ -33,8 +35,9 @@ probability is pi @ h, h its predicate's 0/1 value on each marking, kept
 with the chain once computed. Impulse rewards are the firing rates,
 immediates' included.
 
-scipy is imported by the first solve, not with the module, so that the
-simulator never loads it.
+scipy is imported by the first solve and `array`, a shared library too, by
+the first generation, not with the module, so that the simulator never
+loads them.
 """
 
 from __future__ import annotations
@@ -148,11 +151,16 @@ def solve_ctmc(net: PetriNet, queries: list[RewardQuery],
             h.flags.writeable = False  # later solves share it, as in _generate
             ch.indicators[q] = h
         values.append(float(pi @ ch.indicators[q]))
-    # impulse rewards: each transition's firing rate
-    firing = np.bincount(ch.f_tids,
-                         weights=pi[ch.f_rows] * (rate[ch.f_src]
-                                                  * ch.f_counts),
-                         minlength=len(cn.trans))
+    # impulse rewards: each transition's firing rate, a timed one's from
+    # its firings and an immediate's from its counts; no bin is in both, so
+    # their sum adds only zeros
+    n_trans = len(cn.trans)
+    firing = np.bincount(ch.tids, weights=pi[ch.firing_rows] * rate,
+                         minlength=n_trans)
+    firing += np.bincount(ch.f_tids,
+                          weights=pi[ch.f_rows] * (rate[ch.f_src]
+                                                   * ch.f_counts),
+                          minlength=n_trans)
     estimates = {q: Estimate(float((values if is_rate else firing)[i]), 0.0)
                  for q, (is_rate, i) in slots.items()}
     return ExactResult(estimates=estimates, n_states=n)
@@ -163,17 +171,20 @@ class _Chain:
     """The tangible chain of one net structure, free of rates, and its
     CompiledNet.
 
-    Timed firing k, of transition tids[k] with degree degrees[k] (1 for a
-    single server), has rate degrees[k] / mean. Each generator triplet
-    (rows, cols) and each firing-rate triplet (f_rows, f_tids) stems from
-    the timed firing src or f_src, with probability probs or expected count
-    f_counts; its rate is the firing's times that. A timed firing's own
-    firing-rate triplet has count 1. Row i of marks is tangible state i's
-    marking, in the smallest integer dtype that holds every token count.
-    pattern is the sparsity of the matrix every solve of the chain
-    assembles (`_pattern`)."""
+    Timed firing k, of transition tids[k] from state firing_rows[k] with
+    degree degrees[k] (1 for a single server), has rate degrees[k] / mean,
+    which is also that transition's firing-rate contribution: a timed
+    firing is stored once, with no firing-rate triplet of its own. Each
+    generator triplet (rows, cols) and each immediate's firing-rate triplet
+    (f_rows, f_tids) stems from the timed firing src or f_src, with
+    probability probs or expected count f_counts; its rate is the firing's
+    times that. Row i of marks is tangible state i's marking, in the
+    smallest integer dtype that holds every token count. pattern is the
+    sparsity of the matrix every solve of the chain assembles
+    (`_pattern`)."""
     cn: CompiledNet
     marks: np.ndarray
+    firing_rows: np.ndarray
     tids: np.ndarray
     degrees: np.ndarray
     rows: np.ndarray
@@ -193,10 +204,11 @@ class _Chain:
 # while they and its chain would hold more than _CACHED_STATES states, and a
 # hit moves none, since a sweep reuses a structure on consecutive points or
 # cycles through structures, where recency order evicts the same chains. On
-# the benchmark's HLF nets a chain holds 0.7 kB per state (a 23-byte marking
-# row, about 60 array entries and 170 bytes of pattern; tracemalloc: 4.0 MB
-# for 5,768 states, 1.0 MB of it the pattern), so the cache holds about
-# 70 MB at most, or the one chain of a larger structure
+# the benchmark's HLF nets a chain holds about 0.6 kB per state (a 23-byte
+# marking row, about 48 array entries and 170 bytes of pattern; tracemalloc:
+# 3.4 MB for 5,768 states, 1.0 MB of it the pattern), and 0.7 kB on the
+# 10,240-state 2x2 net, so the cache holds about 60-70 MB at most, or the
+# one chain of a larger structure
 _CACHED_STATES = 100_000
 _chains: dict[tuple, _Chain] = {}
 
@@ -216,24 +228,21 @@ def _generate(cn: CompiledNet, max_states: int) -> _Chain:
     """The tangible reachability graph of cn, from its initial marking,
     with each timed firing's vanishing markings resolved on the fly, and
     the pattern of its generator."""
+    from array import array
     timed = [(ct.idx, cn.degrees[ct.idx], cn.fires[ct.idx], ct.infinite,
               cn.top_after[ct.idx])
              for ct in cn.trans if not ct.immediate]
 
     index: dict[tuple, int] = {}
     states: list[tuple] = []
+    # typed buffers, read by numpy in place at the end: no Python int or
+    # float per entry, and no copy
     # timed firings (state, transition, degree)
-    firing_rows: list[int] = []
-    tids: list[int] = []
-    degrees: list[int] = []
+    firing_rows, tids, degrees = array("q"), array("q"), array("d")
     # generator off-diagonal triplets (state, firing, probability)
-    cols: list[int] = []
-    src: list[int] = []
-    probs: list[float] = []
-    # firing-rate triplets (transition, firing, count), immediates included
-    f_tids: list[int] = []
-    f_src: list[int] = []
-    f_counts: list[float] = []
+    cols, src, probs = array("q"), array("q"), array("d")
+    # immediates' firing-rate triplets (transition, firing, expected count)
+    f_tids, f_src, f_counts = array("q"), array("q"), array("d")
 
     def intern(mt: tuple) -> int:
         i = index.get(mt)
@@ -261,9 +270,6 @@ def _generate(cn: CompiledNet, max_states: int) -> _Chain:
             firing_rows.append(i)
             tids.append(tid)
             degrees.append(d)
-            f_tids.append(tid)
-            f_src.append(k)
-            f_counts.append(1.0)
             m2 = list(m)
             fire(m2)
             dist, counts = _resolve_vanishing(cn, m2, scan)
@@ -277,24 +283,28 @@ def _generate(cn: CompiledNet, max_states: int) -> _Chain:
                 f_counts.append(c)
         i += 1
 
-    def frozen(xs, dtype=np.int64) -> np.ndarray:
+    def frozen(a: np.ndarray) -> np.ndarray:
         # the cache hands these to every later solve: none may write them
-        a = np.array(xs, dtype=dtype)
         a.flags.writeable = False
         return a
 
-    marks = np.array(states, dtype=np.int64).reshape(len(states),
-                                                     len(cn.initial))
-    marks = frozen(marks, np.min_scalar_type(marks.max(initial=0)))
-    firing_rows = np.array(firing_rows, dtype=np.int64)
-    src, f_src = frozen(src), frozen(f_src)
-    rows, cols = frozen(firing_rows[src]), frozen(cols)
-    return _Chain(cn=cn, marks=marks, tids=frozen(tids),
-                  degrees=frozen(degrees, float), rows=rows, cols=cols,
-                  src=src, probs=frozen(probs, float),
-                  f_rows=frozen(firing_rows[f_src]), f_tids=frozen(f_tids),
-                  f_src=f_src, f_counts=frozen(f_counts, float),
-                  pattern=_pattern(len(states), rows, cols))
+    def view(buf) -> np.ndarray:
+        return frozen(np.frombuffer(buf, buf.typecode))  # int64 or float64
+
+    n = len(states)
+    marks = np.array(states, dtype=np.int64).reshape(n, len(cn.initial))
+    marks = frozen(marks.astype(np.min_scalar_type(marks.max(initial=0))))
+    # S holds the markings now: free their tuples before the pattern's sort
+    index.clear()
+    states.clear()
+    firing_rows, src, f_src = view(firing_rows), view(src), view(f_src)
+    rows, cols = frozen(firing_rows[src]), view(cols)
+    return _Chain(cn=cn, marks=marks, firing_rows=firing_rows,
+                  tids=view(tids), degrees=view(degrees), rows=rows,
+                  cols=cols, src=src, probs=view(probs),
+                  f_rows=frozen(firing_rows[f_src]), f_tids=view(f_tids),
+                  f_src=f_src, f_counts=view(f_counts),
+                  pattern=_pattern(n, rows, cols))
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,17 @@ immediate. The simulator and the CTMC generator both take their conflict
 sets from these scans.
 
 Vanishing markings are resolved here for both evaluators (Ajmone Marsan et
-al., *Modelling with GSPNs*, 1995): a depth-first search over the vanishing
-markings reached from a marking resolves each of them once, by priority and
-weight, into a distribution over tangible markings and the expected number
-of firings of each immediate transition on the way. The first conflict set
-comes from the scan it is given, every later one from the scan over all
-immediates. A vanishing loop raises LivelockError, naming each transition on
-it once, even one that is left with probability 1; so does a search past
-_MAX_VANISHING distinct vanishing markings, even of a finite cascade. The
+al., *Modelling with GSPNs*, 1995) into a distribution over tangible
+markings and the expected number of firings of each immediate transition on
+the way. One-member conflict sets are followed in a plain loop, each step
+fired in place with probability 1; from the first marking with a real
+choice, a depth-first search resolves each vanishing marking once, by
+priority and weight. The first conflict set comes from the scan it is
+given, every later one from the scan over all immediates. A vanishing loop,
+also one back into the one-member prefix, raises LivelockError, naming each
+transition on it once, even one that is left with probability 1; so does a
+resolution past _MAX_VANISHING distinct vanishing markings, prefix
+included, even of a finite cascade. The
 CTMC generator resolves each timed firing's markings so; the simulator its
 current marking once it has fired _MAX_IMMEDIATE_STEPS immediates in a row,
 so it reports a loop whole.
@@ -480,27 +483,57 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
     number of firings on the way. `scan` gives m0's conflict set: the
     `CompiledNet.top_after` entry of the timed transition that led to m0,
     or `top_all` when None; every later marking is scanned by `top_all`.
+    m0 is not modified.
 
-    An iterative depth-first search stores each vanishing marking's
-    resolution once it has resolved all its successors, so a marking that
-    many firing orders reach is resolved once. Raises LivelockError from
-    one site: naming the transitions on the loop when the search reaches a
-    marking it is still expanding, and those on its path when it visits
-    more than _MAX_VANISHING distinct vanishing markings."""
+    While the conflict set has one member, that member fires with
+    probability 1, so a plain loop fires it in place and counts it. From
+    the first marking with a real choice, an iterative depth-first search
+    stores each vanishing marking's resolution once it has resolved all its
+    successors, so a marking that many firing orders reach is resolved
+    once. Both register the markings they expand, so a loop back into the
+    prefix is a loop of the search. Raises LivelockError from one site:
+    naming the transitions on the loop when a marking being expanded is
+    reached again, and those on the path past _MAX_VANISHING distinct
+    vanishing markings."""
     top_all = cn.top_all
     key = tuple(m0)
     cands = (top_all if scan is None else scan)(m0)
     if not cands:
         return {key: 1.0}, {}
     fires = cn.fires
+    # the markings being expanded, each with its position on the path: the
+    # one-member prefix's steps (`fired`), then the search's frames (`path`)
+    depth: dict[tuple, int] = {}
+    fired: list[int] = []
+    prefix_counts: dict[int, float] = {}
+    m = list(m0)
+    at = None
+    while len(cands) == 1:
+        depth[key] = len(fired)
+        tid = cands[0]
+        fired.append(tid)
+        prefix_counts[tid] = prefix_counts.get(tid, 0.0) + 1.0
+        fires[tid](m)
+        key = tuple(m)
+        at = depth.get(key)  # where a loop closes on the path
+        if at is None:
+            cands = top_all(m)
+            if not cands:
+                return {key: 1.0}, prefix_counts
+            if len(depth) < _MAX_VANISHING:
+                continue
+            at = 0
+        break
     weights = cn.weights
     tangible: set[tuple] = set()
     memo: dict[tuple, tuple[dict, dict]] = {}
-    # the markings being expanded: [marking, conflict set, total weight,
-    # branches taken, dist, counts], and each one's depth in `path`
-    path = [[key, cands, sum(weights[t] for t in cands), 0, {}, {}]]
-    depth = {key: 0}
-    while True:
+    # each frame: [marking, conflict set, total weight, branches taken,
+    # dist, counts]
+    path: list[list] = []
+    if at is None:  # the search starts at the first real choice
+        depth[key] = len(fired)
+        path.append([key, cands, sum(weights[t] for t in cands), 0, {}, {}])
+    while at is None:
         frame = path[-1]
         key, cands, total, i, dist, counts = frame
         if i == len(cands):
@@ -508,7 +541,13 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
             del depth[key]
             memo[key] = dist, counts
             if not path:
-                return dist, counts
+                # each prefix step adds 1.0 to the search's count in turn,
+                # as a search from m0 would, so that the floats match
+                for tid, c in counts.items():
+                    for _ in range(int(prefix_counts.get(tid, 0.0))):
+                        c += 1.0
+                    prefix_counts[tid] = c
+                return dist, prefix_counts
             parent = path[-1]
             tid = parent[1][parent[3] - 1]
             _add(parent[4], parent[5], weights[tid] / parent[2], dist, counts)
@@ -527,20 +566,22 @@ def _resolve_vanishing(cn: CompiledNet, m0: list[int], scan=None):
         if done is not None:
             _add(dist, counts, p, *done)
             continue
-        at = depth.get(key)  # where a loop closes on the path
+        at = depth.get(key)
         if at is None:
             cands = top_all(m)
             if not cands:
                 tangible.add(key)
                 dist[key] = dist.get(key, 0.0) + p
                 continue
-            if len(memo) + len(path) < _MAX_VANISHING:
-                depth[key] = len(path)
+            if len(depth) + len(memo) < _MAX_VANISHING:
+                depth[key] = len(fired) + len(path)
                 path.append([key, cands, sum(weights[t] for t in cands), 0,
                              {}, {}])
                 continue
             at = 0
-        raise LivelockError([cn.trans[f[1][f[3] - 1]].name for f in path[at:]])
+    tids = fired[at:] + [f[1][f[3] - 1]
+                         for f in path[max(at - len(fired), 0):]]
+    raise LivelockError([cn.trans[t].name for t in tids])
 
 
 def _add(dist: dict, counts: dict, p: float, sub_dist: dict,

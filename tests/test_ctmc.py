@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from functools import partial, reduce
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,61 @@ class TestVanishingResolution:
             solve_ctmc(net, [])
         assert set(info.value.transitions) == {"AB", "BA"}
 
+    @pytest.mark.parametrize("moves,loop", [
+        ((("BC", "B", "C"), ("CB", "C", "B")), ["BC", "CB"]),
+        ((("BA", "B", "A"), ("BD", "B", "D")), ["AB", "BA"]),
+    ], ids=["within-prefix", "search-into-prefix"])
+    def test_loop_from_a_one_member_prefix_names_only_the_loop(
+            self, chains, moves, loop):
+        # GO's token goes A -> B alone, a one-member prefix. Then either
+        # B -> C -> B, one-member steps back into the prefix's last marking,
+        # or a real choice at B whose branch BA leads back to A, the
+        # prefix's first marking
+        net = PetriNet(
+            places=(Place("S", 1), Place("A", 0), Place("B", 0),
+                    Place("C", 0), Place("D", 0)),
+            transitions=(
+                Transition("GO", Exponential(1.0), input_arcs=(Arc("S"),),
+                           output_arcs=(Arc("A"),)),
+                Transition("AB", Immediate(), input_arcs=(Arc("A"),),
+                           output_arcs=(Arc("B"),)),
+            ) + tuple(Transition(name, Immediate(), input_arcs=(Arc(src),),
+                                 output_arcs=(Arc(dst),))
+                      for name, src, dst in moves))
+        cn = compile_net(net)
+        with pytest.raises(LivelockError) as info:
+            _resolve_vanishing(cn, [0, 1, 0, 0, 0])
+        assert sorted(info.value.transitions) == loop
+        with pytest.raises(LivelockError) as info:
+            solve_ctmc(net, [])
+        assert sorted(info.value.transitions) == loop
+
+    def test_a_long_one_member_drain_keeps_no_frames(self):
+        # 20,000 DRAIN firings in a row, each a new vanishing marking. The
+        # search kept a frame and a memo entry per marking: 14.6 MB peak;
+        # the prefix loop keeps one entry per marking for its loop check,
+        # 3.7 MB (CPython 3.11)
+        n = 20_000
+        cn = compile_net(PetriNet(
+            places=(Place("A", n), Place("B", 0)),
+            transitions=(
+                Transition("DRAIN", Immediate(), input_arcs=(Arc("A"),),
+                           output_arcs=(Arc("B"),)),
+                Transition("BACK", Exponential(1.0), input_arcs=(Arc("B"),),
+                           output_arcs=(Arc("A"),)),
+            )))
+        m0 = list(cn.initial)
+        tracemalloc.start()
+        try:
+            dist, counts = _resolve_vanishing(cn, m0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist == {(0, n): 1.0}
+        assert counts == {0: float(n)}
+        assert m0 == [n, 0]
+        assert peak < 6e6
+
     def test_unbounded_vanishing_growth_is_capped(self, monkeypatch,
                                                   chains):
         # GROW keeps A and adds a token to B: every marking is new
@@ -356,6 +412,40 @@ def assert_close(got: dict, want: dict) -> None:
         assert got[k] == pytest.approx(v, rel=0, abs=1e-12)
 
 
+def prefix_choice_net() -> PetriNet:
+    """GO puts two tokens in A; DRAIN (priority 2) moves them to B one at a
+    time, a one-member prefix; then X or Y (weights 1 : 3) take each token
+    on, so the branches re-converge on the same markings. REFILL returns
+    the first token Y takes to A, so DRAIN fires inside the search too; R
+    and U record whether it has. Each token then waits in E until a RESET
+    takes both back to S."""
+    def imm(name, ins, outs, **kind):
+        return Transition(name, Immediate(**kind), input_arcs=ins,
+                          output_arcs=outs)
+
+    def timed(name, mean, ins, outs):
+        return Transition(name, Exponential(mean), input_arcs=ins,
+                          output_arcs=outs)
+
+    return PetriNet(
+        places=(Place("S", 1), Place("A", 0), Place("B", 0), Place("C", 0),
+                Place("D", 0), Place("E", 0), Place("R", 1), Place("U", 0)),
+        transitions=(
+            timed("GO", 1.0, (Arc("S"),), (Arc("A", 2),)),
+            imm("DRAIN", (Arc("A"),), (Arc("B"),), priority=2),
+            imm("REFILL", (Arc("D"), Arc("R")), (Arc("A"), Arc("U")),
+                priority=2),
+            imm("X", (Arc("B"),), (Arc("C"),), weight=1.0),
+            imm("Y", (Arc("B"),), (Arc("D"),), weight=3.0),
+            timed("C_DONE", 2.0, (Arc("C"),), (Arc("E"),)),
+            timed("D_DONE", 3.0, (Arc("D"),), (Arc("E"),)),
+            timed("RESET_USED", 1.0, (Arc("E", 2), Arc("U")),
+                  (Arc("S"), Arc("R"))),
+            timed("RESET_UNUSED", 1.0, (Arc("E", 2), Arc("R")),
+                  (Arc("S"), Arc("R"))),
+        ))
+
+
 @pytest.mark.parametrize("make", [
     lambda: mm1k_net(3.0, 4.0, 3),
     lambda: mmck_net(6.0, 2.0, 3, 7),
@@ -363,10 +453,11 @@ def assert_close(got: dict, want: dict) -> None:
     branch_net,
     flush_net,
     priority_net,
+    prefix_choice_net,
     lambda: small_hlf_net(2),
     lambda: small_hlf_net(3),
 ], ids=["mm1k", "mmck", "tandem", "branch", "flush", "priority",
-        "hlf-block2", "hlf-block3"])
+        "prefix-choice", "hlf-block2", "hlf-block3"])
 def test_resolution_matches_path_enumeration(make):
     """From every tangible state, after every timed firing, the resolver
     gives the merged distribution and expected immediate counts of the

@@ -1195,7 +1195,7 @@ res = simulate_stationary(handle.net, standard_queries(handle), SimConfig(
     warmup_time=1.0, batch_count=3, batch_length=2.0, seed=1))
 metric_report(res, handle)
 print(sorted(m for m in sys.modules if m.split(".")[0]
-             in ("scipy", "multiprocessing", "concurrent")))
+             in ("scipy", "multiprocessing", "concurrent", "array")))
 sys.path.insert(0, {tests!r})
 from refnets import mm1k_net
 from hlfspn.spn import ExpectedTokens
@@ -1205,7 +1205,8 @@ print("scipy" in sys.modules)
 
 
 def test_simulation_path_does_not_import_scipy():
-    # nor the process pool that only a parallel sweep uses
+    # nor the process pool that only a parallel sweep uses, nor the array
+    # module that only chain generation uses
     code = _SIMULATE_WITHOUT_SCIPY.format(tests=str(Path(__file__).parent))
     src = str(Path(engine.__file__).resolve().parents[2])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
